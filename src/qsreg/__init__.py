@@ -64,9 +64,7 @@ from .regression import (
     FourierModel,
     SampleSet,
     TrigonometricRegression,
-    design_matrix,
     fit_fourier_model,
-    fit_undersampled,
     nyquist_lattice,
     uniform_lattice,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "available_ansatz_names",
     "child_seed",
     "crossover_points",
-    "design_matrix",
     "deuteron_ansatz_1",
     "deuteron_ansatz_2",
     "discrete_window_efficiency",
@@ -120,7 +117,6 @@ __all__ = [
     "exact_spectrum",
     "fit_cost_heuristic",
     "fit_fourier_model",
-    "fit_undersampled",
     "gen_upper_incomplete_gamma",
     "get_ansatz",
     "is_supercritical",

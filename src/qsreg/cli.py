@@ -91,8 +91,10 @@ class RunConfig:
             raise ConfigError("shots must be >= 1")
         if int(self.seed) < 0:
             raise ConfigError("seed must be non-negative")
-        if float(self.oversample) < 1.0:
-            raise ConfigError("oversample must be >= 1")
+        if not np.isfinite(float(self.oversample)) or float(self.oversample) < 1.0:
+            raise ConfigError("oversample must be a finite number >= 1")
+        if self.theta0 is not None and not np.all(np.isfinite(np.asarray(self.theta0, dtype=float))):
+            raise ConfigError("theta0 must be finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

@@ -81,6 +81,8 @@ def _check_theta(spec: ObjectiveSpec, theta) -> np.ndarray:
         raise ValueError(
             f"parameter vector has shape {theta.shape}, expected ({spec.num_params},)"
         )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("parameter vector must be finite")
     return theta
 
 
@@ -129,6 +131,8 @@ def evaluate_batch(spec: ObjectiveSpec, thetas, ledger: EvalLedger | None = None
         raise ValueError(
             f"points have dimension {points.shape[1]}, expected {spec.num_params}"
         )
+    if not np.all(np.isfinite(points)):
+        raise ValueError("parameter points must be finite")
     values = np.empty(points.shape[0])
     measured_total = 0
     for index, theta in enumerate(points):

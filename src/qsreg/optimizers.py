@@ -19,7 +19,9 @@ from .regression import (
     FourierModel,
     SampleSet,
     fit_fourier_model,
+    lattice_axes,
     uniform_lattice,
+    wrap_angles,
 )
 
 __all__ = [
@@ -33,12 +35,6 @@ __all__ = [
 
 # standard simplex coefficients: reflection, expansion, contraction, shrink
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
-
-
-def wrap_angles(theta) -> np.ndarray:
-    """Map angles into the half-open torus domain ]-pi, pi]."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    return theta - 2.0 * np.pi * np.ceil((theta - np.pi) / (2.0 * np.pi))
 
 
 @dataclass
@@ -169,17 +165,19 @@ def nelder_mead_minimize(
 def regression_global_minimize(
     model: FourierModel,
     grid_per_axis: int | None = None,
-    refine: bool = True,
 ) -> OptimizationResult:
     """Deterministic global minimization of a fitted model.
 
-    A dense lexicographic grid scan over ]-pi, pi]^n picks the best cell
-    (first occurrence wins, i.e. ties break to the lexicographically smallest
-    point), then an optional simplex polish restores continuous precision.
-    The default grid density of 8*(2*S_j+1) points per axis is fine enough
-    that a band-limited function cannot hide a minimum between grid points.
-    The polish runs with the value-spread test disabled, so the outcome is
-    exactly invariant under positive rescaling of the model.
+    A lexicographic grid scan over ]-pi, pi]^n, evaluated separably, picks the
+    best cell (ties break to the lexicographically smallest point); a simplex
+    polish, run with the value-spread test disabled so the outcome is exactly
+    invariant under positive rescaling of the model, replaces it if lower.
+    The scan bounds values, not basins: with M_j points per axis (default
+    8*(2*S_j+1)), Bernstein's inequality puts the best grid value within
+    sigma^2 * (max - min) / 4 of the model minimum, sigma = sum_j pi*S_j/M_j,
+    i.e. within 0.0096 * n^2 of the model's range.  A shallower basin whose
+    floor lies closer to a grid point can still win the scan, and the local
+    polish then stays in it.
     """
     bandwidths = model.bandwidths
     if grid_per_axis is None:
@@ -191,13 +189,12 @@ def regression_global_minimize(
                 f"grid too coarse: need >= {2 * max(bandwidths) + 1} points per axis"
             )
         counts = [grid_per_axis] * len(bandwidths)
-    grid = uniform_lattice(counts)
-    values = model.evaluate_many(grid)
-    best = int(np.argmin(values))
-    theta0, value0 = grid[best], float(values[best])
-    evaluations = int(grid.shape[0])
-    if not refine:
-        return OptimizationResult(theta0, value0, evaluations, True)
+    axes = lattice_axes(counts)
+    values = model.evaluate_grid(axes)
+    best = np.unravel_index(np.argmin(values), values.shape)
+    theta0 = np.array([coords[i] for coords, i in zip(axes, best)])
+    value0 = float(values[best])
+    evaluations = int(values.size)
 
     spacing = 2.0 * np.pi / max(counts)
     polish = nelder_mead_minimize(
@@ -268,8 +265,6 @@ def qsr_run(
     spec: ObjectiveSpec,
     bandwidth_override=None,
     oversample_factor: float = 1.0,
-    grid_per_axis: int | None = None,
-    refine: bool = True,
     ledger: EvalLedger | None = None,
 ) -> tuple[FourierModel, OptimizationResult, EvalLedger]:
     """Sampling-regression eigensolver: lattice, one batched query, fit, solve.
@@ -293,8 +288,8 @@ def qsr_run(
         if any(s < 0 for s in bandwidths):
             raise ValueError("bandwidths must be non-negative")
     oversample_factor = float(oversample_factor)
-    if oversample_factor < 1.0:
-        raise ValueError("oversample_factor must be >= 1")
+    if not math.isfinite(oversample_factor) or oversample_factor < 1.0:
+        raise ValueError("oversample_factor must be a finite number >= 1")
     counts = [
         max(2 * s + 1, int(np.ceil(oversample_factor * (2 * s + 1) - 1e-9)))
         for s in bandwidths
@@ -315,5 +310,5 @@ def qsr_run(
         },
     )
     model = fit_fourier_model(samples, FourierBasis(bandwidths))
-    result = regression_global_minimize(model, grid_per_axis=grid_per_axis, refine=refine)
+    result = regression_global_minimize(model)
     return model, result, ledger

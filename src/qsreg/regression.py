@@ -22,11 +22,11 @@ __all__ = [
     "FourierBasis",
     "SampleSet",
     "FourierModel",
+    "wrap_angles",
+    "lattice_axes",
     "uniform_lattice",
     "nyquist_lattice",
-    "design_matrix",
     "fit_fourier_model",
-    "fit_undersampled",
     "TrigonometricRegression",
 ]
 
@@ -55,18 +55,31 @@ def _check_bandwidths(bandwidths) -> tuple[int, ...]:
     return bw
 
 
-def uniform_lattice(counts) -> np.ndarray:
-    """Cartesian product of per-axis uniform grids inside ]-pi, pi].
+def wrap_angles(theta) -> np.ndarray:
+    """Map angles into the half-open torus domain ]-pi, pi]."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    return theta - 2.0 * np.pi * np.ceil((theta - np.pi) / (2.0 * np.pi))
+
+
+def lattice_axes(counts) -> list[np.ndarray]:
+    """Per-axis coordinates of the uniform lattice inside ]-pi, pi].
 
     Axis j contributes points -pi + 2*pi*(i+1)/M_j for i = 0..M_j-1, so the
-    endpoint pi is included and -pi is excluded.  Enumeration is
-    dimension-major (axis 0 slowest), matching the basis enumeration order.
+    endpoint pi is included and -pi is excluded.
     """
     counts = [int(m) for m in np.atleast_1d(counts)]
     if any(m < 1 for m in counts):
         raise ValueError("lattice needs at least one point per axis")
-    axes = [-np.pi + 2.0 * np.pi * (np.arange(m) + 1) / m for m in counts]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    return [-np.pi + 2.0 * np.pi * (np.arange(m) + 1) / m for m in counts]
+
+
+def uniform_lattice(counts) -> np.ndarray:
+    """Cartesian product of the :func:`lattice_axes` grids, one point per row.
+
+    Enumeration is dimension-major (axis 0 slowest), matching the basis
+    enumeration order.
+    """
+    mesh = np.meshgrid(*lattice_axes(counts), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
@@ -127,7 +140,8 @@ class FourierBasis:
         """Total number of basis functions; prod(2*S_j+1) without masking."""
         return int(np.prod(self.axis_sizes))
 
-    def _axis_block(self, values: np.ndarray, axis: int) -> np.ndarray:
+    def _axis_table(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Columns [1, cos(k t), sin(k t), ...] of one axis's retained harmonics at ``values``."""
         cols = []
         for k in self.axis_harmonics(axis):
             if k == 0:
@@ -142,12 +156,9 @@ class FourierBasis:
         points = _check_points(points, self.ndim)
         design = np.ones((points.shape[0], 1))
         for axis in range(self.ndim):
-            block = self._axis_block(points[:, axis], axis)
-            design = np.einsum("pi,pj->pij", design, block).reshape(points.shape[0], -1)
+            table = self._axis_table(points[:, axis], axis)
+            design = np.einsum("pi,pj->pij", design, table).reshape(points.shape[0], -1)
         return design
-
-    def row(self, theta) -> np.ndarray:
-        return self.design_matrix(np.atleast_2d(np.asarray(theta, dtype=float)))[0]
 
     def labels(self) -> list[str]:
         """Human-readable column labels in enumeration order."""
@@ -165,10 +176,6 @@ class FourierBasis:
         for names in per_axis:
             labels = [f"{a}*{b}" if a else b for a in labels for b in names]
         return labels
-
-
-def design_matrix(points, basis: FourierBasis) -> np.ndarray:
-    return basis.design_matrix(points)
 
 
 @dataclass
@@ -210,9 +217,11 @@ class FourierModel:
     coefficients: np.ndarray
     metadata: dict = field(default_factory=dict)
     harmonics: tuple[tuple[int, ...], ...] | None = None
+    basis: FourierBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bandwidths = _check_bandwidths(self.bandwidths)
+        self.basis = FourierBasis(self.bandwidths, self.harmonics)
         self.coefficients = np.asarray(self.coefficients, dtype=float).reshape(-1)
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
@@ -222,20 +231,33 @@ class FourierModel:
             )
 
     @property
-    def basis(self) -> FourierBasis:
-        return FourierBasis(self.bandwidths, self.harmonics)
-
-    @property
     def ndim(self) -> int:
         return len(self.bandwidths)
 
+    def evaluate_grid(self, axes) -> np.ndarray:
+        """Model values on the Cartesian product of per-axis coordinates, in an
+        array of shape ``(len(axes[0]), ..., len(axes[-1]))``.  The coefficients
+        are contracted with one per-axis cos/sin table at a time, so no design
+        matrix is built and memory stays at the size of the result.
+        """
+        if len(axes) != self.ndim:
+            raise ValueError(f"got {len(axes)} axes, expected {self.ndim}")
+        values = self.coefficients
+        for axis, coords in enumerate(axes):
+            coords = np.asarray(coords, dtype=float)
+            if coords.ndim != 1 or not np.all(np.isfinite(coords)):
+                raise ValueError("axis coordinates must be a finite 1-D array")
+            table = self.basis._axis_table(coords, axis)
+            # contracts the leading (axis j) index and appends the axis-j coordinates last
+            values = values.reshape(table.shape[1], -1).T @ table.T
+        return values.reshape([len(coords) for coords in axes])
+
     def evaluate(self, theta) -> float:
-        return float(self.basis.row(theta) @ self.coefficients)
+        point = np.asarray(theta, dtype=float).reshape(-1)
+        return self.evaluate_grid(point[:, None]).item()
 
     def evaluate_many(self, points) -> np.ndarray:
         return self.basis.design_matrix(points) @ self.coefficients
-
-    __call__ = evaluate
 
     def to_dict(self) -> dict:
         metadata = dict(self.metadata)
@@ -275,14 +297,6 @@ class FourierModel:
             return cls.from_dict(json.load(fh))
 
 
-def _solve_least_squares(design: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, float, int]:
-    # rcond=None applies the cutoff max(rows, cols) * eps * largest_singular_value,
-    # which also selects the minimum-norm (kernel-orthogonal) solution.
-    coeffs, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
-    residual = float(np.linalg.norm(design @ coeffs - values))
-    return coeffs, residual, int(rank)
-
-
 def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
     """Least-squares fit of the sample values in the given basis.
 
@@ -293,12 +307,14 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
     if samples.ndim != basis.ndim:
         raise ValueError("sample dimension does not match basis dimension")
     design = basis.design_matrix(samples.points)
-    coeffs, residual, rank = _solve_least_squares(design, samples.values)
+    # rcond=None applies the cutoff max(rows, cols) * eps * largest_singular_value,
+    # which also selects the minimum-norm (kernel-orthogonal) solution.
+    coeffs, _, rank, _ = np.linalg.lstsq(design, samples.values, rcond=None)
     metadata = dict(samples.metadata)
     metadata.update(
         sample_count=len(samples),
-        residual_norm=residual,
-        rank=rank,
+        residual_norm=float(np.linalg.norm(design @ coeffs - samples.values)),
+        rank=int(rank),
         undersampled=bool(metadata.get("undersampled", False)),
     )
     return FourierModel(
@@ -307,19 +323,6 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
         metadata=metadata,
         harmonics=basis.harmonics,
     )
-
-
-def fit_undersampled(samples: SampleSet, reduced_bandwidths) -> FourierModel:
-    """Fit with a deliberately reduced frequency cutoff.
-
-    Imposing a cutoff below the true content trades exactness for smoothness
-    and fewer samples; the returned model is flagged ``undersampled`` so
-    downstream consumers know its minimizer is only a starting point.
-    """
-    basis = FourierBasis(_check_bandwidths(reduced_bandwidths))
-    model = fit_fourier_model(samples, basis)
-    model.metadata["undersampled"] = True
-    return model
 
 
 class TrigonometricRegression:
@@ -358,23 +361,16 @@ class TrigonometricRegression:
         return FourierBasis(_check_bandwidths(self.bandwidths), harmonics)
 
     def fit(self, X, y) -> "TrigonometricRegression":
+        """Fit with :func:`fit_fourier_model`; X may hold any finite angles."""
         basis = self._basis()
         points = _check_points(X, basis.ndim)
-        values = np.asarray(y, dtype=float).reshape(-1)
-        if values.shape[0] != points.shape[0]:
-            raise ValueError("X and y lengths differ")
-        design = basis.design_matrix(points)
-        coeffs, residual, rank = _solve_least_squares(design, values)
+        # the basis is 2*pi-periodic, so wrapping into the sample domain leaves the fit unchanged
+        model = fit_fourier_model(SampleSet(wrap_angles(points), y), basis)
         self.n_features_in_ = points.shape[1]
-        self.coefficients_ = coeffs
-        self.residual_norm_ = residual
-        self.rank_ = rank
-        self.model_ = FourierModel(
-            bandwidths=basis.bandwidths,
-            coefficients=coeffs,
-            metadata={"sample_count": points.shape[0], "residual_norm": residual, "rank": rank},
-            harmonics=basis.harmonics,
-        )
+        self.coefficients_ = model.coefficients
+        self.residual_norm_ = model.metadata["residual_norm"]
+        self.rank_ = model.metadata["rank"]
+        self.model_ = model
         return self
 
     def predict(self, X) -> np.ndarray:

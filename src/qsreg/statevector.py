@@ -141,7 +141,8 @@ def apply_circuit(gates, num_qubits: int) -> np.ndarray:
         else:
             state = _apply_single(state, _single_qubit_matrix(gate), gate.qubits[0], num_qubits)
         norm = np.linalg.norm(state)
-        if abs(norm - 1.0) > _NORM_TOLERANCE:
+        # written so that a NaN norm fails the test too
+        if not abs(norm - 1.0) <= _NORM_TOLERANCE:
             raise RuntimeError(f"state norm drifted to {norm!r} after {gate.kind}")
     return state
 

@@ -115,6 +115,21 @@ def test_config_dataclass_round_trip():
         RunConfig(problem="deuteron-1", algorithm="vqe", mode="shots", shots=0)
 
 
+@pytest.mark.parametrize("field, value", [("oversample", math.inf), ("oversample", math.nan),
+                                          ("theta0", [math.nan])])
+def test_config_rejects_non_finite_numbers(field, value):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(problem="deuteron-1", algorithm="qsr", **{field: value})
+
+
+@pytest.mark.parametrize("flags", [["--algorithm", "vqe", "--theta0", "nan"],
+                                   ["--algorithm", "qsr", "--oversample", "inf"]])
+def test_run_rejects_non_finite_flags_with_exit_2(capsys, flags):
+    code, out = _run(capsys, ["run", "--problem", "deuteron-1", *flags])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
 def test_shots_mode_defaults_shot_count():
     config = RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots")
     assert config.shots == 10_000

@@ -147,3 +147,12 @@ def test_dimension_mismatch(deuteron1):
     spec = ObjectiveSpec(*deuteron1)
     with pytest.raises(ValueError):
         evaluate(spec, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_are_rejected(deuteron1, bad):
+    spec = ObjectiveSpec(*deuteron1)
+    with pytest.raises(ValueError, match="finite"):
+        evaluate(spec, [bad])
+    with pytest.raises(ValueError, match="finite"):
+        evaluate_batch(spec, [[0.1], [bad]])

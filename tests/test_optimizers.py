@@ -1,11 +1,17 @@
 """Simplex minimizer, model global minimization, and the two solver pipelines."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qsreg import (
+    Ansatz,
     EvalLedger,
     FourierModel,
+    Gate,
     ObjectiveSpec,
+    ObservableSum,
+    exact_spectrum,
     nelder_mead_minimize,
     qsr_run,
     regression_global_minimize,
@@ -125,6 +131,20 @@ def test_global_minimize_grid_too_coarse():
         regression_global_minimize(model, grid_per_axis=4)
 
 
+def test_global_minimize_memory_is_the_grid_values():
+    """The 24^4-point scan of a 4-axis S_j = 1 model needs no grid x basis matrix
+    (which alone is 24^4 * 81 * 8 B = 205 MB)."""
+    model = FourierModel((1, 1, 1, 1), np.random.default_rng(44).normal(size=81))
+    tracemalloc.start()
+    try:
+        result = regression_global_minimize(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert result.value_min == pytest.approx(model.evaluate(result.theta_min), abs=1e-12)
+
+
 # --- vqe_run ---
 
 def test_vqe_exact_reaches_ground_energy(deuteron1, lam_d1):
@@ -153,6 +173,12 @@ def test_vqe_shots_error_is_a_few_percent(deuteron1, lam_d1):
     assert error_percent < 15.0
     assert ledger.samples == result.evaluations
     assert ledger.samples == ledger.queries  # the loop cannot batch
+
+
+def test_vqe_rejects_non_finite_start(deuteron2):
+    spec = ObjectiveSpec(*deuteron2)
+    with pytest.raises(ValueError):
+        vqe_run(spec, [np.nan, 0.0])
 
 
 def test_vqe_budget_of_one(deuteron1):
@@ -213,6 +239,57 @@ def test_qsr_validates_inputs(deuteron1):
         qsr_run(spec, bandwidth_override=[1, 1])
     with pytest.raises(ValueError):
         qsr_run(spec, oversample_factor=0.5)
+
+
+@pytest.mark.parametrize("factor", [np.inf, np.nan])
+def test_qsr_rejects_non_finite_oversampling(deuteron1, factor):
+    spec = ObjectiveSpec(*deuteron1)
+    with pytest.raises(ValueError, match="finite"):
+        qsr_run(spec, oversample_factor=factor)
+
+
+def test_qsr_flags_undersampled_bandwidths(deuteron2):
+    spec = ObjectiveSpec(*deuteron2)
+    reduced, _, _ = qsr_run(spec, bandwidth_override=[1, 1])
+    assert reduced.metadata["undersampled"] is True
+    full, _, _ = qsr_run(spec)
+    assert full.metadata["undersampled"] is False
+
+
+def _ladder_problem(num_qubits, num_params, seed):
+    """RY + CNOT ladder with one RY per parameter (S_j = 1) and a random Pauli sum."""
+    rng = np.random.default_rng(seed)
+
+    def builder(theta):
+        gates = [Gate.x(q) for q in range(num_qubits) if q % 2 == 0]
+        for j in range(num_params):
+            gates.append(Gate.ry(j % num_qubits, theta[j]))
+            if j % num_qubits == num_qubits - 1 or j == num_params - 1:
+                gates.extend(Gate.cnot(q, q + 1) for q in range(num_qubits - 1))
+        return gates
+
+    ansatz = Ansatz(
+        name="ladder",
+        num_qubits=num_qubits,
+        num_params=num_params,
+        bandwidths=(1,) * num_params,
+        param_names=tuple(f"t{j}" for j in range(num_params)),
+        builder=builder,
+    )
+    terms = [(float(rng.normal()), "".join(rng.choice(list("IXYZ"), size=num_qubits)))
+             for _ in range(8)]
+    return ansatz, ObservableSum(num_qubits, terms)
+
+
+def test_qsr_exact_on_five_parameters():
+    """Five S_j = 1 parameters: a 24^5-point model scan, which a grid x basis
+    design matrix (7.96M x 243) could not hold in memory."""
+    ansatz, obs = _ladder_problem(num_qubits=4, num_params=5, seed=5)
+    spec = ObjectiveSpec(ansatz, obs)
+    _, result, ledger = qsr_run(spec)
+    assert (ledger.samples, ledger.queries) == (3**5, 1)
+    assert result.value_min >= exact_spectrum(obs).min_eigenvalue - 1e-9
+    assert result.value_min == pytest.approx(exact_objective(ansatz, obs, result.theta_min), abs=1e-9)
 
 
 def test_shared_ledger_across_pipeline_stages(deuteron2):

@@ -9,13 +9,12 @@ from qsreg import (
     FourierModel,
     SampleSet,
     TrigonometricRegression,
-    design_matrix,
     fit_fourier_model,
-    fit_undersampled,
     nyquist_lattice,
     uniform_lattice,
 )
 from qsreg.objective import ObjectiveSpec, evaluate_batch
+from qsreg.regression import lattice_axes
 
 
 # --- lattices ---
@@ -65,14 +64,14 @@ def test_design_row_at_zero():
 
 def test_design_columns_orthogonal_on_lattice():
     basis = FourierBasis((1,))
-    F = design_matrix(nyquist_lattice([1]), basis)
+    F = basis.design_matrix(nyquist_lattice([1]))
     gram = F.T @ F
     assert np.allclose(gram, np.diag([3.0, 1.5, 1.5]), atol=1e-12)
 
 
 def test_design_full_rank_on_two_axes():
     basis = FourierBasis((1, 1))
-    F = design_matrix(nyquist_lattice([1, 1]), basis)
+    F = basis.design_matrix(nyquist_lattice([1, 1]))
     assert F.shape == (9, 9)
     assert np.linalg.matrix_rank(F) == 9
 
@@ -162,6 +161,30 @@ def test_model_is_periodic():
             assert model.evaluate(shifted) == pytest.approx(model.evaluate(theta), abs=1e-12)
 
 
+def test_grid_evaluation_matches_design_matrix():
+    """The separable per-axis contraction equals the design-matrix product on the lattice."""
+    rng = np.random.default_rng(2012)
+    for ndim in (1, 2, 3, 4):
+        for masked in (False, True):
+            bandwidths = tuple(int(s) for s in rng.integers(0, 4 if ndim < 4 else 3, size=ndim))
+            harmonics = None
+            if masked:
+                harmonics = tuple(
+                    tuple(k for k in range(s + 1) if k == s or rng.random() < 0.5)
+                    for s in bandwidths
+                )
+            basis = FourierBasis(bandwidths, harmonics)
+            model = FourierModel(bandwidths, rng.normal(size=basis.size), harmonics=basis.harmonics)
+            counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
+            reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
+            separable = model.evaluate_grid(lattice_axes(counts))
+            assert separable.shape == tuple(counts)
+            tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
+            assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
+            point = uniform_lattice(counts)[-1]
+            assert abs(model.evaluate(point) - reference[-1]) <= tolerance
+
+
 def _random_band_limited(rng, max_dims=3, max_s=4):
     ndim = int(rng.integers(1, max_dims + 1))
     bandwidths = tuple(int(s) for s in rng.integers(1, max_s + 1, size=ndim))
@@ -217,22 +240,11 @@ def test_noise_averaging_scales_with_oversampling():
 
 # --- undersampling / aliasing ---
 
-def test_undersampled_equal_bandwidths_matches_fit(deuteron1):
-    ansatz, obs = deuteron1
-    points = nyquist_lattice([1])
-    values = evaluate_batch(ObjectiveSpec(ansatz, obs), points)
-    samples = SampleSet(points, values)
-    plain = fit_fourier_model(samples, FourierBasis((1,)))
-    reduced = fit_undersampled(samples, [1])
-    assert np.array_equal(plain.coefficients, reduced.coefficients)
-    assert reduced.metadata["undersampled"] is True
-
-
 def test_aliasing_of_high_frequency_content():
     """cos(2t) sampled at the S=1 rate aliases onto -cos(t) on this lattice."""
     points = nyquist_lattice([1])
     samples = SampleSet(points, np.cos(2 * points[:, 0]))
-    model = fit_undersampled(samples, [1])
+    model = fit_fourier_model(samples, FourierBasis((1,)))
     assert np.allclose(model.coefficients, [0.0, -1.0, 0.0], atol=1e-12)
     dense = uniform_lattice([64])
     errors = np.abs(model.evaluate_many(dense) - np.cos(2 * dense[:, 0]))
@@ -302,6 +314,20 @@ def test_estimator_fit_predict_matches_model():
     assert np.allclose(reg.predict(check), truth.evaluate_many(check), atol=1e-10)
     assert reg.score(check, truth.evaluate_many(check)) == pytest.approx(1.0)
     assert reg.model_.metadata["sample_count"] == points.shape[0]
+
+
+def test_estimator_fits_points_outside_the_sample_domain():
+    """Any finite X is accepted: the periodic basis sees wrapped points as the same data."""
+    truth = FourierModel((1, 2), np.linspace(-0.7, 0.7, 15))
+    rng = np.random.default_rng(31)
+    points = nyquist_lattice(truth.bandwidths)
+    shifted = points + 2 * np.pi * rng.integers(-3, 4, size=points.shape)
+    assert np.any(np.abs(shifted) > np.pi)
+    reg = TrigonometricRegression(bandwidths=truth.bandwidths).fit(shifted, truth.evaluate_many(points))
+    check = rng.uniform(-10.0, 10.0, size=(50, 2))
+    assert np.allclose(reg.predict(check), truth.evaluate_many(check), atol=1e-10)
+    assert reg.rank_ == 15
+    assert reg.residual_norm_ < 1e-10
 
 
 def test_estimator_requires_fit_before_predict():

@@ -45,6 +45,11 @@ def test_gate_validation():
         apply_circuit([Gate.x(3)], 2)
 
 
+def test_nan_angle_fails_the_norm_check():
+    with pytest.raises(RuntimeError, match="norm"):
+        apply_circuit([Gate.ry(0, float("nan"))], 1)
+
+
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(3)
     for _ in range(20):
