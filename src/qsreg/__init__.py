@@ -12,11 +12,9 @@ from .ansatz import (
     Ansatz,
     BandwidthAxisCheck,
     BandwidthReport,
-    available_ansatz_names,
     deuteron_ansatz_1,
     deuteron_ansatz_2,
     exact_objective,
-    get_ansatz,
     verify_bandwidth,
 )
 from .complexity import (
@@ -46,10 +44,7 @@ from .observables import (
     PauliString,
     Spectrum,
     exact_spectrum,
-    load_observable,
-    multiply_pauli_strings,
     parse_observable,
-    shift_square,
 )
 from .optimizers import (
     OptimizationResult,
@@ -101,7 +96,6 @@ __all__ = [
     "TrigonometricRegression",
     "advantage_threshold",
     "apply_circuit",
-    "available_ansatz_names",
     "child_seed",
     "crossover_points",
     "deuteron_ansatz_1",
@@ -118,13 +112,10 @@ __all__ = [
     "fit_cost_heuristic",
     "fit_fourier_model",
     "gen_upper_incomplete_gamma",
-    "get_ansatz",
     "is_supercritical",
     "lambert_w0",
     "lambert_wm1",
-    "load_observable",
     "model_report",
-    "multiply_pauli_strings",
     "nelder_mead_minimize",
     "nyquist_lattice",
     "parse_observable",
@@ -134,7 +125,6 @@ __all__ = [
     "rescale_natural_units",
     "resource_ratio",
     "sampled_expectation",
-    "shift_square",
     "threshold_sweep",
     "uniform_lattice",
     "verify_bandwidth",

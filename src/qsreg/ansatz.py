@@ -20,8 +20,6 @@ __all__ = [
     "Ansatz",
     "deuteron_ansatz_1",
     "deuteron_ansatz_2",
-    "get_ansatz",
-    "available_ansatz_names",
     "exact_objective",
     "BandwidthAxisCheck",
     "BandwidthReport",
@@ -74,7 +72,7 @@ def deuteron_ansatz_1() -> Ansatz:
     """
 
     def builder(theta: np.ndarray) -> list[Gate]:
-        return [Gate.x(0), Gate.ry(1, theta[0]), Gate.cnot(1, 0)]
+        return [Gate("X", (0,)), Gate("RY", (1,), float(theta[0])), Gate("CNOT", (1, 0))]
 
     return Ansatz(
         name="deuteron-1",
@@ -97,16 +95,16 @@ def deuteron_ansatz_2() -> Ansatz:
     """
 
     def builder(theta: np.ndarray) -> list[Gate]:
-        th, eta = theta[0], theta[1]
+        th, eta = float(theta[0]), float(theta[1])
         return [
-            Gate.x(0),
-            Gate.ry(1, eta),
-            Gate.ry(2, th),
-            Gate.cnot(2, 0),
-            Gate.cnot(0, 1),
-            Gate.ry(1, -eta),
-            Gate.cnot(0, 1),
-            Gate.cnot(1, 0),
+            Gate("X", (0,)),
+            Gate("RY", (1,), eta),
+            Gate("RY", (2,), th),
+            Gate("CNOT", (2, 0)),
+            Gate("CNOT", (0, 1)),
+            Gate("RY", (1,), -eta),
+            Gate("CNOT", (0, 1)),
+            Gate("CNOT", (1, 0)),
         ]
 
     return Ansatz(
@@ -117,24 +115,6 @@ def deuteron_ansatz_2() -> Ansatz:
         param_names=("theta", "eta"),
         builder=builder,
     )
-
-
-_REGISTRY: dict[str, Callable[[], Ansatz]] = {
-    "deuteron-1": deuteron_ansatz_1,
-    "deuteron-2": deuteron_ansatz_2,
-}
-
-
-def get_ansatz(name: str) -> Ansatz:
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown ansatz {name!r}; available: {sorted(_REGISTRY)}") from None
-    return factory()
-
-
-def available_ansatz_names() -> list[str]:
-    return sorted(_REGISTRY)
 
 
 def exact_objective(ansatz: Ansatz, observable: ObservableSum, theta) -> float:
@@ -201,6 +181,10 @@ def verify_bandwidth(
     the axis passes iff that index stays within the declared bound on every
     slice.
     """
+    if not 0.0 < tolerance < 1.0:
+        raise ValueError(f"tolerance must be a finite number in (0, 1), got {tolerance!r}")
+    if slices_per_axis < 1:
+        raise ValueError(f"need at least one slice per axis, got {slices_per_axis}")
     max_s = max(ansatz.bandwidths) if ansatz.bandwidths else 0
     if grid_points_per_axis <= 2 * max_s + 1:
         raise ValueError(

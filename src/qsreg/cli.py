@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .ansatz import Ansatz, exact_objective, get_ansatz, verify_bandwidth
+from .ansatz import Ansatz, deuteron_ansatz_1, deuteron_ansatz_2, exact_objective, verify_bandwidth
 from .complexity import (
     ComplexityParams,
     efficiency,
@@ -31,17 +31,17 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import uniform_lattice
+from .regression import _check_bandwidths, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
 DEFAULT_SHOTS = 10_000
 OUTPUT_DIR_ENV = "QSREG_OUTPUT_DIR"
 
-# problem name -> bundled Hamiltonian file; ansatz names match problem names
-PROBLEM_FILES = {
-    "deuteron-1": "deuteron-2q.json",
-    "deuteron-2": "deuteron-3q.json",
+# problem name -> (ansatz factory, bundled Hamiltonian file)
+PROBLEMS = {
+    "deuteron-1": (deuteron_ansatz_1, "deuteron-2q.json"),
+    "deuteron-2": (deuteron_ansatz_2, "deuteron-3q.json"),
 }
 
 # Table-style comparison rows pin the lattice the benchmark historically used:
@@ -54,10 +54,11 @@ class ConfigError(ValueError):
 
 
 def load_problem(name: str) -> tuple[Ansatz, ObservableSum]:
-    if name not in PROBLEM_FILES:
-        raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEM_FILES)}")
-    text = resources.files("qsreg").joinpath("data", PROBLEM_FILES[name]).read_text()
-    return get_ansatz(name), parse_observable(text)
+    if name not in PROBLEMS:
+        raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
+    factory, filename = PROBLEMS[name]
+    text = resources.files("qsreg").joinpath("data", filename).read_text()
+    return factory(), parse_observable(text)
 
 
 @dataclass
@@ -79,7 +80,7 @@ class RunConfig:
     model_out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEM_FILES:
+        if self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.algorithm not in ("vqe", "qsr"):
             raise ConfigError("algorithm must be 'vqe' or 'qsr'")
@@ -95,6 +96,11 @@ class RunConfig:
             raise ConfigError("oversample must be a finite number >= 1")
         if self.theta0 is not None and not np.all(np.isfinite(np.asarray(self.theta0, dtype=float))):
             raise ConfigError("theta0 must be finite")
+        if self.bandwidths is not None:
+            try:
+                self.bandwidths = list(_check_bandwidths(self.bandwidths))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -155,6 +161,8 @@ def execute_run(config: RunConfig) -> dict:
     }
 
     if config.algorithm == "qsr":
+        if config.bandwidths is not None and len(config.bandwidths) != ansatz.num_params:
+            raise ConfigError(f"bandwidths needs {ansatz.num_params} entries")
         model, opt, ledger = qsr_run(
             spec,
             bandwidth_override=config.bandwidths,
@@ -453,14 +461,18 @@ def cmd_landscape(args) -> int:
 
 def cmd_verify_bandwidth(args) -> int:
     ansatz, observable = load_problem(args.problem)
-    report = verify_bandwidth(
-        ansatz,
-        observable,
-        grid_points_per_axis=args.grid,
-        tolerance=args.tolerance,
-        slices_per_axis=args.slices,
-        seed=args.seed,
-    )
+    try:
+        report = verify_bandwidth(
+            ansatz,
+            observable,
+            grid_points_per_axis=args.grid,
+            tolerance=args.tolerance,
+            slices_per_axis=args.slices,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        # on a bundled problem verify_bandwidth only rejects its arguments
+        raise ConfigError(str(exc)) from exc
     if args.json:
         doc = {
             "problem": args.problem,
@@ -484,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one solver run, emit result JSON")
     run.add_argument("--config", help="JSON config file (unknown keys rejected)")
-    run.add_argument("--problem", choices=sorted(PROBLEM_FILES))
+    run.add_argument("--problem", choices=sorted(PROBLEMS))
     run.add_argument("--algorithm", choices=["vqe", "qsr"])
     run.add_argument("--mode", choices=["exact", "shots"], default="exact")
     run.add_argument("--shots", type=int, default=None)
@@ -521,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     comp.set_defaults(func=cmd_complexity)
 
     land = sub.add_parser("landscape", help="export raw vs reconstructed landscape CSV")
-    land.add_argument("--problem", required=True, choices=sorted(PROBLEM_FILES))
+    land.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
     land.add_argument("--resolution", type=int, default=41)
     land.add_argument("--mode", choices=["exact", "shots"], default="exact")
     land.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
@@ -531,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     land.set_defaults(func=cmd_landscape)
 
     verify = sub.add_parser("verify-bandwidth", help="check declared bandwidth annotations")
-    verify.add_argument("--problem", required=True, choices=sorted(PROBLEM_FILES))
+    verify.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
     verify.add_argument("--grid", type=int, default=64)
     verify.add_argument("--tolerance", type=float, default=1e-8)
     verify.add_argument("--slices", type=int, default=5)

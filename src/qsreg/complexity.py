@@ -118,11 +118,11 @@ def crossover_points(params: ComplexityParams) -> tuple[float, float] | None:
 
 def window_width(params: ComplexityParams) -> float:
     """Width n_upper - n_lower of the advantage window (requires supercritical)."""
-    n_star, _ = peak(params)
-    arg = -1.0 / (params.m * n_star)
-    if arg < -1.0 / math.e:
+    points = crossover_points(params)
+    if points is None:
         raise SubcriticalError("no advantage window below criticality")
-    return n_star * (lambert_w0(arg) - lambert_wm1(arg))
+    n_lower, n_upper = points
+    return n_upper - n_lower
 
 
 def _snap_integer(value: float, tol: float = 1e-9) -> float:
@@ -260,16 +260,6 @@ def model_report(params: ComplexityParams) -> ModelReport:
     )
 
 
-def _threshold_mr(m: float, r: float) -> float:
-    n_star = r / _LN2
-    arg = -1.0 / (m * n_star)
-    if arg < -1.0 / math.e:
-        return math.nan
-    if arg == -1.0 / math.e:
-        return float(math.ceil(_snap_integer(n_star)))
-    return float(math.ceil(_snap_integer(-n_star * lambert_wm1(arg))))
-
-
 def threshold_sweep(m_values, r_values) -> np.ndarray:
     """Threshold a over an (m, r) grid; NaN marks subcritical cells.
 
@@ -280,7 +270,11 @@ def threshold_sweep(m_values, r_values) -> np.ndarray:
     out = np.empty((m_values.size, r_values.size))
     for i, m in enumerate(m_values):
         for j, r in enumerate(r_values):
-            out[i, j] = _threshold_mr(m, r)
+            # p = r at s = 1 gives r = p/s exactly; a depends on (m, r) only
+            try:
+                out[i, j] = advantage_threshold(ComplexityParams(m=m, p=r, s=1.0))
+            except SubcriticalError:
+                out[i, j] = math.nan
     return out
 
 

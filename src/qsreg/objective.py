@@ -25,18 +25,11 @@ class EvalLedger:
     """Running counts of objective samples, backend queries and measurements.
 
     ``measurements`` counts shot-consuming (point, term) pairs times shots.
-    Workers keeping per-worker sub-ledgers must end up with the serial counts;
-    ``merge`` implements that contract.
     """
 
     samples: int = 0
     queries: int = 0
     measurements: int = 0
-
-    def merge(self, other: "EvalLedger") -> None:
-        self.samples += other.samples
-        self.queries += other.queries
-        self.measurements += other.measurements
 
     def as_dict(self) -> dict:
         return {

@@ -19,10 +19,7 @@ __all__ = [
     "PauliString",
     "ObservableSum",
     "Spectrum",
-    "multiply_pauli_strings",
     "parse_observable",
-    "load_observable",
-    "shift_square",
     "exact_spectrum",
     "MERGE_PRUNE_TOLERANCE",
     "MAX_DENSE_QUBITS",
@@ -35,16 +32,6 @@ PAULI_MATRICES = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-# a * b = phase * c for single-qubit Paulis, phase in {1, -1, i, -i}
-_PAULI_PRODUCT: dict[tuple[str, str], tuple[complex, str]] = {
-    ("I", "I"): (1, "I"), ("I", "X"): (1, "X"), ("I", "Y"): (1, "Y"), ("I", "Z"): (1, "Z"),
-    ("X", "I"): (1, "X"), ("Y", "I"): (1, "Y"), ("Z", "I"): (1, "Z"),
-    ("X", "X"): (1, "I"), ("Y", "Y"): (1, "I"), ("Z", "Z"): (1, "I"),
-    ("X", "Y"): (1j, "Z"), ("Y", "X"): (-1j, "Z"),
-    ("Y", "Z"): (1j, "X"), ("Z", "Y"): (-1j, "X"),
-    ("Z", "X"): (1j, "Y"), ("X", "Z"): (-1j, "Y"),
 }
 
 # weights below this magnitude are dropped after merging duplicate strings
@@ -90,19 +77,6 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.ops
-
-
-def multiply_pauli_strings(a: PauliString, b: PauliString) -> tuple[complex, PauliString]:
-    """Product a·b as (phase, PauliString) with phase in {±1, ±i}."""
-    if a.num_qubits != b.num_qubits:
-        raise ObservableError("Pauli strings act on different numbers of qubits")
-    phase = 1.0 + 0.0j
-    ops = []
-    for la, lb in zip(a.ops, b.ops):
-        ph, lc = _PAULI_PRODUCT[(la, lb)]
-        phase *= ph
-        ops.append(lc)
-    return phase, PauliString("".join(ops))
 
 
 @dataclass(frozen=True)
@@ -204,48 +178,6 @@ def parse_observable(text: str) -> ObservableSum:
             raise ObservableError(f"weight must be a number: {entry!r}")
         terms.append((float(entry["weight"]), PauliString(str(entry["pauli"]))))
     return ObservableSum(num_qubits, terms)
-
-
-def load_observable(path) -> ObservableSum:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_observable(fh.read())
-
-
-def shift_square(obs: ObservableSum, gamma: float) -> ObservableSum:
-    """Squared spectral shift: returns the observable (H - gamma*1)^2.
-
-    The square is expanded back into Pauli-string form via single-qubit
-    products with tracked phases.  For Hermitian (real-weight) input all
-    imaginary contributions cancel pairwise; a residual imaginary weight above
-    1e-12 is a hard error, smaller residues are dropped.
-
-    Every eigenvalue lambda of ``obs`` maps to (lambda - gamma)^2, so
-    minimizing the shifted observable targets the eigenvalue nearest gamma.
-    """
-    gamma = float(gamma)
-    if not math.isfinite(gamma):
-        raise ObservableError("gamma must be finite")
-    identity = PauliString("I" * obs.num_qubits)
-    shifted: dict[str, complex] = {}
-    for w, p in obs.terms:
-        shifted[p.ops] = shifted.get(p.ops, 0.0) + w
-    shifted[identity.ops] = shifted.get(identity.ops, 0.0) - gamma
-
-    acc: dict[str, complex] = {}
-    items = [(PauliString(ops), w) for ops, w in shifted.items()]
-    for pa, wa in items:
-        for pb, wb in items:
-            phase, prod = multiply_pauli_strings(pa, pb)
-            acc[prod.ops] = acc.get(prod.ops, 0.0) + wa * wb * phase
-
-    terms = []
-    for ops, w in acc.items():
-        if abs(w.imag) > 1e-12:
-            raise ObservableError(
-                f"non-Hermitian residue: term {ops!r} has imaginary weight {w.imag:g}"
-            )
-        terms.append((w.real, PauliString(ops)))
-    return ObservableSum(obs.num_qubits, terms)
 
 
 def exact_spectrum(obs: ObservableSum) -> Spectrum:

@@ -18,6 +18,7 @@ from .regression import (
     FourierBasis,
     FourierModel,
     SampleSet,
+    _check_bandwidths,
     fit_fourier_model,
     lattice_axes,
     uniform_lattice,
@@ -56,7 +57,6 @@ def nelder_mead_minimize(
     max_evals: int = 500,
     xtol: float = 1e-6,
     ftol: float | None = 1e-6,
-    seed: int | None = None,
     init_step: float = 0.25,
     record_trace: bool = False,
 ) -> OptimizationResult:
@@ -66,9 +66,8 @@ def nelder_mead_minimize(
     needs both the vertex spread <= ``xtol`` and the value spread <= ``ftol``
     (``ftol=None`` disables the value test, which keeps the search path
     invariant under positive rescaling of ``f``).  An exhausted evaluation
-    budget sets ``converged=False`` instead of raising.  ``seed`` randomizes
-    the initial simplex step sizes reproducibly; with ``seed=None`` the step
-    is the fixed ``init_step``.
+    budget sets ``converged=False`` instead of raising.  The initial simplex
+    steps ``init_step`` along each axis from ``theta0``.
     """
     theta0 = wrap_angles(theta0)
     n = theta0.size
@@ -91,11 +90,6 @@ def nelder_mead_minimize(
             trace.append((xw.copy(), value))
         return value
 
-    if seed is None:
-        steps = np.full(n, init_step)
-    else:
-        steps = np.random.default_rng(seed).uniform(0.8, 1.2, size=n) * init_step
-
     sim = [theta0.copy()]
     fsim = []
     converged = False
@@ -103,7 +97,7 @@ def nelder_mead_minimize(
         fsim.append(call(sim[0]))
         for i in range(n):
             vertex = theta0.copy()
-            vertex[i] += steps[i]
+            vertex[i] += init_step
             sim.append(vertex)
             fsim.append(call(vertex))
         sim = np.asarray(sim)
@@ -162,33 +156,22 @@ def nelder_mead_minimize(
     )
 
 
-def regression_global_minimize(
-    model: FourierModel,
-    grid_per_axis: int | None = None,
-) -> OptimizationResult:
+def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     """Deterministic global minimization of a fitted model.
 
     A lexicographic grid scan over ]-pi, pi]^n, evaluated separably, picks the
     best cell (ties break to the lexicographically smallest point); a simplex
     polish, run with the value-spread test disabled so the outcome is exactly
     invariant under positive rescaling of the model, replaces it if lower.
-    The scan bounds values, not basins: with M_j points per axis (default
-    8*(2*S_j+1)), Bernstein's inequality puts the best grid value within
+    The scan bounds values, not basins: with M_j = 8*(2*S_j+1) points per
+    axis, Bernstein's inequality puts the best grid value within
     sigma^2 * (max - min) / 4 of the model minimum, sigma = sum_j pi*S_j/M_j,
     i.e. within 0.0096 * n^2 of the model's range.  A shallower basin whose
     floor lies closer to a grid point can still win the scan, and the local
     polish then stays in it.
     """
     bandwidths = model.bandwidths
-    if grid_per_axis is None:
-        counts = [8 * (2 * s + 1) for s in bandwidths]
-    else:
-        grid_per_axis = int(grid_per_axis)
-        if grid_per_axis < 2 * max(bandwidths) + 1:
-            raise ValueError(
-                f"grid too coarse: need >= {2 * max(bandwidths) + 1} points per axis"
-            )
-        counts = [grid_per_axis] * len(bandwidths)
+    counts = [8 * (2 * s + 1) for s in bandwidths]
     axes = lattice_axes(counts)
     values = model.evaluate_grid(axes)
     best = np.unravel_index(np.argmin(values), values.shape)
@@ -225,7 +208,6 @@ def vqe_run(
     max_evals: int | None = None,
     xtol: float | None = None,
     ftol: float | None = None,
-    seed: int | None = None,
     record_trace: bool = False,
 ) -> OptimizationResult:
     """Baseline eigensolver loop: simplex descent on the live objective.
@@ -256,7 +238,6 @@ def vqe_run(
         max_evals=max_evals,
         xtol=xtol,
         ftol=ftol,
-        seed=seed,
         record_trace=record_trace,
     )
 
@@ -280,13 +261,11 @@ def qsr_run(
     if bandwidth_override is None:
         bandwidths = tuple(ansatz.bandwidths)
     else:
-        bandwidths = tuple(int(s) for s in np.atleast_1d(bandwidth_override))
+        bandwidths = _check_bandwidths(bandwidth_override)
         if len(bandwidths) != ansatz.num_params:
             raise ValueError(
                 f"bandwidth override needs {ansatz.num_params} entries, got {len(bandwidths)}"
             )
-        if any(s < 0 for s in bandwidths):
-            raise ValueError("bandwidths must be non-negative")
     oversample_factor = float(oversample_factor)
     if not math.isfinite(oversample_factor) or oversample_factor < 1.0:
         raise ValueError("oversample_factor must be a finite number >= 1")

@@ -14,6 +14,8 @@ products, each dimension ordered [1, cos(1t), sin(1t), cos(2t), sin(2t), ...].
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,9 +49,19 @@ def _check_points(x, ndim: int | None = None) -> np.ndarray:
 
 
 def _check_bandwidths(bandwidths) -> tuple[int, ...]:
-    bw = tuple(int(s) for s in np.atleast_1d(bandwidths))
-    if len(bw) == 0:
+    entries = list(bandwidths) if np.ndim(bandwidths) else [bandwidths]
+    if not entries:
         raise ValueError("need at least one bandwidth")
+    for s in entries:
+        # a fractional, non-finite or boolean entry would otherwise be truncated by int()
+        if (
+            isinstance(s, (bool, np.bool_))
+            or not isinstance(s, numbers.Real)
+            or not math.isfinite(s)
+            or s != int(s)
+        ):
+            raise ValueError(f"bandwidths must be integers, got {s!r}")
+    bw = tuple(int(s) for s in entries)
     if any(s < 0 for s in bw):
         raise ValueError("bandwidths must be non-negative")
     return bw
@@ -91,64 +103,27 @@ def nyquist_lattice(bandwidths) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FourierBasis:
-    """Tensor-product sinusoid basis with per-axis bandwidths.
-
-    ``harmonics`` optionally restricts each axis to a subset of harmonic
-    indices (0 denotes the constant); ``None`` keeps all of 0..S_j.  Dropping
-    harmonics shrinks the basis and hence the number of samples needed, at the
-    cost of assuming the dropped content is absent.
-    """
+    """Tensor-product sinusoid basis with per-axis bandwidths."""
 
     bandwidths: tuple[int, ...]
-    harmonics: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        bw = _check_bandwidths(self.bandwidths)
-        object.__setattr__(self, "bandwidths", bw)
-        if self.harmonics is not None:
-            if len(self.harmonics) != len(bw):
-                raise ValueError("need one harmonic set per axis")
-            cleaned = []
-            for axis, (s, hset) in enumerate(zip(bw, self.harmonics)):
-                ks = tuple(sorted({int(k) for k in hset}))
-                if not ks:
-                    raise ValueError(f"axis {axis} retains no harmonics")
-                if ks[0] < 0 or ks[-1] > s:
-                    raise ValueError(f"axis {axis} harmonics must lie in 0..{s}")
-                cleaned.append(ks)
-            object.__setattr__(self, "harmonics", tuple(cleaned))
+        object.__setattr__(self, "bandwidths", _check_bandwidths(self.bandwidths))
 
     @property
     def ndim(self) -> int:
         return len(self.bandwidths)
 
-    def axis_harmonics(self, axis: int) -> tuple[int, ...]:
-        if self.harmonics is None:
-            return tuple(range(self.bandwidths[axis] + 1))
-        return self.harmonics[axis]
-
-    @property
-    def axis_sizes(self) -> tuple[int, ...]:
-        sizes = []
-        for axis in range(self.ndim):
-            ks = self.axis_harmonics(axis)
-            sizes.append(sum(1 if k == 0 else 2 for k in ks))
-        return tuple(sizes)
-
     @property
     def size(self) -> int:
-        """Total number of basis functions; prod(2*S_j+1) without masking."""
-        return int(np.prod(self.axis_sizes))
+        """Total number of basis functions, prod(2*S_j+1)."""
+        return int(np.prod([2 * s + 1 for s in self.bandwidths]))
 
     def _axis_table(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Columns [1, cos(k t), sin(k t), ...] of one axis's retained harmonics at ``values``."""
-        cols = []
-        for k in self.axis_harmonics(axis):
-            if k == 0:
-                cols.append(np.ones_like(values))
-            else:
-                cols.append(np.cos(k * values))
-                cols.append(np.sin(k * values))
+        """Columns [1, cos(k t), sin(k t), ..., sin(S_j t)] of one axis at ``values``."""
+        cols = [np.ones_like(values)]
+        for k in range(1, self.bandwidths[axis] + 1):
+            cols += [np.cos(k * values), np.sin(k * values)]
         return np.stack(cols, axis=-1)
 
     def design_matrix(self, points) -> np.ndarray:
@@ -159,23 +134,6 @@ class FourierBasis:
             table = self._axis_table(points[:, axis], axis)
             design = np.einsum("pi,pj->pij", design, table).reshape(points.shape[0], -1)
         return design
-
-    def labels(self) -> list[str]:
-        """Human-readable column labels in enumeration order."""
-        per_axis = []
-        for axis in range(self.ndim):
-            names = []
-            for k in self.axis_harmonics(axis):
-                if k == 0:
-                    names.append("1")
-                else:
-                    names.append(f"cos{k}t{axis}")
-                    names.append(f"sin{k}t{axis}")
-            per_axis.append(names)
-        labels = [""]
-        for names in per_axis:
-            labels = [f"{a}*{b}" if a else b for a in labels for b in names]
-        return labels
 
 
 @dataclass
@@ -216,12 +174,11 @@ class FourierModel:
     bandwidths: tuple[int, ...]
     coefficients: np.ndarray
     metadata: dict = field(default_factory=dict)
-    harmonics: tuple[tuple[int, ...], ...] | None = None
     basis: FourierBasis = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.bandwidths = _check_bandwidths(self.bandwidths)
-        self.basis = FourierBasis(self.bandwidths, self.harmonics)
+        self.basis = FourierBasis(self.bandwidths)
         self.coefficients = np.asarray(self.coefficients, dtype=float).reshape(-1)
         if not np.all(np.isfinite(self.coefficients)):
             raise ValueError("coefficients must be finite")
@@ -260,13 +217,10 @@ class FourierModel:
         return self.basis.design_matrix(points) @ self.coefficients
 
     def to_dict(self) -> dict:
-        metadata = dict(self.metadata)
-        if self.harmonics is not None:
-            metadata["harmonics"] = [list(h) for h in self.harmonics]
         return {
             "bandwidths": list(self.bandwidths),
             "coefficients": [float(c) for c in self.coefficients],
-            "metadata": metadata,
+            "metadata": dict(self.metadata),
         }
 
     @classmethod
@@ -275,15 +229,10 @@ class FourierModel:
             raise ValueError(
                 "model document needs exactly 'bandwidths', 'coefficients', 'metadata'"
             )
-        metadata = dict(doc["metadata"])
-        harmonics = metadata.pop("harmonics", None)
-        if harmonics is not None:
-            harmonics = tuple(tuple(int(k) for k in h) for h in harmonics)
         return cls(
             bandwidths=tuple(int(s) for s in doc["bandwidths"]),
             coefficients=np.asarray(doc["coefficients"], dtype=float),
-            metadata=metadata,
-            harmonics=harmonics,
+            metadata=dict(doc["metadata"]),
         )
 
     def save(self, path) -> None:
@@ -321,7 +270,6 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
         bandwidths=basis.bandwidths,
         coefficients=coeffs,
         metadata=metadata,
-        harmonics=basis.harmonics,
     )
 
 
@@ -338,31 +286,24 @@ class TrigonometricRegression:
     ``model_`` and ``n_features_in_``.
     """
 
-    def __init__(self, bandwidths=None, harmonics=None):
+    def __init__(self, bandwidths=None):
         self.bandwidths = bandwidths
-        self.harmonics = harmonics
 
     def get_params(self, deep: bool = True) -> dict:
-        return {"bandwidths": self.bandwidths, "harmonics": self.harmonics}
+        return {"bandwidths": self.bandwidths}
 
     def set_params(self, **params) -> "TrigonometricRegression":
         for key, value in params.items():
-            if key not in ("bandwidths", "harmonics"):
+            if key != "bandwidths":
                 raise ValueError(f"unknown parameter {key!r}")
             setattr(self, key, value)
         return self
 
-    def _basis(self) -> FourierBasis:
-        if self.bandwidths is None:
-            raise ValueError("bandwidths must be set before fitting")
-        harmonics = self.harmonics
-        if harmonics is not None:
-            harmonics = tuple(tuple(int(k) for k in h) for h in harmonics)
-        return FourierBasis(_check_bandwidths(self.bandwidths), harmonics)
-
     def fit(self, X, y) -> "TrigonometricRegression":
         """Fit with :func:`fit_fourier_model`; X may hold any finite angles."""
-        basis = self._basis()
+        if self.bandwidths is None:
+            raise ValueError("bandwidths must be set before fitting")
+        basis = FourierBasis(self.bandwidths)
         points = _check_points(X, basis.ndim)
         # the basis is 2*pi-periodic, so wrapping into the sample domain leaves the fit unchanged
         model = fit_fourier_model(SampleSet(wrap_angles(points), y), basis)

@@ -56,38 +56,6 @@ class Gate:
         if any((not isinstance(q, int)) or q < 0 for q in self.qubits):
             raise ValueError("qubit indices must be non-negative integers")
 
-    @classmethod
-    def x(cls, qubit: int) -> "Gate":
-        return cls("X", (qubit,))
-
-    @classmethod
-    def y(cls, qubit: int) -> "Gate":
-        return cls("Y", (qubit,))
-
-    @classmethod
-    def z(cls, qubit: int) -> "Gate":
-        return cls("Z", (qubit,))
-
-    @classmethod
-    def h(cls, qubit: int) -> "Gate":
-        return cls("H", (qubit,))
-
-    @classmethod
-    def rx(cls, qubit: int, angle: float) -> "Gate":
-        return cls("RX", (qubit,), float(angle))
-
-    @classmethod
-    def ry(cls, qubit: int, angle: float) -> "Gate":
-        return cls("RY", (qubit,), float(angle))
-
-    @classmethod
-    def rz(cls, qubit: int, angle: float) -> "Gate":
-        return cls("RZ", (qubit,), float(angle))
-
-    @classmethod
-    def cnot(cls, control: int, target: int) -> "Gate":
-        return cls("CNOT", (control, target))
-
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
     if gate.kind == "X":

@@ -5,22 +5,24 @@ import pytest
 from qsreg import (
     Ansatz,
     ObservableSum,
-    available_ansatz_names,
     deuteron_ansatz_1,
     deuteron_ansatz_2,
-    get_ansatz,
     verify_bandwidth,
 )
 from qsreg.ansatz import exact_objective
+from qsreg.cli import PROBLEMS, ConfigError, load_problem
 
 from conftest import scan_polish_min
 
 
 def test_registry():
-    assert available_ansatz_names() == ["deuteron-1", "deuteron-2"]
-    assert get_ansatz("deuteron-1").num_params == 1
-    with pytest.raises(KeyError):
-        get_ansatz("nope")
+    assert sorted(PROBLEMS) == ["deuteron-1", "deuteron-2"]
+    for name in PROBLEMS:
+        ansatz, observable = load_problem(name)
+        assert ansatz.name == name
+        assert ansatz.num_qubits == observable.num_qubits
+    with pytest.raises(ConfigError, match="nope"):
+        load_problem("nope")
 
 
 def test_ansatz_1_metadata():
@@ -127,3 +129,15 @@ def test_verify_bandwidth_flags_underdeclared_axis(deuteron2):
 def test_verify_bandwidth_needs_resolution(deuteron2):
     with pytest.raises(ValueError):
         verify_bandwidth(*deuteron2, grid_points_per_axis=5)
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), 0.0, 1.0])
+def test_verify_bandwidth_rejects_bad_tolerance(deuteron2, tolerance):
+    """A tolerance outside (0, 1) would pass or fail every axis whatever the circuit."""
+    with pytest.raises(ValueError, match="tolerance"):
+        verify_bandwidth(*deuteron2, tolerance=tolerance)
+
+
+def test_verify_bandwidth_rejects_zero_slices(deuteron2):
+    with pytest.raises(ValueError, match="slice"):
+        verify_bandwidth(*deuteron2, slices_per_axis=0)

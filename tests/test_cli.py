@@ -130,6 +130,26 @@ def test_run_rejects_non_finite_flags_with_exit_2(capsys, flags):
     assert json.loads(out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("bandwidths", [[1.5, 2.5], [1, -1], [1, math.inf], [True, 2]])
+def test_config_rejects_non_integer_bandwidths(capsys, tmp_path, bandwidths):
+    with pytest.raises(ConfigError, match="bandwidths"):
+        RunConfig(problem="deuteron-2", algorithm="qsr", bandwidths=bandwidths)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", "bandwidths": bandwidths}))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
+def test_run_rejects_wrong_bandwidth_count_with_exit_2(capsys, tmp_path):
+    code, out = _run(capsys, ["run", "--problem", "deuteron-2", "--algorithm", "qsr",
+                              "--bandwidths", "2", "--model-out", str(tmp_path / "m.json")])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "config"
+    assert "2 entries" in doc["error"]["message"]
+
+
 def test_shots_mode_defaults_shot_count():
     config = RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots")
     assert config.shots == 10_000
@@ -307,6 +327,13 @@ def test_verify_bandwidth_text_output(capsys):
     assert code == 0
     assert "PASS" in out
     assert "eta" in out
+
+
+@pytest.mark.parametrize("flags", [["--tolerance", "nan"], ["--tolerance", "inf"], ["--slices", "0"]])
+def test_verify_bandwidth_rejects_bad_settings_with_exit_2(capsys, flags):
+    code, out = _run(capsys, ["verify-bandwidth", "--problem", "deuteron-2", *flags])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
 
 
 # --- entry point ---

@@ -121,18 +121,6 @@ def test_measurement_accounting(deuteron1):
     assert ledger.measurements == 3 * non_identity * 100
 
 
-def test_ledger_merge_matches_serial(deuteron1):
-    spec = ObjectiveSpec(*deuteron1)
-    serial = EvalLedger()
-    evaluate(spec, [0.1], serial)
-    evaluate(spec, [0.2], serial)
-    part_a, part_b = EvalLedger(), EvalLedger()
-    evaluate(spec, [0.1], part_a)
-    evaluate(spec, [0.2], part_b)
-    part_a.merge(part_b)
-    assert part_a.as_dict() == serial.as_dict()
-
-
 def test_variational_bound(deuteron1, deuteron2, lam_d1, lam_d2):
     """200 random exact evaluations per problem stay above the ground energy."""
     rng = np.random.default_rng(31)

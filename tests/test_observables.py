@@ -1,25 +1,21 @@
-"""Pauli-sum construction, spectral-shift transform, dense diagonalization."""
+"""Pauli-sum construction and dense diagonalization."""
 import dataclasses
 import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qsreg import (
     ObservableError,
     ObservableSum,
     PauliString,
     exact_spectrum,
-    multiply_pauli_strings,
     parse_observable,
-    shift_square,
 )
 from qsreg.statevector import exact_expectation
 
 
-# --- PauliString / multiplication ---
+# --- PauliString ---
 
 def test_pauli_string_validation():
     assert PauliString("XXI").num_qubits == 3
@@ -47,20 +43,9 @@ def test_pauli_string_is_frozen():
     ],
 )
 def test_pauli_products(a, b, phase, prod):
-    ph, p = multiply_pauli_strings(PauliString(a), PauliString(b))
-    assert ph == phase
-    assert p.ops == prod
-
-
-def test_pauli_product_matches_matrices():
-    rng = np.random.default_rng(5)
-    labels = list("IXYZ")
-    for _ in range(30):
-        a = "".join(rng.choice(labels, size=3))
-        b = "".join(rng.choice(labels, size=3))
-        phase, prod = multiply_pauli_strings(PauliString(a), PauliString(b))
-        direct = PauliString(a).matrix() @ PauliString(b).matrix()
-        assert np.allclose(direct, phase * prod.matrix(), atol=1e-14)
+    """The dense Pauli matrices multiply as the Pauli algebra says: a·b = phase·prod."""
+    direct = PauliString(a).matrix() @ PauliString(b).matrix()
+    assert np.allclose(direct, phase * PauliString(prod).matrix(), atol=1e-15)
 
 
 # --- parsing / merging ---
@@ -117,21 +102,6 @@ def test_deuteron_files_parse(deuteron1, deuteron2):
     assert deuteron2[1].num_terms == 8
 
 
-# --- shift_square ---
-
-def test_shift_square_z_gamma_zero():
-    obs = ObservableSum(1, [(1.0, "Z")])
-    squared = shift_square(obs, 0.0)
-    assert squared.terms == ((1.0, PauliString("I")),)
-
-
-def test_shift_square_z_gamma_one():
-    # (Z - I)^2 = Z^2 - 2Z + I = 2I - 2Z
-    squared = shift_square(ObservableSum(1, [(1.0, "Z")]), 1.0)
-    weights = {p.ops: w for w, p in squared.terms}
-    assert weights == pytest.approx({"I": 2.0, "Z": -2.0})
-
-
 def _random_observable(rng, num_qubits, num_terms):
     labels = list("IXYZ")
     terms = []
@@ -139,36 +109,6 @@ def _random_observable(rng, num_qubits, num_terms):
         ops = "".join(rng.choice(labels, size=num_qubits))
         terms.append((float(rng.uniform(-2, 2)), ops))
     return ObservableSum(num_qubits, terms)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 10_000),
-    num_qubits=st.integers(1, 4),
-    gamma=st.floats(-2.5, 2.5),
-)
-def test_shift_square_spectrum_correspondence(seed, num_qubits, gamma):
-    """Every eigenvalue lambda maps to (lambda - gamma)^2, multiplicities intact."""
-    rng = np.random.default_rng(seed)
-    obs = _random_observable(rng, num_qubits, rng.integers(1, 5))
-    original = exact_spectrum(obs).eigenvalues
-    squared = exact_spectrum(shift_square(obs, gamma)).eigenvalues
-    expected = np.sort((original - gamma) ** 2)
-    scale = max(1.0, float(np.max(np.abs(expected))))
-    assert np.max(np.abs(np.sort(squared) - expected)) < 1e-9 * scale
-
-
-def test_shift_square_targets_nearest_eigenvalue(deuteron1):
-    """gamma = -1: the shifted minimum picks out the eigenvalue closest to -1."""
-    _, obs = deuteron1
-    original = exact_spectrum(obs).eigenvalues
-    shifted = exact_spectrum(shift_square(obs, -1.0))
-    expected_min = float(np.min((original + 1.0) ** 2))
-    assert shifted.min_eigenvalue == pytest.approx(expected_min, abs=1e-9)
-    nearest = original[np.argmin(np.abs(original + 1.0))]
-    recovered = -1.0 + np.sqrt(shifted.min_eigenvalue)
-    alt = -1.0 - np.sqrt(shifted.min_eigenvalue)
-    assert min(abs(recovered - nearest), abs(alt - nearest)) < 1e-8
 
 
 # --- exact_spectrum ---

@@ -125,12 +125,6 @@ def test_global_minimize_deuteron_model(deuteron1, lam_d1):
     assert abs(result.value_min - lam_d1) < 1e-8
 
 
-def test_global_minimize_grid_too_coarse():
-    model = FourierModel((2,), np.zeros(5))
-    with pytest.raises(ValueError):
-        regression_global_minimize(model, grid_per_axis=4)
-
-
 def test_global_minimize_memory_is_the_grid_values():
     """The 24^4-point scan of a 4-axis S_j = 1 model needs no grid x basis matrix
     (which alone is 24^4 * 81 * 8 B = 205 MB)."""
@@ -256,16 +250,24 @@ def test_qsr_flags_undersampled_bandwidths(deuteron2):
     assert full.metadata["undersampled"] is False
 
 
+@pytest.mark.parametrize("override", [[1.5, 2.7], [1, float("nan")], [1, float("inf")], [True, 2]])
+def test_qsr_rejects_non_integer_bandwidth_override(deuteron2, override):
+    """An override entry is never truncated: (1.5, 2.7) does not silently run at (1, 2)."""
+    spec = ObjectiveSpec(*deuteron2)
+    with pytest.raises(ValueError, match="integers"):
+        qsr_run(spec, bandwidth_override=override)
+
+
 def _ladder_problem(num_qubits, num_params, seed):
     """RY + CNOT ladder with one RY per parameter (S_j = 1) and a random Pauli sum."""
     rng = np.random.default_rng(seed)
 
     def builder(theta):
-        gates = [Gate.x(q) for q in range(num_qubits) if q % 2 == 0]
+        gates = [Gate("X", (q,)) for q in range(num_qubits) if q % 2 == 0]
         for j in range(num_params):
-            gates.append(Gate.ry(j % num_qubits, theta[j]))
+            gates.append(Gate("RY", (j % num_qubits,), float(theta[j])))
             if j % num_qubits == num_qubits - 1 or j == num_params - 1:
-                gates.extend(Gate.cnot(q, q + 1) for q in range(num_qubits - 1))
+                gates.extend(Gate("CNOT", (q, q + 1)) for q in range(num_qubits - 1))
         return gates
 
     ansatz = Ansatz(

@@ -83,11 +83,10 @@ def test_gram_is_diagonal_on_minimal_lattice():
     for bandwidths in ((2,), (1, 2), (2, 2)):
         basis = FourierBasis(bandwidths)
         F = basis.design_matrix(nyquist_lattice(bandwidths))
-        T = basis.size
-        expected = []
-        for label in basis.labels():
-            k = sum(1 for part in label.split("*") if part != "1")
-            expected.append(T / 2.0**k)
+        # per axis: 1 for the constant column, 1/2 for each cos/sin column
+        expected = np.full(1, float(basis.size))
+        for s in bandwidths:
+            expected = np.kron(expected, [1.0] + [0.5] * (2 * s))
         assert np.max(np.abs(F.T @ F - np.diag(expected))) < 1e-10
 
 
@@ -95,13 +94,6 @@ def test_basis_size_formula():
     assert FourierBasis((1,)).size == 3
     assert FourierBasis((2, 2)).size == 25
     assert FourierBasis((1, 2, 3)).size == 3 * 5 * 7
-
-
-def test_harmonic_mask_shrinks_basis():
-    basis = FourierBasis((2,), harmonics=((0, 2),))
-    assert basis.size == 3  # constant + cos2 + sin2
-    row = basis.design_matrix(np.array([[0.5]]))[0]
-    assert np.allclose(row, [1.0, np.cos(1.0), np.sin(1.0)])
 
 
 # --- fitting ---
@@ -165,24 +157,17 @@ def test_grid_evaluation_matches_design_matrix():
     """The separable per-axis contraction equals the design-matrix product on the lattice."""
     rng = np.random.default_rng(2012)
     for ndim in (1, 2, 3, 4):
-        for masked in (False, True):
-            bandwidths = tuple(int(s) for s in rng.integers(0, 4 if ndim < 4 else 3, size=ndim))
-            harmonics = None
-            if masked:
-                harmonics = tuple(
-                    tuple(k for k in range(s + 1) if k == s or rng.random() < 0.5)
-                    for s in bandwidths
-                )
-            basis = FourierBasis(bandwidths, harmonics)
-            model = FourierModel(bandwidths, rng.normal(size=basis.size), harmonics=basis.harmonics)
-            counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
-            reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
-            separable = model.evaluate_grid(lattice_axes(counts))
-            assert separable.shape == tuple(counts)
-            tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
-            assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
-            point = uniform_lattice(counts)[-1]
-            assert abs(model.evaluate(point) - reference[-1]) <= tolerance
+        bandwidths = tuple(int(s) for s in rng.integers(0, 4 if ndim < 4 else 3, size=ndim))
+        basis = FourierBasis(bandwidths)
+        model = FourierModel(bandwidths, rng.normal(size=basis.size))
+        counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
+        reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
+        separable = model.evaluate_grid(lattice_axes(counts))
+        assert separable.shape == tuple(counts)
+        tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
+        assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
+        point = uniform_lattice(counts)[-1]
+        assert abs(model.evaluate(point) - reference[-1]) <= tolerance
 
 
 def _random_band_limited(rng, max_dims=3, max_s=4):
@@ -263,16 +248,6 @@ def test_persistence_round_trip(tmp_path):
     assert loaded.bandwidths == model.bandwidths
     check = rng.uniform(-np.pi, np.pi, size=(50, model.ndim))
     assert np.max(np.abs(loaded.evaluate_many(check) - model.evaluate_many(check))) <= 1e-15
-
-
-def test_persistence_of_harmonic_mask(tmp_path):
-    basis = FourierBasis((2,), harmonics=((0, 2),))
-    model = FourierModel((2,), [1.0, 0.5, -0.5], harmonics=basis.harmonics)
-    path = tmp_path / "masked.json"
-    model.save(path)
-    loaded = FourierModel.load(path)
-    assert loaded.harmonics == ((0, 2),)
-    assert loaded.evaluate([0.3]) == pytest.approx(model.evaluate([0.3]))
 
 
 def test_model_document_schema(tmp_path):

@@ -11,43 +11,43 @@ def test_empty_circuit():
 
 
 def test_hadamard():
-    state = apply_circuit([Gate.h(0)], 1)
+    state = apply_circuit([Gate("H", (0,))], 1)
     assert np.allclose(state, [1 / np.sqrt(2), 1 / np.sqrt(2)])
 
 
 def test_full_ry_rotation():
-    state = apply_circuit([Gate.ry(0, np.pi)], 1)
+    state = apply_circuit([Gate("RY", (0,), np.pi)], 1)
     assert np.allclose(state, [0.0, 1.0], atol=1e-15)
 
 
 def test_ry_matches_cos_sin_halves():
     theta = 0.731
-    state = apply_circuit([Gate.ry(0, theta)], 1)
+    state = apply_circuit([Gate("RY", (0,), theta)], 1)
     assert np.allclose(state, [np.cos(theta / 2), np.sin(theta / 2)])
 
 
 def test_cnot_and_bit_order():
     # qubit 0 is the most significant bit: X(0) gives index 0b10
-    state = apply_circuit([Gate.x(0)], 2)
+    state = apply_circuit([Gate("X", (0,))], 2)
     assert np.allclose(state, [0, 0, 1, 0])
-    state = apply_circuit([Gate.x(0), Gate.cnot(0, 1)], 2)
+    state = apply_circuit([Gate("X", (0,)), Gate("CNOT", (0, 1))], 2)
     assert np.allclose(state, [0, 0, 0, 1])
 
 
 def test_gate_validation():
     with pytest.raises(ValueError):
-        Gate.cnot(1, 1)
+        Gate("CNOT", (1, 1))
     with pytest.raises(ValueError):
         Gate("RY", (0,))
     with pytest.raises(ValueError):
         Gate("BOGUS", (0,))
     with pytest.raises(ValueError):
-        apply_circuit([Gate.x(3)], 2)
+        apply_circuit([Gate("X", (3,))], 2)
 
 
 def test_nan_angle_fails_the_norm_check():
     with pytest.raises(RuntimeError, match="norm"):
-        apply_circuit([Gate.ry(0, float("nan"))], 1)
+        apply_circuit([Gate("RY", (0,), float("nan"))], 1)
 
 
 def test_norm_preserved_by_random_circuits():
@@ -59,7 +59,7 @@ def test_norm_preserved_by_random_circuits():
             kind = rng.choice(["H", "RX", "RY", "RZ", "CNOT", "X", "Y", "Z"])
             if kind == "CNOT" and n > 1:
                 c, t = rng.choice(n, size=2, replace=False)
-                gates.append(Gate.cnot(int(c), int(t)))
+                gates.append(Gate("CNOT", (int(c), int(t))))
             elif kind in ("RX", "RY", "RZ"):
                 gates.append(Gate(kind, (int(rng.integers(n)),), float(rng.uniform(-np.pi, np.pi))))
             elif kind != "CNOT":
@@ -72,7 +72,7 @@ def test_norm_preserved_by_random_circuits():
 
 def test_exact_expectation_textbook_values():
     zero = apply_circuit([], 1)
-    plus = apply_circuit([Gate.h(0)], 1)
+    plus = apply_circuit([Gate("H", (0,))], 1)
     assert exact_expectation(zero, PauliString("Z")) == pytest.approx(1.0)
     assert exact_expectation(plus, PauliString("X")) == pytest.approx(1.0)
     assert exact_expectation(plus, PauliString("Z")) == pytest.approx(0.0, abs=1e-12)
@@ -94,7 +94,7 @@ def test_basis_rotation_equivalence():
 
 def test_ry_circuit_z_expectation_is_cosine():
     theta = 1.23
-    state = apply_circuit([Gate.ry(0, theta)], 1)
+    state = apply_circuit([Gate("RY", (0,), theta)], 1)
     assert exact_expectation(state, PauliString("Z")) == pytest.approx(np.cos(theta))
 
 
@@ -115,13 +115,13 @@ def test_identity_string_is_exact_and_free():
 
 def test_plus_state_z_sampling_near_zero():
     """Binomial standard error 1/sqrt(shots) brackets the deviation."""
-    plus = apply_circuit([Gate.h(0)], 1)
+    plus = apply_circuit([Gate("H", (0,))], 1)
     value = sampled_expectation(plus, PauliString("Z"), 1_000_000, 42)
     assert abs(value) < 5e-3
 
 
 def test_seeded_determinism():
-    plus = apply_circuit([Gate.h(0)], 1)
+    plus = apply_circuit([Gate("H", (0,))], 1)
     a = sampled_expectation(plus, PauliString("Z"), 1000, 7)
     b = sampled_expectation(plus, PauliString("Z"), 1000, 7)
     c = sampled_expectation(plus, PauliString("Z"), 1000, 8)
@@ -131,7 +131,7 @@ def test_seeded_determinism():
 
 def test_sampled_converges_to_exact_with_one_over_sqrt_shots():
     """Empirical std over seeds tracks 1/sqrt(shots) within a factor two."""
-    plus = apply_circuit([Gate.h(0)], 1)
+    plus = apply_circuit([Gate("H", (0,))], 1)
     pauli = PauliString("Z")
     stds = []
     for shots in (100, 10_000, 1_000_000):
@@ -143,7 +143,7 @@ def test_sampled_converges_to_exact_with_one_over_sqrt_shots():
 
 
 def test_sampled_mean_matches_exact_value():
-    state = apply_circuit([Gate.ry(0, 0.9), Gate.cnot(0, 1)], 2)
+    state = apply_circuit([Gate("RY", (0,), 0.9), Gate("CNOT", (0, 1))], 2)
     pauli = PauliString("XX")
     exact = exact_expectation(state, pauli)
     values = [sampled_expectation(state, pauli, 40_000, s) for s in range(8)]
