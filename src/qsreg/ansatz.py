@@ -13,8 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+from .objective import ObjectiveSpec, evaluate, evaluate_batch
 from .observables import ObservableSum
-from .statevector import Gate, apply_circuit, exact_expectation
+from .regression import _check_bandwidths, lattice_axes
+from .statevector import Gate, apply_circuit
 
 __all__ = [
     "Ansatz",
@@ -45,12 +47,11 @@ class Ansatz:
     builder: Callable[[np.ndarray], list[Gate]]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "bandwidths", _check_bandwidths(self.bandwidths))
         if len(self.bandwidths) != self.num_params:
             raise ValueError("need one bandwidth per parameter")
         if len(self.param_names) != self.num_params:
             raise ValueError("need one name per parameter")
-        if any((not isinstance(s, int)) or s < 0 for s in self.bandwidths):
-            raise ValueError("bandwidths must be non-negative integers")
 
     def build(self, theta) -> list[Gate]:
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -119,10 +120,7 @@ def deuteron_ansatz_2() -> Ansatz:
 
 def exact_objective(ansatz: Ansatz, observable: ObservableSum, theta) -> float:
     """Noiseless weighted expectation value at ``theta`` (no accounting)."""
-    if ansatz.num_qubits != observable.num_qubits:
-        raise ValueError("ansatz and observable register sizes differ")
-    state = ansatz.state(theta)
-    return float(sum(w * exact_expectation(state, p) for w, p in observable.terms))
+    return evaluate(ObjectiveSpec(ansatz, observable), theta)
 
 
 @dataclass(frozen=True)
@@ -185,25 +183,23 @@ def verify_bandwidth(
         raise ValueError(f"tolerance must be a finite number in (0, 1), got {tolerance!r}")
     if slices_per_axis < 1:
         raise ValueError(f"need at least one slice per axis, got {slices_per_axis}")
-    max_s = max(ansatz.bandwidths) if ansatz.bandwidths else 0
+    max_s = max(ansatz.bandwidths)
     if grid_points_per_axis <= 2 * max_s + 1:
         raise ValueError(
             f"insufficient grid resolution: need > {2 * max_s + 1} points per axis"
         )
+    spec = ObjectiveSpec(ansatz, observable)
     rng = np.random.default_rng(seed)
-    grid = -np.pi + 2.0 * np.pi * (np.arange(grid_points_per_axis) + 1) / grid_points_per_axis
+    grid = lattice_axes([grid_points_per_axis])[0]
 
     checks = []
     for axis in range(ansatz.num_params):
         n_slices = slices_per_axis if ansatz.num_params > 1 else 1
         slice_maxima = []
         for _ in range(n_slices):
-            base = rng.uniform(-np.pi, np.pi, size=ansatz.num_params)
-            values = np.empty(grid_points_per_axis)
-            theta = base.copy()
-            for i, g in enumerate(grid):
-                theta[axis] = g
-                values[i] = exact_objective(ansatz, observable, theta)
+            points = np.tile(rng.uniform(-np.pi, np.pi, size=ansatz.num_params), (grid.size, 1))
+            points[:, axis] = grid
+            values = evaluate_batch(spec, points)
             amplitudes = np.abs(np.fft.rfft(values)) / grid_points_per_axis
             top = float(amplitudes.max())
             if top == 0.0:

@@ -31,7 +31,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import _check_bandwidths, uniform_lattice
+from .regression import _check_bandwidths, _check_integer, lattice_axes, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -88,19 +88,18 @@ class RunConfig:
             raise ConfigError("mode must be 'exact' or 'shots'")
         if self.mode == "shots" and self.shots is None:
             self.shots = DEFAULT_SHOTS
-        if self.shots is not None and int(self.shots) < 1:
-            raise ConfigError("shots must be >= 1")
-        if int(self.seed) < 0:
-            raise ConfigError("seed must be non-negative")
+        try:
+            if self.shots is not None:
+                self.shots = _check_integer(self.shots, "shots", minimum=1)
+            self.seed = _check_integer(self.seed, "seed", minimum=0)
+            if self.bandwidths is not None:
+                self.bandwidths = list(_check_bandwidths(self.bandwidths))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not np.isfinite(float(self.oversample)) or float(self.oversample) < 1.0:
             raise ConfigError("oversample must be a finite number >= 1")
         if self.theta0 is not None and not np.all(np.isfinite(np.asarray(self.theta0, dtype=float))):
             raise ConfigError("theta0 must be finite")
-        if self.bandwidths is not None:
-            try:
-                self.bandwidths = list(_check_bandwidths(self.bandwidths))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -129,6 +128,19 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
+def _bandwidth_override(ansatz: Ansatz, bandwidths) -> tuple[int, ...] | None:
+    """A model bandwidth override, checked against the ansatz as a config error."""
+    if bandwidths is None:
+        return None
+    try:
+        bandwidths = _check_bandwidths(bandwidths)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if len(bandwidths) != ansatz.num_params:
+        raise ConfigError(f"bandwidths needs {ansatz.num_params} entries, got {len(bandwidths)}")
+    return bandwidths
+
+
 def _error_percent(energy: float, ground: float) -> float:
     return abs(energy - ground) / abs(ground) * 100.0
 
@@ -149,7 +161,7 @@ def execute_run(config: RunConfig) -> dict:
         observable=observable,
         mode=config.mode,
         shots=config.shots,
-        seed=int(config.seed),
+        seed=config.seed,
     )
     ledger = EvalLedger()
     result_doc: dict = {
@@ -157,15 +169,13 @@ def execute_run(config: RunConfig) -> dict:
         "algorithm": config.algorithm,
         "mode": config.mode,
         "shots": config.shots,
-        "seed": int(config.seed),
+        "seed": config.seed,
     }
 
     if config.algorithm == "qsr":
-        if config.bandwidths is not None and len(config.bandwidths) != ansatz.num_params:
-            raise ConfigError(f"bandwidths needs {ansatz.num_params} entries")
         model, opt, ledger = qsr_run(
             spec,
-            bandwidth_override=config.bandwidths,
+            bandwidth_override=_bandwidth_override(ansatz, config.bandwidths),
             oversample_factor=float(config.oversample),
             ledger=ledger,
         )
@@ -427,21 +437,25 @@ def cmd_landscape(args) -> int:
     ansatz, observable = load_problem(args.problem)
     if ansatz.num_params > 2:
         raise ValueError("landscape export supports at most two parameters")
-    spec = ObjectiveSpec(
-        ansatz=ansatz,
-        observable=observable,
-        mode=args.mode,
-        shots=args.shots if args.mode == "shots" else None,
-        seed=args.seed,
-    )
+    try:
+        spec = ObjectiveSpec(
+            ansatz=ansatz,
+            observable=observable,
+            mode=args.mode,
+            shots=args.shots if args.mode == "shots" else None,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    bandwidths = _bandwidth_override(ansatz, _parse_int_list(args.bandwidths))
     resolution = int(args.resolution)
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
-    grid = uniform_lattice([resolution] * ansatz.num_params)
-    raw_ledger = EvalLedger()
-    raw = evaluate_batch(spec, grid, raw_ledger)
-    model, _, _ = qsr_run(spec, bandwidth_override=_parse_int_list(args.bandwidths))
-    predicted = model.evaluate_many(grid)
+    counts = [resolution] * ansatz.num_params
+    grid = uniform_lattice(counts)
+    raw = evaluate_batch(spec, grid)
+    model, _, _ = qsr_run(spec, bandwidth_override=bandwidths)
+    predicted = model.evaluate_grid(lattice_axes(counts)).ravel()
 
     path = _resolve_out(args.out) if args.out else None
     header = list(ansatz.param_names) + ["raw", "model"]

@@ -8,12 +8,16 @@ identity weight is added classically and never consumes shots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .ansatz import Ansatz
 from .observables import ObservableSum
+from .regression import _check_integer
 from .statevector import child_seed, exact_expectation, sampled_expectation
+
+if TYPE_CHECKING:
+    from .ansatz import Ansatz
 
 __all__ = ["MODES", "EvalLedger", "ObjectiveSpec", "evaluate", "evaluate_batch"]
 
@@ -57,42 +61,50 @@ class ObjectiveSpec:
             )
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "shots":
-            if self.shots is None or int(self.shots) < 1:
-                raise ValueError("shots mode needs shots >= 1")
-            if int(self.seed) < 0:
-                raise ValueError("seed must be non-negative")
+        if self.mode == "shots" and self.shots is None:
+            raise ValueError("shots mode needs shots >= 1")
+        if self.shots is not None:
+            object.__setattr__(self, "shots", _check_integer(self.shots, "shots", minimum=1))
+        object.__setattr__(self, "seed", _check_integer(self.seed, "seed", minimum=0))
 
     @property
     def num_params(self) -> int:
         return self.ansatz.num_params
 
 
-def _check_theta(spec: ObjectiveSpec, theta) -> np.ndarray:
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (spec.num_params,):
+def _evaluate_points(
+    spec: ObjectiveSpec, points: np.ndarray, ledger: EvalLedger | None, first_index: int
+) -> np.ndarray:
+    """The one evaluator: objective values at the rows of ``points`` as one query.
+
+    Row ``i`` draws its shots from the streams of sample index ``first_index + i``.
+    """
+    if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != spec.num_params:
         raise ValueError(
-            f"parameter vector has shape {theta.shape}, expected ({spec.num_params},)"
+            f"parameter points have shape {points.shape}, expected (k >= 1, {spec.num_params})"
         )
-    if not np.all(np.isfinite(theta)):
-        raise ValueError("parameter vector must be finite")
-    return theta
-
-
-def _single_value(spec: ObjectiveSpec, theta: np.ndarray, sample_index: int) -> tuple[float, int]:
-    state = spec.ansatz.state(theta)
-    total = 0.0
+    if not np.all(np.isfinite(points)):
+        raise ValueError("parameter points must be finite")
+    values = np.empty(points.shape[0])
     measured = 0
-    for term_index, (weight, pauli) in enumerate(spec.observable.terms):
-        if pauli.is_identity:
-            total += weight
-        elif spec.mode == "exact":
-            total += weight * exact_expectation(state, pauli)
-        else:
-            rng = child_seed(spec.seed, sample_index, term_index)
-            total += weight * sampled_expectation(state, pauli, int(spec.shots), rng)
-            measured += int(spec.shots)
-    return total, measured
+    for row, theta in enumerate(points):
+        state = spec.ansatz.state(theta)
+        total = 0.0
+        for term_index, (weight, pauli) in enumerate(spec.observable.terms):
+            if pauli.is_identity:
+                total += weight
+            elif spec.mode == "exact":
+                total += weight * exact_expectation(state, pauli)
+            else:
+                rng = child_seed(spec.seed, first_index + row, term_index)
+                total += weight * sampled_expectation(state, pauli, spec.shots, rng)
+                measured += spec.shots
+        values[row] = total
+    if ledger is not None:
+        ledger.samples += points.shape[0]
+        ledger.queries += 1
+        ledger.measurements += measured
+    return values
 
 
 def evaluate(spec: ObjectiveSpec, theta, ledger: EvalLedger | None = None, sample_index: int = 0) -> float:
@@ -102,13 +114,8 @@ def evaluate(spec: ObjectiveSpec, theta, ledger: EvalLedger | None = None, sampl
     ``(spec.seed, sample_index)``: each (point, term) pair owns an independent
     child random stream, so results do not depend on evaluation order.
     """
-    theta = _check_theta(spec, theta)
-    value, measured = _single_value(spec, theta, sample_index)
-    if ledger is not None:
-        ledger.samples += 1
-        ledger.queries += 1
-        ledger.measurements += measured
-    return value
+    point = np.atleast_1d(np.asarray(theta, dtype=float))[None]
+    return float(_evaluate_points(spec, point, ledger, sample_index)[0])
 
 
 def evaluate_batch(spec: ObjectiveSpec, thetas, ledger: EvalLedger | None = None) -> np.ndarray:
@@ -117,22 +124,4 @@ def evaluate_batch(spec: ObjectiveSpec, thetas, ledger: EvalLedger | None = None
     Increments samples by ``len(thetas)`` but queries by one only; this is the
     mechanism by which a Nyquist-lattice run reaches a single query.
     """
-    points = np.atleast_2d(np.asarray(thetas, dtype=float))
-    if points.size == 0:
-        raise ValueError("evaluate_batch needs at least one parameter point")
-    if points.shape[1] != spec.num_params:
-        raise ValueError(
-            f"points have dimension {points.shape[1]}, expected {spec.num_params}"
-        )
-    if not np.all(np.isfinite(points)):
-        raise ValueError("parameter points must be finite")
-    values = np.empty(points.shape[0])
-    measured_total = 0
-    for index, theta in enumerate(points):
-        values[index], measured = _single_value(spec, theta, index)
-        measured_total += measured
-    if ledger is not None:
-        ledger.samples += points.shape[0]
-        ledger.queries += 1
-        ledger.measurements += measured_total
-    return values
+    return _evaluate_points(spec, np.atleast_2d(np.asarray(thetas, dtype=float)), ledger, 0)

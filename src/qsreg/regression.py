@@ -48,23 +48,25 @@ def _check_points(x, ndim: int | None = None) -> np.ndarray:
     return points
 
 
+def _check_integer(value, name: str, minimum: int) -> int:
+    # a fractional, non-finite or boolean value would otherwise be truncated by int()
+    if (
+        isinstance(value, (bool, np.bool_))
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+        or value != int(value)
+    ):
+        raise ValueError(f"only integers are allowed for {name}, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
 def _check_bandwidths(bandwidths) -> tuple[int, ...]:
     entries = list(bandwidths) if np.ndim(bandwidths) else [bandwidths]
     if not entries:
         raise ValueError("need at least one bandwidth")
-    for s in entries:
-        # a fractional, non-finite or boolean entry would otherwise be truncated by int()
-        if (
-            isinstance(s, (bool, np.bool_))
-            or not isinstance(s, numbers.Real)
-            or not math.isfinite(s)
-            or s != int(s)
-        ):
-            raise ValueError(f"bandwidths must be integers, got {s!r}")
-    bw = tuple(int(s) for s in entries)
-    if any(s < 0 for s in bw):
-        raise ValueError("bandwidths must be non-negative")
-    return bw
+    return tuple(_check_integer(s, "bandwidths", minimum=0) for s in entries)
 
 
 def wrap_angles(theta) -> np.ndarray:

@@ -58,14 +58,10 @@ class Gate:
 
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    if gate.kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
-    if gate.kind == "Y":
-        return np.array([[0, -1j], [1j, 0]], dtype=complex)
-    if gate.kind == "Z":
-        return np.array([[1, 0], [0, -1]], dtype=complex)
     if gate.kind == "H":
         return _H_MATRIX
+    if gate.kind in _FIXED:
+        return PAULI_MATRICES[gate.kind]
     half = 0.5 * gate.angle
     c, s = np.cos(half), np.sin(half)
     if gate.kind == "RX":
@@ -138,7 +134,6 @@ def _measurement_probabilities(state: np.ndarray, pauli: PauliString) -> np.ndar
         elif label == "Y":
             rotated = _apply_single(rotated, _Y_TO_Z, qubit, n)
     probs = np.abs(rotated) ** 2
-    probs = np.maximum(probs, 0.0)
     return probs / probs.sum()
 
 

@@ -56,6 +56,20 @@ def test_ansatz_2_reference_state_at_zero():
     assert np.allclose(state, expected, atol=1e-15)
 
 
+def test_ansatz_bandwidths_use_the_regression_check():
+    honest = deuteron_ansatz_2()
+
+    def with_bandwidths(bandwidths):
+        return Ansatz("check", 3, 2, bandwidths, honest.param_names, honest.builder)
+
+    for bad in [(True, 2), (1.5, 2), (1, -1)]:
+        with pytest.raises(ValueError, match="bandwidths"):
+            with_bandwidths(bad)
+    normalised = with_bandwidths((np.int64(1), 2.0)).bandwidths
+    assert normalised == (1, 2)
+    assert all(type(s) is int for s in normalised)
+
+
 def test_builder_rejects_wrong_arity():
     with pytest.raises(ValueError):
         deuteron_ansatz_1().build([0.1, 0.2])

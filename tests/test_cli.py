@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from qsreg import FourierModel
+from qsreg import FourierModel, ObjectiveSpec, qsr_run, uniform_lattice
 from qsreg.cli import ConfigError, RunConfig, load_problem, main
 
 
@@ -148,6 +148,27 @@ def test_run_rejects_wrong_bandwidth_count_with_exit_2(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["error"]["type"] == "config"
     assert "2 entries" in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("field, value", [("shots", 100.7), ("shots", True), ("shots", "100"),
+                                          ("seed", 2.9), ("seed", False)])
+def test_config_rejects_non_integer_shots_and_seed(capsys, tmp_path, field, value):
+    """int() would truncate these: 100.7 shots ran as 100, seed 2.9 as 2."""
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots", **{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "deuteron-1", "algorithm": "qsr", "mode": "shots",
+                                "model_out": str(tmp_path / "m.json"), field: value}))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
+def test_config_accepts_numpy_integers():
+    config = RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots",
+                       shots=np.int64(100), seed=np.uint32(2))
+    assert (config.shots, config.seed) == (100, 2)
+    assert type(config.shots) is int and type(config.seed) is int
 
 
 def test_shots_mode_defaults_shot_count():
@@ -296,6 +317,26 @@ def test_landscape_shots_grid_tracks_noise(capsys, tmp_path, deuteron2):
     _, obs = deuteron2
     sigma = math.sqrt(sum(w * w for w, p in obs.terms if not p.is_identity) / shots)
     assert np.max(np.abs(data[:, 2] - data[:, 3])) < 8 * sigma
+
+
+def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2):
+    """The separably evaluated model column agrees with the fitted model's own
+    evaluation on the lattice, up to the 12 significant digits printed."""
+    out_csv = tmp_path / "landscape.csv"
+    code, _ = _run(capsys, ["landscape", "--problem", "deuteron-2", "--out", str(out_csv)])
+    assert code == 0
+    column = np.array([line.split(",")[3] for line in out_csv.read_text().splitlines()[1:]], dtype=float)
+    model, _, _ = qsr_run(ObjectiveSpec(*deuteron2))
+    expected = model.evaluate_many(uniform_lattice([41, 41]))
+    tolerance = 1e-12 * np.abs(model.coefficients).sum() + 5e-12 * np.abs(expected)
+    assert np.all(np.abs(column - expected) <= tolerance)
+
+
+@pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"]])
+def test_landscape_config_errors_exit_2(capsys, flags):
+    code, out = _run(capsys, ["landscape", "--problem", "deuteron-2", "--resolution", "5", *flags])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
 
 
 def test_landscape_rejects_too_many_parameters(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from qsreg import (
     evaluate_batch,
     nyquist_lattice,
 )
+from qsreg.ansatz import exact_objective
 from conftest import scan_polish_min
 
 
@@ -22,6 +23,31 @@ def test_spec_validation(deuteron1):
         ObjectiveSpec(ansatz, obs, mode="fuzzy")
     with pytest.raises(ValueError):
         ObjectiveSpec(ansatz, obs, mode="shots")  # missing shots
+
+
+@pytest.mark.parametrize("field, value", [("shots", 2.5), ("shots", True), ("shots", "10"),
+                                          ("seed", 2.9), ("seed", np.True_)])
+def test_spec_rejects_non_integer_shots_and_seed(deuteron1, field, value):
+    with pytest.raises(ValueError, match=field):
+        ObjectiveSpec(*deuteron1, "shots", **{"shots": 10, "seed": 0, field: value})
+
+
+def test_spec_accepts_numpy_integers(deuteron1):
+    spec = ObjectiveSpec(*deuteron1, "shots", shots=np.int64(10), seed=np.uint32(4))
+    assert (spec.shots, spec.seed) == (10, 4)
+    assert type(spec.shots) is int and type(spec.seed) is int
+
+
+@pytest.mark.parametrize("problem", ["deuteron1", "deuteron2"])
+def test_exact_objective_is_evaluate(request, problem):
+    ansatz, obs = request.getfixturevalue(problem)
+    spec = ObjectiveSpec(ansatz, obs)
+    rng = np.random.default_rng(17)
+    for theta in rng.uniform(-np.pi, np.pi, size=(20, ansatz.num_params)):
+        assert exact_objective(ansatz, obs, theta) == evaluate(spec, theta)
+    wider = ObservableSum(ansatz.num_qubits + 1, [(1.0, "Z" * (ansatz.num_qubits + 1))])
+    with pytest.raises(ValueError):
+        exact_objective(ansatz, wider, theta)
 
 
 def test_identity_only_observable_is_exactly_one():
@@ -110,6 +136,19 @@ def test_batch_matches_indexed_singles(deuteron1):
     order = [3, 0, 4, 1, 2]
     shuffled = {i: evaluate(spec, points[i], sample_index=i) for i in order}
     assert all(shuffled[i] == batch[i] for i in order)
+
+
+def test_single_and_batch_ledgers_agree_per_point(deuteron2):
+    """evaluate at sample_index k is row k of evaluate_batch, ledger included."""
+    spec = ObjectiveSpec(*deuteron2, "shots", shots=100, seed=3)
+    points = nyquist_lattice([1, 1])
+    batch_ledger = EvalLedger()
+    batch = evaluate_batch(spec, points, batch_ledger)
+    for k, theta in enumerate(points):
+        ledger = EvalLedger()
+        assert evaluate(spec, theta, ledger, sample_index=k) == batch[k]
+        assert (ledger.samples, ledger.queries) == (1, 1)
+        assert ledger.measurements * len(points) == batch_ledger.measurements
 
 
 def test_measurement_accounting(deuteron1):
