@@ -34,9 +34,10 @@ class Ansatz:
     """A gate-sequence builder plus per-parameter bandwidth bounds.
 
     ``builder`` must depend on theta only through gate angles: the gate count,
-    kinds and wiring are theta-independent.  Parameters live on the torus
-    ]-pi, pi]^n and every objective built on the ansatz is 2*pi-periodic per
-    parameter.
+    kinds and wiring (the gate layout) are theta-independent, and
+    :meth:`states` raises ``ValueError`` when they are not.  Parameters live on
+    the torus ]-pi, pi]^n and every objective built on the ansatz is
+    2*pi-periodic per parameter.
     """
 
     name: str
@@ -59,8 +60,30 @@ class Ansatz:
             raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
         return self.builder(theta)
 
+    def states(self, points) -> np.ndarray:
+        """Amplitudes at each row of ``points`` (shape (B, num_params)), shape (B, 2**num_qubits).
+
+        ``builder`` runs once per point; each rotation's B angles are then
+        stacked into one array, so the B circuits are simulated in one
+        :func:`apply_circuit` pass.
+        """
+        circuits = [self.build(theta) for theta in np.asarray(points, dtype=float)]
+        if not circuits:
+            raise ValueError("need at least one parameter point")
+        layout = [(gate.kind, gate.qubits) for gate in circuits[0]]
+        for gates in circuits[1:]:
+            if [(gate.kind, gate.qubits) for gate in gates] != layout:
+                raise ValueError(f"ansatz {self.name!r}: builder emitted a different gate layout at another point")
+        batch = [
+            gate if gate.angle is None else Gate(gate.kind, gate.qubits, np.array([c[i].angle for c in circuits]))
+            for i, gate in enumerate(circuits[0])
+        ]
+        state = apply_circuit(batch, self.num_qubits)
+        # a circuit without rotations is the same at every point
+        return state if state.ndim == 2 else np.tile(state, (len(circuits), 1))
+
     def state(self, theta) -> np.ndarray:
-        return apply_circuit(self.build(theta), self.num_qubits)
+        return self.states(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
 
 
 def deuteron_ansatz_1() -> Ansatz:

@@ -442,7 +442,8 @@ def cmd_landscape(args) -> int:
             ansatz=ansatz,
             observable=observable,
             mode=args.mode,
-            shots=args.shots if args.mode == "shots" else None,
+            # checked in exact mode too, as RunConfig does
+            shots=args.shots,
             seed=args.seed,
         )
     except ValueError as exc:

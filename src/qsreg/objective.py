@@ -77,7 +77,9 @@ def _evaluate_points(
 ) -> np.ndarray:
     """The one evaluator: objective values at the rows of ``points`` as one query.
 
-    Row ``i`` draws its shots from the streams of sample index ``first_index + i``.
+    All rows are simulated as one batch, and each term is measured on the
+    whole batch at once.  Row ``i`` draws its shots from the streams of sample
+    index ``first_index + i``.
     """
     if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != spec.num_params:
         raise ValueError(
@@ -85,21 +87,19 @@ def _evaluate_points(
         )
     if not np.all(np.isfinite(points)):
         raise ValueError("parameter points must be finite")
-    values = np.empty(points.shape[0])
+    states = spec.ansatz.states(points)
+    values = np.zeros(points.shape[0])
+    rows = range(first_index, first_index + points.shape[0])
     measured = 0
-    for row, theta in enumerate(points):
-        state = spec.ansatz.state(theta)
-        total = 0.0
-        for term_index, (weight, pauli) in enumerate(spec.observable.terms):
-            if pauli.is_identity:
-                total += weight
-            elif spec.mode == "exact":
-                total += weight * exact_expectation(state, pauli)
-            else:
-                rng = child_seed(spec.seed, first_index + row, term_index)
-                total += weight * sampled_expectation(state, pauli, spec.shots, rng)
-                measured += spec.shots
-        values[row] = total
+    for term_index, (weight, pauli) in enumerate(spec.observable.terms):
+        if pauli.is_identity:
+            values += weight
+        elif spec.mode == "exact":
+            values += weight * exact_expectation(states, pauli)
+        else:
+            seeds = [child_seed(spec.seed, row, term_index) for row in rows]
+            values += weight * sampled_expectation(states, pauli, spec.shots, seeds)
+            measured += len(seeds) * spec.shots
     if ledger is not None:
         ledger.samples += points.shape[0]
         ledger.queries += 1

@@ -33,11 +33,15 @@ _NORM_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element: a fixed/rotation single-qubit gate or a CNOT."""
+    """One circuit element: a fixed/rotation single-qubit gate or a CNOT.
+
+    A rotation's ``angle`` is a float, or a length-B array that gives the
+    angle at each of B circuits simulated together by :func:`apply_circuit`.
+    """
 
     kind: str
     qubits: tuple[int, ...]
-    angle: float | None = None
+    angle: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.kind in _FIXED:
@@ -58,45 +62,78 @@ class Gate:
 
 
 def _single_qubit_matrix(gate: Gate) -> np.ndarray:
+    """The gate's 2x2 matrix, or a (B, 2, 2) stack for a length-B angle array."""
     if gate.kind == "H":
         return _H_MATRIX
     if gate.kind in _FIXED:
         return PAULI_MATRICES[gate.kind]
-    half = 0.5 * gate.angle
-    c, s = np.cos(half), np.sin(half)
-    if gate.kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if gate.kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if gate.kind == "RZ":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]], dtype=complex)
-    raise ValueError(f"not a single-qubit gate: {gate.kind}")
+    # a non-finite angle must reach the norm check as NaN amplitudes, not as a warning
+    with np.errstate(invalid="ignore"):
+        half = 0.5 * np.asarray(gate.angle, dtype=float)
+        c, s = np.cos(half), np.sin(half)
+        if gate.kind == "RX":
+            entries = (c, -1j * s, -1j * s, c)
+        elif gate.kind == "RY":
+            entries = (c, -s, s, c)
+        elif gate.kind == "RZ":
+            zero = np.zeros_like(half)
+            entries = (np.exp(-1j * half), zero, zero, np.exp(1j * half))
+        else:
+            raise ValueError(f"not a single-qubit gate: {gate.kind}")
+    return np.stack(entries, axis=-1).astype(complex).reshape(*half.shape, 2, 2)
 
 
 def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n)
-    psi = np.tensordot(matrix, psi, axes=([1], [qubit]))
-    psi = np.moveaxis(psi, 0, qubit)
-    return psi.reshape(-1)
+    """Apply ``matrix`` to ``qubit`` of each n-qubit state in ``state`` (shape (2**n,) or (B, 2**n)).
+
+    ``matrix`` is one (2, 2) matrix for every state or a (B, 2, 2) stack, one per state.
+    """
+    psi = state.reshape(-1, 2**qubit, 2, 2 ** (n - 1 - qubit))
+    m = matrix.reshape(-1, 1, 4, 1)
+    low, high = psi[:, :, 0], psi[:, :, 1]
+    out = np.empty(psi.shape, dtype=complex)
+    out[:, :, 0] = m[:, :, 0] * low + m[:, :, 1] * high
+    out[:, :, 1] = m[:, :, 2] * low + m[:, :, 3] * high
+    return out.reshape(state.shape)
+
 
 def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    psi = state.reshape([2] * n).copy()
-    view = np.moveaxis(psi, (control, target), (0, 1))
-    tmp = view[1, 0].copy()
-    view[1, 0] = view[1, 1]
-    view[1, 1] = tmp
-    return psi.reshape(-1)
+    """Flip the target bit of every basis index whose control bit is set."""
+    index = np.arange(2**n)
+    flip = ((index >> (n - 1 - control)) & 1) << (n - 1 - target)
+    return state[..., index ^ flip]
+
+
+def _batch_size(gates) -> int | None:
+    """The common length of the rotation-angle arrays, or None when every angle is a float."""
+    sizes = set()
+    for gate in gates:
+        if gate.angle is not None:
+            angle = np.asarray(gate.angle)
+            if angle.ndim > 1:
+                raise ValueError(f"{gate.kind} angle must be a float or a 1-D array, got shape {angle.shape}")
+            if angle.ndim == 1:
+                sizes.add(angle.size)
+    if len(sizes) > 1:
+        raise ValueError(f"rotation angle arrays differ in length: {sorted(sizes)}")
+    return sizes.pop() if sizes else None
 
 
 def apply_circuit(gates, num_qubits: int) -> np.ndarray:
     """Apply ``gates`` in order to |0...0> and return the final amplitudes.
 
-    Norm is checked after every gate; a deviation beyond 1e-10 aborts.
+    With float angles the result has shape (2**num_qubits,).  Rotations may
+    instead carry length-B angle arrays (float angles are then shared by all
+    B circuits): the B circuits are simulated together as one
+    (B, 2, ..., 2) state tensor and the result has shape (B, 2**num_qubits).
+    Every final state must be finite with unit norm (within 1e-10), so a NaN
+    or infinite angle in any row raises ``RuntimeError``.
     """
     if num_qubits < 1 or num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_DENSE_QUBITS}]")
-    state = np.zeros(2**num_qubits, dtype=complex)
-    state[0] = 1.0
+    batch = _batch_size(gates)
+    state = np.zeros((1 if batch is None else batch, 2**num_qubits), dtype=complex)
+    state[:, 0] = 1.0
     for gate in gates:
         if any(q >= num_qubits for q in gate.qubits):
             raise ValueError(f"gate {gate.kind} addresses qubit out of range: {gate.qubits}")
@@ -104,28 +141,41 @@ def apply_circuit(gates, num_qubits: int) -> np.ndarray:
             state = _apply_cnot(state, gate.qubits[0], gate.qubits[1], num_qubits)
         else:
             state = _apply_single(state, _single_qubit_matrix(gate), gate.qubits[0], num_qubits)
-        norm = np.linalg.norm(state)
-        # written so that a NaN norm fails the test too
-        if not abs(norm - 1.0) <= _NORM_TOLERANCE:
-            raise RuntimeError(f"state norm drifted to {norm!r} after {gate.kind}")
-    return state
+    norms = np.linalg.norm(state, axis=1)
+    # written so that a NaN norm fails the test too
+    drifted = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))
+    if drifted.size:
+        row = int(drifted[0])
+        raise RuntimeError(f"state norm drifted to {norms[row]!r} in batch row {row}")
+    return state[0] if batch is None else state
 
 
-def exact_expectation(state: np.ndarray, pauli: PauliString) -> float:
-    """<psi|P|psi> with no shot noise; real by Hermiticity."""
+def _check_states(state: np.ndarray, pauli: PauliString) -> None:
+    if state.ndim not in (1, 2) or state.shape[-1] != 2**pauli.num_qubits:
+        raise ValueError(
+            f"states have shape {state.shape}, expected (2**n,) or (B, 2**n) with n = {pauli.num_qubits}"
+        )
+
+
+def exact_expectation(state: np.ndarray, pauli: PauliString):
+    """<psi|P|psi> with no shot noise; real by Hermiticity.
+
+    ``state`` is one state of shape (2**n,), which gives a float, or a batch
+    of shape (B, 2**n), which gives a length-B array.
+    """
+    _check_states(state, pauli)
     n = pauli.num_qubits
-    if state.size != 2**n:
-        raise ValueError("state size does not match Pauli string length")
     phi = state
     for qubit, label in enumerate(pauli.ops):
         if label == "I":
             continue
         phi = _apply_single(phi, PAULI_MATRICES[label], qubit, n)
-    return float(np.vdot(state, phi).real)
+    values = np.einsum("...i,...i->...", state.conj(), phi).real
+    return float(values) if state.ndim == 1 else values
 
 
 def _measurement_probabilities(state: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """Rotate so P becomes a Z-string, then return |amplitude|^2."""
+    """Rotate so P becomes a Z-string, then return |amplitude|^2 per state."""
     n = pauli.num_qubits
     rotated = state
     for qubit, label in enumerate(pauli.ops):
@@ -134,7 +184,7 @@ def _measurement_probabilities(state: np.ndarray, pauli: PauliString) -> np.ndar
         elif label == "Y":
             rotated = _apply_single(rotated, _Y_TO_Z, qubit, n)
     probs = np.abs(rotated) ** 2
-    return probs / probs.sum()
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
 def _parity_signs(pauli: PauliString) -> np.ndarray:
@@ -150,24 +200,38 @@ def _parity_signs(pauli: PauliString) -> np.ndarray:
     return signs
 
 
-def sampled_expectation(state: np.ndarray, pauli: PauliString, shots: int, rng_seed) -> float:
+def sampled_expectation(state: np.ndarray, pauli: PauliString, shots: int, rng_seed):
     """Empirical mean of ``shots`` simulated +/-1 measurements of P.
 
-    ``rng_seed`` may be an int, a ``numpy.random.SeedSequence`` or a
-    ``numpy.random.Generator``; a fixed seed gives a bit-reproducible result.
-    Identity-only strings return exactly 1.0 without consuming randomness.
+    ``state`` is one state of shape (2**n,) with one ``rng_seed``, which gives
+    a float, or a batch of shape (B, 2**n) with a sequence of B seeds, one
+    stream per state, which gives a length-B array.  A seed may be an int, a
+    ``numpy.random.SeedSequence`` or a ``numpy.random.Generator``; a fixed
+    seed gives a bit-reproducible result.  Each state's ``shots`` uniform
+    draws fall into the outcome whose CDF interval holds them; the outcome
+    counts are the number of draws below each CDF edge.  Identity-only
+    strings return exactly 1.0 without consuming randomness.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
+    _check_states(state, pauli)
+    seeds = [rng_seed] if state.ndim == 1 else list(rng_seed)
+    states = state.reshape(-1, state.shape[-1])
+    if len(seeds) != states.shape[0]:
+        raise ValueError(f"need one seed per state: {states.shape[0]} states, {len(seeds)} seeds")
     if pauli.is_identity:
-        return 1.0
-    rng = np.random.default_rng(rng_seed)
-    probs = _measurement_probabilities(state, pauli)
-    signs = _parity_signs(pauli)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, rng.random(shots), side="right")
-    return float(np.mean(signs[draws]))
+        values = np.ones(states.shape[0])
+    else:
+        signs = _parity_signs(pauli)
+        # the last edge is 1.0 and every draw lies below it
+        edges = np.cumsum(_measurement_probabilities(states, pauli), axis=1)[:, :-1]
+        values = np.empty(states.shape[0])
+        for row, seed in enumerate(seeds):
+            draws = np.random.default_rng(seed).random(shots)
+            below = np.array([0, *(np.count_nonzero(draws < edge) for edge in edges[row]), shots])
+            # every partial sum of +/-1 is an exact integer, so this is the plain mean of the draws' signs
+            values[row] = signs @ np.diff(below) / shots
+    return float(values[0]) if state.ndim == 1 else values
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:

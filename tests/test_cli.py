@@ -332,7 +332,8 @@ def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2
     assert np.all(np.abs(column - expected) <= tolerance)
 
 
-@pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"]])
+@pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"],
+                                   ["--shots", "0"]])
 def test_landscape_config_errors_exit_2(capsys, flags):
     code, out = _run(capsys, ["landscape", "--problem", "deuteron-2", "--resolution", "5", *flags])
     assert code == 2

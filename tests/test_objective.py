@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 
 from qsreg import (
+    Ansatz,
     EvalLedger,
+    Gate,
     ObjectiveSpec,
     ObservableSum,
     deuteron_ansatz_1,
@@ -183,3 +185,48 @@ def test_non_finite_parameters_are_rejected(deuteron1, bad):
         evaluate(spec, [bad])
     with pytest.raises(ValueError, match="finite"):
         evaluate_batch(spec, [[0.1], [bad]])
+
+
+def test_builder_with_a_varying_gate_layout_is_rejected(deuteron1):
+    """A builder must emit the same gate kinds and wiring at every point of a batch."""
+    _, obs = deuteron1
+
+    def builder(theta):
+        gates = [Gate("X", (0,)), Gate("RY", (1,), float(theta[0])), Gate("CNOT", (1, 0))]
+        return gates + [Gate("Z", (0,))] if theta[0] > 0 else gates
+
+    ansatz = Ansatz("varying", 2, 1, (1,), ("theta",), builder)
+    spec = ObjectiveSpec(ansatz, obs)
+    with pytest.raises(ValueError, match="gate layout"):
+        evaluate_batch(spec, nyquist_lattice([1]))
+    # one point at a time never mixes layouts
+    assert np.isfinite(evaluate(spec, [1.0]))
+
+
+def test_one_query_is_one_simulation_pass(monkeypatch):
+    """An 81-point lattice is simulated once and each non-identity term is evaluated once."""
+    import qsreg.ansatz
+    import qsreg.objective
+
+    def builder(theta):
+        gates = [Gate("X", (0,)), Gate("X", (2,))]
+        gates += [Gate("RY", (j,), float(theta[j])) for j in range(4)]
+        return gates + [Gate("CNOT", (q, q + 1)) for q in range(3)]
+
+    ansatz = Ansatz("ladder", 4, 4, (1, 1, 1, 1), ("a", "b", "c", "d"), builder)
+    strings = ["XXII", "IYYI", "IIZZ", "ZIIZ", "XYZI", "IZXY", "YIIX", "ZZZZ"]
+    obs = ObservableSum(4, [(0.5, "IIII")] + [(1.0 + k, p) for k, p in enumerate(strings)])
+    calls = {"apply_circuit": 0, "exact_expectation": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qsreg.ansatz, "apply_circuit", counted("apply_circuit", qsreg.ansatz.apply_circuit))
+    monkeypatch.setattr(qsreg.objective, "exact_expectation",
+                        counted("exact_expectation", qsreg.objective.exact_expectation))
+    values = evaluate_batch(ObjectiveSpec(ansatz, obs), nyquist_lattice([1, 1, 1, 1]))
+    assert values.shape == (81,)
+    assert calls == {"apply_circuit": 1, "exact_expectation": len(strings)}

@@ -50,6 +50,54 @@ def test_nan_angle_fails_the_norm_check():
         apply_circuit([Gate("RY", (0,), float("nan"))], 1)
 
 
+def _random_circuit(rng, n, angles):
+    """Gates on n qubits whose k-th rotation reads ``angles[k]`` (a float or a batch array)."""
+    gates = []
+    for angle in angles:
+        qubit = int(rng.integers(n))
+        gates.append(Gate(str(rng.choice(["RX", "RY", "RZ"])), (qubit,), angle))
+        kind = str(rng.choice(["H", "X", "Y", "Z", "CNOT"]))
+        if kind == "CNOT" and n > 1:
+            gates.append(Gate("CNOT", (qubit, (qubit + 1) % n)))
+        elif kind != "CNOT":
+            gates.append(Gate(kind, (int(rng.integers(n)),)))
+    return gates
+
+
+def test_batched_circuit_equals_its_rows():
+    """One pass over length-B angle arrays gives each row's own circuit, shape (B, 2**n)."""
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 4):
+        angles = rng.uniform(-np.pi, np.pi, size=(6, 5))
+        layout_seed = int(rng.integers(1 << 30))
+        batch = apply_circuit(_random_circuit(np.random.default_rng(layout_seed), n, list(angles.T)), n)
+        assert batch.shape == (6, 2**n)
+        for row, row_angles in zip(batch, angles):
+            single = apply_circuit(_random_circuit(np.random.default_rng(layout_seed), n, list(row_angles)), n)
+            assert single.shape == (2**n,)
+            assert np.max(np.abs(row - single)) <= 1e-14
+
+
+def test_float_angles_are_shared_by_the_batch():
+    batch = apply_circuit([Gate("RY", (0,), 0.4), Gate("RY", (1,), np.array([0.1, 0.2, 0.3]))], 2)
+    assert batch.shape == (3, 4)
+    for row, eta in zip(batch, (0.1, 0.2, 0.3)):
+        assert np.allclose(row, apply_circuit([Gate("RY", (0,), 0.4), Gate("RY", (1,), eta)], 2), atol=1e-15)
+
+
+def test_angle_arrays_of_different_length_are_rejected():
+    gates = [Gate("RY", (0,), np.zeros(3)), Gate("RX", (1,), np.zeros(4))]
+    with pytest.raises(ValueError, match="differ in length"):
+        apply_circuit(gates, 2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_angle_in_one_batch_row_fails_the_norm_check(bad):
+    angles = np.array([0.1, 0.2, bad, 0.4])
+    with pytest.raises(RuntimeError, match="norm.*row 2"):
+        apply_circuit([Gate("H", (0,)), Gate("RY", (1,), angles), Gate("CNOT", (0, 1))], 2)
+
+
 def test_norm_preserved_by_random_circuits():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -148,6 +196,64 @@ def test_sampled_mean_matches_exact_value():
     exact = exact_expectation(state, pauli)
     values = [sampled_expectation(state, pauli, 40_000, s) for s in range(8)]
     assert np.mean(values) == pytest.approx(exact, abs=3e-3)
+
+
+def _searchsorted_reference(state, pauli, shots, seed):
+    """Shot sampling as one CDF search per draw, with the same draws as sampled_expectation."""
+    from qsreg.statevector import _measurement_probabilities, _parity_signs
+
+    if pauli.is_identity:
+        return 1.0
+    cdf = np.cumsum(_measurement_probabilities(state, pauli))
+    cdf[-1] = 1.0
+    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
+    return float(np.mean(_parity_signs(pauli)[draws]))
+
+
+def _random_states(rng, batch, n):
+    states = rng.normal(size=(batch, 2**n)) + 1j * rng.normal(size=(batch, 2**n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True)
+
+
+def test_counting_sampler_is_bit_identical_to_a_searchsorted_draw():
+    """Counting the draws below each CDF edge reproduces the per-draw search exactly."""
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 3, 4):
+        for trial in range(6):
+            state = _random_states(rng, 1, n)[0]
+            # sparse states put several CDF edges on one value
+            if trial % 2:
+                zero = rng.random(2**n) < 0.5
+                zero[0] = False
+                state[zero] = 0.0
+                state /= np.linalg.norm(state)
+            pauli = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
+            for shots in (1, 7, 10_000):
+                seed = child_seed(trial, n, shots)
+                expected = _searchsorted_reference(state, pauli, shots, seed)
+                assert sampled_expectation(state, pauli, shots, seed).hex() == expected.hex()
+
+
+def test_batched_expectations_equal_per_state_calls():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3, 4):
+        states = _random_states(rng, 5, n)
+        for ops in ("X" * n, "Y" * n, "Z" * n, "".join(rng.choice(list("IXYZ"), size=n))):
+            pauli = PauliString(ops)
+            exact = exact_expectation(states, pauli)
+            assert exact.shape == (5,)
+            singles = [exact_expectation(state, pauli) for state in states]
+            assert np.max(np.abs(exact - singles)) <= 1e-14
+            seeds = [child_seed(4, row, 1) for row in range(5)]
+            sampled = sampled_expectation(states, pauli, 1000, seeds)
+            singles = [sampled_expectation(state, pauli, 1000, seed) for state, seed in zip(states, seeds)]
+            assert np.array_equal(sampled, singles)
+
+
+def test_batched_sampling_needs_one_seed_per_state():
+    states = _random_states(np.random.default_rng(0), 3, 2)
+    with pytest.raises(ValueError, match="one seed per state"):
+        sampled_expectation(states, PauliString("XZ"), 10, [1, 2])
 
 
 def test_shots_validation():
