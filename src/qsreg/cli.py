@@ -254,6 +254,11 @@ def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
 
 
 def cmd_table1(args) -> int:
+    try:
+        # checked in exact mode too, as RunConfig does; exact rows still report "shots": null
+        _check_integer(args.shots, "shots", minimum=1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     rows = _table_rows(args.mode, args.shots, args.seed)
     header = f"{'n':>2}  {'Algorithm':<9}  {'Samples':>8}  {'Queries':>8}  {'Error%':>12}"
     print(header)

@@ -1,9 +1,10 @@
 """Classical minimization on the periodic parameter domain.
 
-Two consumers: the baseline eigensolver loop driving the (possibly
-stochastic) quantum objective, and deterministic global minimization of a
-fitted trigonometric model.  Parameters live on a torus, so simplex vertices
-are wrapped into ]-pi, pi] before every evaluation instead of being clamped.
+Two consumers: the baseline eigensolver loop, a simplex descent on the
+(possibly stochastic) quantum objective, and deterministic global
+minimization of a fitted trigonometric model by a grid scan plus Newton
+steps.  Parameters live on a torus, so simplex vertices and Newton steps are
+wrapped into ]-pi, pi] before every evaluation instead of being clamped.
 """
 from __future__ import annotations
 
@@ -36,6 +37,13 @@ __all__ = [
 
 # standard simplex coefficients: reflection, expansion, contraction, shrink
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
+
+# model minimization: Newton starts taken from the grid scan, the Hessian eigenvalue
+# floor relative to sum|c|, the step length (radians) that retires a start, and a step cap
+_NEWTON_STARTS = 8
+_EIGENVALUE_FLOOR = 1e-8
+_MIN_STEP = 1e-10
+_NEWTON_MAX_STEPS = 100
 
 
 @dataclass
@@ -159,41 +167,100 @@ def nelder_mead_minimize(
 def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     """Deterministic global minimization of a fitted model.
 
-    A lexicographic grid scan over ]-pi, pi]^n, evaluated separably, picks the
-    best cell (ties break to the lexicographically smallest point); a simplex
-    polish, run with the value-spread test disabled so the outcome is exactly
-    invariant under positive rescaling of the model, replaces it if lower.
-    The scan bounds values, not basins: with M_j = 8*(2*S_j+1) points per
-    axis, Bernstein's inequality puts the best grid value within
-    sigma^2 * (max - min) / 4 of the model minimum, sigma = sum_j pi*S_j/M_j,
-    i.e. within 0.0096 * n^2 of the model's range.  A shallower basin whose
-    floor lies closer to a grid point can still win the scan, and the local
-    polish then stays in it.
-    """
-    bandwidths = model.bandwidths
-    counts = [8 * (2 * s + 1) for s in bandwidths]
-    axes = lattice_axes(counts)
-    values = model.evaluate_grid(axes)
-    best = np.unravel_index(np.argmin(values), values.shape)
-    theta0 = np.array([coords[i] for coords, i in zip(axes, best)])
-    value0 = float(values[best])
-    evaluations = int(values.size)
+    A lexicographic grid scan over ]-pi, pi]^n with M_j = 8*(2*S_j+1) points
+    per axis is streamed one leading-axis slab at a time: the coefficients are
+    contracted once over axes 1..n-1, so memory is that (2*S_0+1) x
+    prod_{j>0} M_j partial plus one slab, and only the 8 best cells are kept
+    (ties break to the lexicographically smallest point).  Newton's method
+    then runs from those 8 cells at once, with the model's exact gradient and
+    Hessian.  Each step is saddle-free (Hessian eigenvalues replaced by
+    max(|lambda|, 1e-8 * sum|c|)) and is halved until the value does not
+    rise.  A start retires once its full or halved step is under 1e-10
+    radians or a step leaves its value unchanged, and all stop after a fixed
+    number of steps.  The lowest Newton end replaces the best cell if it is
+    not higher.  All of this is invariant under positive rescaling of the
+    model: bit-exact for binary scales.
 
-    spacing = 2.0 * np.pi / max(counts)
-    polish = nelder_mead_minimize(
-        model.evaluate,
-        theta0,
-        max_evals=800 * len(bandwidths),
-        xtol=1e-9,
-        ftol=None,
-        init_step=0.5 * spacing,
-    )
-    evaluations += polish.evaluations
-    if polish.value_min <= value0:
-        theta, value = polish.theta_min, polish.value_min
+    The scan bounds values, not basins: Bernstein's inequality puts the best
+    grid value within sigma^2 * (max - min) / 4 of the model minimum,
+    sigma = sum_j pi*S_j/M_j, i.e. within 0.0096 * n^2 of the model's range,
+    and the result is never above the best grid value.  The global basin is
+    found when one of the 8 best cells lies in it; a deeper basin that holds
+    none of them can still be missed.
+
+    ``evaluations`` counts the grid points plus every point at which the
+    values, gradients and Hessians were evaluated (the 8 starts and each
+    trial step).
+    """
+    axes = lattice_axes([8 * (2 * s + 1) for s in model.bandwidths])
+    starts, start_values = _grid_best_cells(model, axes)
+    evaluations = math.prod(len(coords) for coords in axes)
+
+    # the smallest normal float keeps the all-zero model (zero gradient, zero floor) off 0/0
+    floor = max(_EIGENVALUE_FLOOR * float(np.sum(np.abs(model.coefficients))), np.finfo(float).tiny)
+    theta = starts.copy()
+    value, gradient, hessian = model._value_derivatives(theta)
+    evaluations += len(theta)
+    active = np.ones(len(theta), dtype=bool)
+    for _ in range(_NEWTON_MAX_STEPS):
+        pending = np.flatnonzero(active)
+        if pending.size == 0:
+            break
+        eigenvalues, eigenvectors = np.linalg.eigh(hessian[pending])
+        scale = np.maximum(np.abs(eigenvalues), floor)
+        along = (gradient[pending][:, None, :] @ eigenvectors)[:, 0, :] / scale
+        step = -(eigenvectors @ along[:, :, None])[:, :, 0]
+        while pending.size:
+            # a start whose full or halved step is this small has converged or failed to descend
+            moving = np.max(np.abs(step), axis=1) >= _MIN_STEP
+            active[pending[~moving]] = False
+            pending, step = pending[moving], step[moving]
+            if pending.size == 0:
+                break
+            trial = wrap_angles(theta[pending] + step)
+            trial_value, trial_gradient, trial_hessian = model._value_derivatives(trial)
+            evaluations += len(trial)
+            accept = trial_value <= value[pending]
+            taken = pending[accept]
+            # a step that leaves the value unchanged is round-off wander on a flat floor
+            active[taken[trial_value[accept] == value[taken]]] = False
+            theta[taken], value[taken] = trial[accept], trial_value[accept]
+            gradient[taken], hessian[taken] = trial_gradient[accept], trial_hessian[accept]
+            pending, step = pending[~accept], 0.5 * step[~accept]
+
+    best = int(np.argmin(value))
+    if value[best] <= start_values[0]:
+        theta_min, value_min = theta[best], value[best]
     else:
-        theta, value = theta0, value0
-    return OptimizationResult(theta, float(value), evaluations, True)
+        theta_min, value_min = starts[0], start_values[0]
+    return OptimizationResult(wrap_angles(theta_min), float(value_min), evaluations, True)
+
+
+def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_NEWTON_STARTS`` lowest grid cells as points and values, ordered by
+    value and then by flat (lexicographic) index."""
+    shape = [len(coords) for coords in axes]
+    keep = min(_NEWTON_STARTS, math.prod(shape))
+    best_values = np.empty(0)
+    best_index = np.empty(0, dtype=np.int64)
+    stride = math.prod(shape[1:])
+    for i, slab in enumerate(model._grid_slabs(axes)):
+        if best_values.size < keep:
+            # no k-th best yet: the slab's own k-th value bounds which of its cells can enter
+            rank = min(keep, slab.size) - 1
+            pool = np.flatnonzero(slab <= np.partition(slab, rank)[rank])
+        else:
+            # a later cell tying the k-th best has a larger flat index and loses the tie
+            pool = np.flatnonzero(slab < best_values[-1])
+        if pool.size == 0:
+            continue
+        values = np.concatenate([best_values, slab[pool]])
+        index = np.concatenate([best_index, i * stride + pool])
+        order = np.lexsort((index, values))[:keep]
+        best_values, best_index = values[order], index[order]
+    cells = np.unravel_index(best_index, shape)
+    points = np.stack([coords[c] for coords, c in zip(axes, cells)], axis=-1)
+    return points, best_values
 
 
 def _shots_ftol(spec: ObjectiveSpec) -> float:

@@ -93,8 +93,10 @@ def uniform_lattice(counts) -> np.ndarray:
     Enumeration is dimension-major (axis 0 slowest), matching the basis
     enumeration order.
     """
-    mesh = np.meshgrid(*lattice_axes(counts), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    axes = lattice_axes(counts)
+    # row-major cell indices, one row per axis; cheaper than meshgrid at lattice sizes
+    cells = np.indices([len(coords) for coords in axes]).reshape(len(axes), -1)
+    return np.stack([coords[i] for coords, i in zip(axes, cells)], axis=-1)
 
 
 def nyquist_lattice(bandwidths) -> np.ndarray:
@@ -127,6 +129,17 @@ class FourierBasis:
         for k in range(1, self.bandwidths[axis] + 1):
             cols += [np.cos(k * values), np.sin(k * values)]
         return np.stack(cols, axis=-1)
+
+    def _axis_jet(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """The :meth:`_axis_table` columns and their first and second derivatives
+        at ``values``, stacked last: shape ``(len(values), 2*S_j+1, 3)``."""
+        table = self._axis_table(values, axis)
+        k = np.repeat(np.arange(self.bandwidths[axis] + 1), 2)[1:]  # 0, 1, 1, 2, 2, ...
+        # (cos kt)' = -k sin kt and (sin kt)' = k cos kt; both second derivatives are -k^2 times
+        first = np.zeros_like(table)
+        first[:, 1::2] = -k[1::2] * table[:, 2::2]
+        first[:, 2::2] = k[2::2] * table[:, 1::2]
+        return np.stack([table, first, -(k * k) * table], axis=-1)
 
     def design_matrix(self, points) -> np.ndarray:
         """Rows = points, columns = basis functions in enumeration order."""
@@ -201,15 +214,47 @@ class FourierModel:
         """
         if len(axes) != self.ndim:
             raise ValueError(f"got {len(axes)} axes, expected {self.ndim}")
-        values = self.coefficients
+        tables = []
         for axis, coords in enumerate(axes):
             coords = np.asarray(coords, dtype=float)
             if coords.ndim != 1 or not np.all(np.isfinite(coords)):
                 raise ValueError("axis coordinates must be a finite 1-D array")
-            table = self.basis._axis_table(coords, axis)
-            # contracts the leading (axis j) index and appends the axis-j coordinates last
-            values = values.reshape(table.shape[1], -1).T @ table.T
+            tables.append(self.basis._axis_table(coords, axis))
+        values = _contract_leading(self.coefficients, tables)
         return values.reshape([len(coords) for coords in axes])
+
+    def _grid_slabs(self, axes):
+        """Model values on the Cartesian product of per-axis coordinates ``axes``,
+        one leading-axis coordinate at a time.
+
+        Yields, for each coordinate of axis 0 in order, the flat array of values
+        over the remaining axes in lexicographic order.  The coefficients are
+        contracted once over axes 1..n-1 into a ``(2*S_0+1) x prod_{j>0} M_j``
+        partial, so memory is that partial plus one slab, never the whole grid.
+        """
+        leading = self.basis._axis_table(axes[0], 0)
+        rest = [self.basis._axis_table(coords, axis) for axis, coords in enumerate(axes) if axis]
+        # move axis 0's coefficient index last so the contraction of axes 1..n-1 leaves it first
+        sizes = [2 * s + 1 for s in self.bandwidths]
+        coeffs = np.moveaxis(self.coefficients.reshape(sizes), 0, -1)
+        partial = _contract_leading(coeffs, rest).reshape(sizes[0], -1)
+        for row in leading:
+            yield row @ partial
+
+    def _value_derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` of the
+        model at ``P`` points, from one batched separable contraction with the
+        per-axis derivative tables of :meth:`FourierBasis._axis_jet`."""
+        points = np.asarray(points, dtype=float)
+        count, n = points.shape
+        values = np.broadcast_to(self.coefficients, (count, self.coefficients.size))
+        for axis in range(n):
+            jet = self.basis._axis_jet(points[:, axis], axis)
+            # contracts axis j's coefficient index and appends its derivative order last
+            values = values.reshape(count, jet.shape[1], -1).transpose(0, 2, 1) @ jet
+        values = values.reshape(count, -1)  # index sum_j d_j * 3^(n-1-j), d_j = derivative order
+        unit = 3 ** np.arange(n - 1, -1, -1)
+        return values[:, 0], values[:, unit], values[:, unit[:, None] + unit[None, :]]
 
     def evaluate(self, theta) -> float:
         point = np.asarray(theta, dtype=float).reshape(-1)
@@ -246,6 +291,14 @@ class FourierModel:
     def load(cls, path) -> "FourierModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _contract_leading(values: np.ndarray, tables) -> np.ndarray:
+    """Contract the leading coefficient indices of ``values`` with per-axis
+    ``(points, 2*S_j+1)`` tables, in order; each axis's points are appended last."""
+    for table in tables:
+        values = values.reshape(table.shape[1], -1).T @ table.T
+    return values
 
 
 def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qsreg import exact_spectrum, nelder_mead_minimize
+from qsreg import ObjectiveSpec, evaluate_batch, exact_spectrum, nelder_mead_minimize
 from qsreg.ansatz import exact_objective
 from qsreg.cli import load_problem
+
+ORACLE_CHUNK = 65_536
 
 
 @pytest.fixture(scope="session")
@@ -35,7 +37,10 @@ def scan_polish_min(ansatz, observable, scan_per_axis=400):
             for _ in range(ansatz.num_params)]
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=-1)
-    values = np.array([exact_objective(ansatz, observable, p) for p in points])
+    spec = ObjectiveSpec(ansatz, observable)
+    # chunked so a fine 2-D grid never holds millions of statevectors at once
+    values = np.concatenate([evaluate_batch(spec, points[i:i + ORACLE_CHUNK])
+                             for i in range(0, len(points), ORACLE_CHUNK)])
     best = int(np.argmin(values))
     result = nelder_mead_minimize(
         lambda th: exact_objective(ansatz, observable, th),

@@ -208,6 +208,13 @@ def test_table1_exact_mode(capsys, tmp_path, monkeypatch):
         assert int(row["samples"]) >= int(row["queries"])
 
 
+@pytest.mark.parametrize("mode", ["exact", "shots"])
+def test_table1_rejects_zero_shots_in_either_mode(capsys, mode):
+    code, out = _run(capsys, ["table1", "--mode", mode, "--shots", "0"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
 # --- complexity ---
 
 def test_complexity_threshold_against_bisection(capsys):

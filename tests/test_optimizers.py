@@ -1,5 +1,6 @@
 """Simplex minimizer, model global minimization, and the two solver pipelines."""
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from qsreg import (
     wrap_angles,
 )
 from qsreg.ansatz import exact_objective
+from qsreg.regression import lattice_axes
 
 from conftest import scan_polish_min
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_wrap_angles_half_open_domain():
@@ -103,6 +107,12 @@ def test_global_minimize_constant_model_tie_break():
     assert result.theta_min[0] == pytest.approx(first_grid_point)
 
 
+def test_global_minimize_zero_model():
+    result = regression_global_minimize(FourierModel((1, 1), np.zeros(9)))
+    assert result.value_min == 0.0
+    assert np.all(result.theta_min == -np.pi + 2 * np.pi / 24.0)
+
+
 def test_global_minimize_scaling_invariance():
     """Positive rescaling preserves the argmin: bit-exact for binary scales
     (where float rounding commutes with the scaling), near-exact otherwise."""
@@ -137,6 +147,77 @@ def test_global_minimize_memory_is_the_grid_values():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert result.value_min == pytest.approx(model.evaluate(result.theta_min), abs=1e-12)
+
+
+def test_global_minimize_streamed_scan_holds_no_full_grid():
+    """The same 24^4-point scan keeps one slab and a 3 x 24^3 partial: any array
+    over the whole grid (24^4 * 8 B = 2.7 MB of values) would exceed 1 MB."""
+    model = FourierModel((1, 1, 1, 1), np.random.default_rng(44).normal(size=81))
+    tracemalloc.start()
+    try:
+        regression_global_minimize(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_global_minimize_counts_grid_and_derivative_evaluations():
+    model = FourierModel((1, 2), np.random.default_rng(3).normal(size=15))
+    calls = []
+    evaluate_derivatives = model._value_derivatives
+
+    def counted(points):
+        calls.append(len(points))
+        return evaluate_derivatives(points)
+
+    model._value_derivatives = counted
+    result = regression_global_minimize(model)
+    assert calls[0] == 8  # the Newton starts
+    assert result.evaluations == 24 * 40 + sum(calls)
+
+
+def _dense_grid_min(model, polishes=16):
+    """Oracle: the model on 48 points per axis, then a tight simplex polish from
+    each of the lowest grid-local minima (one per distinct value).  The best cell
+    alone is not enough: two basin floors closer than the grid resolves can put it
+    in the shallower basin, as on both benchmark ladders below."""
+    axes = lattice_axes([48] * model.ndim)
+    values = model.evaluate_grid(axes)
+    local = np.ones(values.shape, dtype=bool)
+    for axis in range(values.ndim):
+        for shift in (1, -1):
+            local &= values <= np.roll(values, shift, axis=axis)
+    cells = np.flatnonzero(local)
+    _, first = np.unique(values.ravel()[cells], return_index=True)
+    starts = np.unravel_index(cells[first[:polishes]], values.shape)
+    return min(
+        nelder_mead_minimize(model.evaluate, [coords[i] for coords, i in zip(axes, cell)],
+                             max_evals=4000, xtol=1e-10, ftol=None).value_min
+        for cell in zip(*starts)
+    )
+
+
+@pytest.mark.parametrize("seed,index", [(7, 97), (930770796, 156)])
+def test_qsr_finds_the_deeper_basin_on_benchmark_ladders(monkeypatch, seed, index):
+    """Two benchmark ladder inputs where the best scan cell lies in a shallower
+    basin than the model's global minimum."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    spec = workloads._ladder_prepare(None, seed, index).spec
+    model, result, _ = qsr_run(spec)
+    assert result.value_min == pytest.approx(_dense_grid_min(model), abs=1e-9)
+
+
+def test_global_minimize_is_no_worse_than_a_dense_grid_oracle():
+    rng = np.random.default_rng(2026)
+    for _ in range(30):
+        bandwidths = tuple(int(s) for s in rng.integers(0, 3, size=rng.integers(1, 5)))
+        model = FourierModel(bandwidths, rng.normal(size=int(np.prod([2 * s + 1 for s in bandwidths]))))
+        result = regression_global_minimize(model)
+        tolerance = 1e-12 * np.abs(model.coefficients).sum()
+        assert result.value_min <= _dense_grid_min(model) + tolerance, bandwidths
 
 
 # --- vqe_run ---
