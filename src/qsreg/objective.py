@@ -2,8 +2,10 @@
 
 A *sample* is one objective evaluation at one parameter point; a *query* is
 one backend round trip (a batched request counts once).  Shot-mode evaluation
-measures every non-identity term independently with the full shot budget; the
-identity weight is added classically and never consumes shots.
+rotates into each qubit-wise-commuting measurement basis of the observable
+once, and measures every non-identity term there independently with the full
+shot budget from its own child stream ``(seed, point, term)``; the identity
+weight is added classically and never consumes shots.
 """
 from __future__ import annotations
 
@@ -77,9 +79,11 @@ def _evaluate_points(
 ) -> np.ndarray:
     """The one evaluator: objective values at the rows of ``points`` as one query.
 
-    All rows are simulated as one batch, and each term is measured on the
-    whole batch at once.  Row ``i`` draws its shots from the streams of sample
-    index ``first_index + i``.
+    All rows are simulated as one batch.  Exact mode evaluates each term on
+    the whole batch at once; shot mode measures each qubit-wise-commuting
+    group of terms on the whole batch at once, so the batch is rotated once
+    per group.  Row ``i`` draws its shots from the streams of sample index
+    ``first_index + i``.  Either way the terms are summed in term order.
     """
     if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != spec.num_params:
         raise ValueError(
@@ -88,18 +92,24 @@ def _evaluate_points(
     if not np.all(np.isfinite(points)):
         raise ValueError("parameter points must be finite")
     states = spec.ansatz.states(points)
-    values = np.zeros(points.shape[0])
+    terms = spec.observable.terms
     rows = range(first_index, first_index + points.shape[0])
     measured = 0
-    for term_index, (weight, pauli) in enumerate(spec.observable.terms):
+    if spec.mode == "shots":
+        sampled = np.empty((points.shape[0], len(terms)))
+        for group in spec.observable.measurement_groups:
+            seeds = [[child_seed(spec.seed, row, term_index) for term_index in group] for row in rows]
+            paulis = tuple(terms[term_index][1] for term_index in group)
+            sampled[:, group] = sampled_expectation(states, paulis, spec.shots, seeds)
+            measured += len(rows) * len(group) * spec.shots
+    values = np.zeros(points.shape[0])
+    for term_index, (weight, pauli) in enumerate(terms):
         if pauli.is_identity:
             values += weight
         elif spec.mode == "exact":
             values += weight * exact_expectation(states, pauli)
         else:
-            seeds = [child_seed(spec.seed, row, term_index) for row in rows]
-            values += weight * sampled_expectation(states, pauli, spec.shots, seeds)
-            measured += len(seeds) * spec.shots
+            values += weight * sampled[:, term_index]
     if ledger is not None:
         ledger.samples += points.shape[0]
         ledger.queries += 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +22,7 @@ __all__ = [
     "Spectrum",
     "parse_observable",
     "exact_spectrum",
+    "measurement_basis",
     "MERGE_PRUNE_TOLERANCE",
     "MAX_DENSE_QUBITS",
 ]
@@ -75,8 +77,56 @@ class PauliString:
             m = np.kron(m, PAULI_MATRICES[label])
         return m
 
+    @cached_property
+    def parity_signs(self) -> np.ndarray:
+        """The +/-1 eigenvalue of P on each outcome of a measurement in a basis that contains P.
+
+        Outcome ``i`` is the basis-state index after each non-identity qubit
+        is rotated onto Z, so the sign is the parity of ``i``'s bits on P's
+        support.  Computed once per instance and read-only.
+        """
+        n = self.num_qubits
+        indices = np.arange(2**n)
+        signs = np.ones(2**n)
+        for qubit, label in enumerate(self.ops):
+            if label != "I":
+                signs *= 1.0 - 2.0 * ((indices >> (n - 1 - qubit)) & 1)
+        signs.flags.writeable = False
+        return signs
+
     def __str__(self) -> str:
         return self.ops
+
+
+def _merge_bases(basis: str, ops: str) -> str | None:
+    """The per-qubit measurement basis that covers both strings, or None if they do not commute qubit-wise."""
+    merged = []
+    for a, b in zip(basis, ops):
+        if a != "I" and b != "I" and a != b:
+            return None
+        merged.append(b if a == "I" else a)
+    return "".join(merged)
+
+
+def measurement_basis(paulis) -> PauliString:
+    """The one product basis in which every string of ``paulis`` is measured.
+
+    Each qubit takes the non-identity label its strings share there (``I``
+    where all are identity).  Raises ``ValueError`` for an empty sequence or
+    strings that do not commute qubit-wise.
+    """
+    paulis = tuple(paulis)
+    if not paulis:
+        raise ValueError("need at least one Pauli string")
+    basis = paulis[0].ops
+    for pauli in paulis[1:]:
+        if pauli.num_qubits != len(basis):
+            raise ValueError(f"Pauli strings act on different qubit counts: {basis!r}, {pauli.ops!r}")
+        merged = _merge_bases(basis, pauli.ops)
+        if merged is None:
+            raise ValueError(f"{pauli.ops!r} does not commute qubit-wise with basis {basis!r}")
+        basis = merged
+    return PauliString(basis)
 
 
 @dataclass(frozen=True)
@@ -116,6 +166,31 @@ class ObservableSum:
     @property
     def num_terms(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def measurement_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Qubit-wise-commuting groups of the non-identity terms, as indices into ``terms``.
+
+        Greedy in term order (Verteletskyi et al. 2020, arXiv:1907.03358):
+        each term joins the first group whose basis it commutes with qubit-wise,
+        or opens a new group.  Groups and their members keep first-appearance
+        order, and identity terms belong to no group.
+        """
+        bases: list[str] = []
+        groups: list[list[int]] = []
+        for index, (_, pauli) in enumerate(self.terms):
+            if pauli.is_identity:
+                continue
+            for group, basis in enumerate(bases):
+                merged = _merge_bases(basis, pauli.ops)
+                if merged is not None:
+                    bases[group] = merged
+                    groups[group].append(index)
+                    break
+            else:
+                bases.append(pauli.ops)
+                groups.append([index])
+        return tuple(tuple(group) for group in groups)
 
     @property
     def one_norm(self) -> float:

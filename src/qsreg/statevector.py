@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, measurement_basis
+from .regression import _check_integer
 
 __all__ = [
     "Gate",
@@ -150,10 +151,21 @@ def apply_circuit(gates, num_qubits: int) -> np.ndarray:
     return state[0] if batch is None else state
 
 
-def _check_states(state: np.ndarray, pauli: PauliString) -> None:
-    if state.ndim not in (1, 2) or state.shape[-1] != 2**pauli.num_qubits:
+def _check_states(state: np.ndarray, num_qubits: int) -> None:
+    """One batch-wide check: shape (2**n,) or (B, 2**n), every state finite with nonzero norm."""
+    if state.ndim not in (1, 2) or state.shape[-1] != 2**num_qubits:
         raise ValueError(
-            f"states have shape {state.shape}, expected (2**n,) or (B, 2**n) with n = {pauli.num_qubits}"
+            f"states have shape {state.shape}, expected (2**n,) or (B, 2**n) with n = {num_qubits}"
+        )
+    flat = state.reshape(-1, state.shape[-1])
+    # an infinite amplitude must reach the test as a non-finite norm, not as a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        squared_norms = np.einsum("ij,ij->i", flat.conj(), flat).real
+    bad = np.flatnonzero(~(np.isfinite(squared_norms) & (squared_norms > 0.0)))
+    if bad.size:
+        row = int(bad[0])
+        raise ValueError(
+            f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norms[row]!r}"
         )
 
 
@@ -161,9 +173,10 @@ def exact_expectation(state: np.ndarray, pauli: PauliString):
     """<psi|P|psi> with no shot noise; real by Hermiticity.
 
     ``state`` is one state of shape (2**n,), which gives a float, or a batch
-    of shape (B, 2**n), which gives a length-B array.
+    of shape (B, 2**n), which gives a length-B array.  A non-finite or
+    zero-norm state raises ``ValueError``.
     """
-    _check_states(state, pauli)
+    _check_states(state, pauli.num_qubits)
     n = pauli.num_qubits
     phi = state
     for qubit, label in enumerate(pauli.ops):
@@ -174,11 +187,11 @@ def exact_expectation(state: np.ndarray, pauli: PauliString):
     return float(values) if state.ndim == 1 else values
 
 
-def _measurement_probabilities(state: np.ndarray, pauli: PauliString) -> np.ndarray:
-    """Rotate so P becomes a Z-string, then return |amplitude|^2 per state."""
-    n = pauli.num_qubits
-    rotated = state
-    for qubit, label in enumerate(pauli.ops):
+def _measurement_probabilities(states: np.ndarray, basis: PauliString) -> np.ndarray:
+    """Rotate each qubit of ``basis`` onto Z, then return |amplitude|^2 per state, normalised."""
+    n = basis.num_qubits
+    rotated = states
+    for qubit, label in enumerate(basis.ops):
         if label == "X":
             rotated = _apply_single(rotated, _H_MATRIX, qubit, n)
         elif label == "Y":
@@ -187,51 +200,42 @@ def _measurement_probabilities(state: np.ndarray, pauli: PauliString) -> np.ndar
     return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _parity_signs(pauli: PauliString) -> np.ndarray:
-    """Eigenvalue (+/-1) of the rotated Z-string for each basis state."""
-    n = pauli.num_qubits
-    signs = np.ones(2**n)
-    indices = np.arange(2**n)
-    for qubit, label in enumerate(pauli.ops):
-        if label == "I":
-            continue
-        bit = (indices >> (n - 1 - qubit)) & 1
-        signs *= 1.0 - 2.0 * bit
-    return signs
+def sampled_expectation(state: np.ndarray, paulis, shots: int, rng_seed):
+    """Empirical means of ``shots`` simulated +/-1 measurements per Pauli string.
 
+    ``paulis`` is one ``PauliString``, or a tuple of k strings that commute
+    qubit-wise and so share one measurement basis.  ``state`` is one state
+    of shape (2**n,) or a batch of shape (B, 2**n).  ``rng_seed`` holds one
+    seed per (state, string) pair: a single seed for one state and one
+    string, shape (B,) for a batch and one string, shape (k,) or (B, k) for
+    a tuple.  The result has the seeds' shape (a float for a single seed).
+    A seed may be an int, a ``numpy.random.SeedSequence`` or a
+    ``numpy.random.Generator``; a fixed seed gives a bit-reproducible result.
 
-def sampled_expectation(state: np.ndarray, pauli: PauliString, shots: int, rng_seed):
-    """Empirical mean of ``shots`` simulated +/-1 measurements of P.
-
-    ``state`` is one state of shape (2**n,) with one ``rng_seed``, which gives
-    a float, or a batch of shape (B, 2**n) with a sequence of B seeds, one
-    stream per state, which gives a length-B array.  A seed may be an int, a
-    ``numpy.random.SeedSequence`` or a ``numpy.random.Generator``; a fixed
-    seed gives a bit-reproducible result.  Each state's ``shots`` uniform
-    draws fall into the outcome whose CDF interval holds them; the outcome
-    counts are the number of draws below each CDF edge.  Identity-only
-    strings return exactly 1.0 without consuming randomness.
+    Each state is rotated into the shared basis once.  Each (state, string)
+    pair then draws its outcome histogram as one
+    ``default_rng(seed).multinomial(shots, probabilities)`` with the full
+    ``shots`` budget, and its value is the string's parity signs dotted with
+    the counts over ``shots``.  Identity strings give exactly 1.0.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    _check_states(state, pauli)
-    seeds = [rng_seed] if state.ndim == 1 else list(rng_seed)
-    states = state.reshape(-1, state.shape[-1])
-    if len(seeds) != states.shape[0]:
-        raise ValueError(f"need one seed per state: {states.shape[0]} states, {len(seeds)} seeds")
-    if pauli.is_identity:
-        values = np.ones(states.shape[0])
-    else:
-        signs = _parity_signs(pauli)
-        # the last edge is 1.0 and every draw lies below it
-        edges = np.cumsum(_measurement_probabilities(states, pauli), axis=1)[:, :-1]
-        values = np.empty(states.shape[0])
-        for row, seed in enumerate(seeds):
-            draws = np.random.default_rng(seed).random(shots)
-            below = np.array([0, *(np.count_nonzero(draws < edge) for edge in edges[row]), shots])
-            # every partial sum of +/-1 is an exact integer, so this is the plain mean of the draws' signs
-            values[row] = signs @ np.diff(below) / shots
-    return float(values[0]) if state.ndim == 1 else values
+    shots = _check_integer(shots, "shots", minimum=1)
+    grouped = not isinstance(paulis, PauliString)
+    strings = tuple(paulis) if grouped else (paulis,)
+    basis = measurement_basis(strings)
+    _check_states(state, basis.num_qubits)
+    seeds = np.asarray(rng_seed, dtype=object)
+    expected = state.shape[:-1] + ((len(strings),) if grouped else ())
+    if seeds.shape != expected:
+        raise ValueError(f"need one seed per state and string: seeds have shape {seeds.shape}, expected {expected}")
+    probs = _measurement_probabilities(state.reshape(-1, state.shape[-1]), basis)
+    counts = np.array([
+        [np.random.default_rng(seed).multinomial(shots, row_probs) for seed in row_seeds]
+        for row_probs, row_seeds in zip(probs, seeds.reshape(probs.shape[0], len(strings)))
+    ])
+    signs = np.stack([pauli.parity_signs for pauli in strings])
+    # the signs are +/-1 and the counts integers, so the sums are exact in any order
+    values = np.einsum("bkd,kd->bk", counts, signs) / shots
+    return float(values[0, 0]) if not expected else values.reshape(expected)
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:

@@ -8,12 +8,14 @@ from qsreg import (
     Gate,
     ObjectiveSpec,
     ObservableSum,
+    PauliString,
     deuteron_ansatz_1,
     evaluate,
     evaluate_batch,
     nyquist_lattice,
 )
 from qsreg.ansatz import exact_objective
+from qsreg.statevector import _measurement_probabilities, child_seed
 from conftest import scan_polish_min
 
 
@@ -151,6 +153,49 @@ def test_single_and_batch_ledgers_agree_per_point(deuteron2):
         assert evaluate(spec, theta, ledger, sample_index=k) == batch[k]
         assert (ledger.samples, ledger.queries) == (1, 1)
         assert ledger.measurements * len(points) == batch_ledger.measurements
+
+
+def _outcome_vectors(basis_ops):
+    """Column i: the product eigenvector of outcome i, qubit 0 the high bit, bit 0 the eigenvalue +1 state."""
+    vectors = np.array([[1.0 + 0.0j]])
+    for label in basis_ops:
+        _, eigenvectors = np.linalg.eigh(PauliString("Z" if label == "I" else label).matrix())
+        vectors = np.kron(vectors, eigenvectors[:, ::-1])  # eigh sorts -1 first
+    return vectors
+
+
+def test_shot_streams_are_one_multinomial_per_point_and_term(deuteron2):
+    """Bit for bit: value = sum of weight * signs @ default_rng(child_seed(seed, row, term)).multinomial(shots, p) / shots.
+
+    ``p`` are the outcome probabilities in the basis of the term's
+    qubit-wise-commuting group.  They are computed here from Pauli-matrix
+    eigenvectors and must match the sampler's to 1e-14; the draws then use
+    the sampler's own ``p``, because an ulp can move one count (multinomial's
+    binomial steps branch at probability 1/2, which uniform rows hit).
+    """
+    ansatz, obs = deuteron2
+    shots, seed = 10_000, 7
+    points = nyquist_lattice([2, 2])
+    values = evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=shots, seed=seed), points)
+    states = ansatz.states(points)
+    group_of = {index: group for group in obs.measurement_groups for index in group}
+    for row, state in enumerate(states):
+        expected = 0.0
+        for term_index, (weight, pauli) in enumerate(obs.terms):
+            if pauli.is_identity:
+                expected += weight
+                continue
+            members = [obs.terms[i][1].ops for i in group_of[term_index]]
+            basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*members))
+            vectors = _outcome_vectors(basis)
+            p = _measurement_probabilities(state[None], PauliString(basis))[0]
+            assert np.max(np.abs(np.abs(vectors.conj().T @ state) ** 2 - p)) <= 1e-14
+            eigenvalues = np.einsum("ji,jk,ki->i", vectors.conj(), pauli.matrix(), vectors).real
+            signs = np.rint(eigenvalues)
+            assert np.max(np.abs(eigenvalues - signs)) <= 1e-12
+            counts = np.random.default_rng(child_seed(seed, row, term_index)).multinomial(shots, p)
+            expected += weight * (signs @ counts / shots)
+        assert values[row] == expected
 
 
 def test_measurement_accounting(deuteron1):

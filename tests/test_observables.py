@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsreg import (
     ObservableError,
@@ -12,6 +14,7 @@ from qsreg import (
     exact_spectrum,
     parse_observable,
 )
+from qsreg.observables import measurement_basis
 from qsreg.statevector import exact_expectation
 
 
@@ -100,6 +103,62 @@ def test_deuteron_files_parse(deuteron1, deuteron2):
     assert deuteron1[1].num_terms == 5
     assert deuteron2[1].num_qubits == 3
     assert deuteron2[1].num_terms == 8
+
+
+# --- qubit-wise-commuting measurement groups ---
+
+@st.composite
+def _pauli_sums(draw):
+    n = draw(st.integers(1, 4))
+    strings = draw(st.lists(st.text("IXYZ", min_size=n, max_size=n), min_size=1, max_size=12))
+    return ObservableSum(n, [(1.0, ops) for ops in strings])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pauli_sums())
+def test_measurement_groups_partition_the_terms_into_qubit_wise_commuting_sets(obs):
+    groups = obs.measurement_groups
+    members = [index for group in groups for index in group]
+    non_identity = [index for index, (_, p) in enumerate(obs.terms) if not p.is_identity]
+    assert sorted(members) == non_identity
+    # first-appearance order, both across groups and within each
+    assert [group[0] for group in groups] == sorted(group[0] for group in groups)
+    assert all(list(group) == sorted(group) for group in groups)
+    for group in groups:
+        for qubit in range(obs.num_qubits):
+            labels = {obs.terms[index][1].ops[qubit] for index in group} - {"I"}
+            assert len(labels) <= 1
+        basis = measurement_basis(obs.terms[index][1] for index in group).ops
+        for index in group:
+            assert all(p in ("I", b) for p, b in zip(obs.terms[index][1].ops, basis))
+    # greedy: a group's first term commutes qubit-wise with no earlier group's basis at that point
+    for later, group in enumerate(groups):
+        for earlier in groups[:later]:
+            opened_before = [index for index in earlier if index < group[0]]
+            with pytest.raises(ValueError, match="qubit-wise"):
+                measurement_basis(obs.terms[index][1] for index in (*opened_before, group[0]))
+
+
+def test_deuteron_3q_is_measured_in_three_bases(deuteron2):
+    obs = deuteron2[1]
+    groups = obs.measurement_groups
+    assert len(groups) == 3
+    assert [measurement_basis(obs.terms[i][1] for i in group).ops for group in groups] == ["ZZZ", "XXX", "YYY"]
+
+
+def test_measurement_basis_rejects_empty_and_non_commuting_input():
+    with pytest.raises(ValueError):
+        measurement_basis([])
+    with pytest.raises(ValueError, match="qubit-wise"):
+        measurement_basis([PauliString("XI"), PauliString("YI")])
+
+
+@pytest.mark.parametrize("ops", ["Z", "XI", "IY", "XYZ", "IIII", "ZIXY"])
+def test_parity_signs_are_the_eigenvalues_of_the_rotated_string(ops):
+    """Outcome i's sign is P's eigenvalue on the i-th product eigenvector of P's own basis."""
+    pauli = PauliString(ops)
+    rotated = PauliString(ops.replace("X", "Z").replace("Y", "Z"))
+    assert np.array_equal(pauli.parity_signs, np.diag(rotated.matrix()).real)
 
 
 def _random_observable(rng, num_qubits, num_terms):

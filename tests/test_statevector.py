@@ -2,7 +2,15 @@
 import numpy as np
 import pytest
 
-from qsreg import Gate, PauliString, apply_circuit, child_seed, exact_expectation, sampled_expectation
+from qsreg import (
+    Gate,
+    ObservableSum,
+    PauliString,
+    apply_circuit,
+    child_seed,
+    exact_expectation,
+    sampled_expectation,
+)
 
 
 def test_empty_circuit():
@@ -198,40 +206,56 @@ def test_sampled_mean_matches_exact_value():
     assert np.mean(values) == pytest.approx(exact, abs=3e-3)
 
 
-def _searchsorted_reference(state, pauli, shots, seed):
-    """Shot sampling as one CDF search per draw, with the same draws as sampled_expectation."""
-    from qsreg.statevector import _measurement_probabilities, _parity_signs
-
-    if pauli.is_identity:
-        return 1.0
-    cdf = np.cumsum(_measurement_probabilities(state, pauli))
-    cdf[-1] = 1.0
-    draws = np.searchsorted(cdf, np.random.default_rng(seed).random(shots), side="right")
-    return float(np.mean(_parity_signs(pauli)[draws]))
-
-
 def _random_states(rng, batch, n):
     states = rng.normal(size=(batch, 2**n)) + 1j * rng.normal(size=(batch, 2**n))
     return states / np.linalg.norm(states, axis=1, keepdims=True)
 
 
-def test_counting_sampler_is_bit_identical_to_a_searchsorted_draw():
-    """Counting the draws below each CDF edge reproduces the per-draw search exactly."""
-    rng = np.random.default_rng(29)
-    for n in (1, 2, 3, 4):
-        for trial in range(6):
-            state = _random_states(rng, 1, n)[0]
-            # sparse states put several CDF edges on one value
-            if trial % 2:
-                zero = rng.random(2**n) < 0.5
-                zero[0] = False
-                state[zero] = 0.0
-                state /= np.linalg.norm(state)
-            pauli = PauliString("".join(rng.choice(list("IXYZ"), size=n)))
-            for shots in (1, 7, 10_000):
-                seed = child_seed(trial, n, shots)
-                expected = _searchsorted_reference(state, pauli, shots, seed)
-                assert sampled_expectation(state, pauli, shots, seed).hex() == expected.hex()
+def test_sampled_mean_over_400_seeds_is_unbiased():
+    """On random states and random Pauli sums, each grouped term's mean over 400 streams is within 4 sigma."""
+    rng = np.random.default_rng(37)
+    shots, repeats = 100, 400
+    for n in (2, 3, 4):
+        for trial in range(3):
+            strings = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)}
+            obs = ObservableSum(n, [(1.0, ops) for ops in strings])
+            # 400 copies of one state, each row with its own streams
+            states = np.repeat(_random_states(rng, 1, n), repeats, axis=0)
+            for group in obs.measurement_groups:
+                paulis = tuple(obs.terms[t][1] for t in group)
+                seeds = [[child_seed(trial, n, row, t) for t in group] for row in range(repeats)]
+                means = sampled_expectation(states, paulis, shots, seeds).mean(axis=0)
+                for pauli, mean in zip(paulis, means):
+                    exact = exact_expectation(states[0], pauli)
+                    sigma = np.sqrt(max(1.0 - exact**2, 0.0) / (shots * repeats))
+                    assert abs(mean - exact) <= 4.0 * sigma + 1e-12, (pauli, mean, exact)
+
+
+def test_grouped_call_equals_one_call_per_string():
+    """Strings that need the same rotation give, grouped, each string's single-string result, shape (B, k)."""
+    rng = np.random.default_rng(41)
+    states = _random_states(rng, 4, 3)
+    # Z and I need no rotation, so each string alone is measured in the group's basis ZZX too
+    paulis = (PauliString("ZZX"), PauliString("ZIX"), PauliString("IZX"), PauliString("IIX"))
+    seeds = [[child_seed(2, row, k) for k in range(4)] for row in range(4)]
+    grouped = sampled_expectation(states, paulis, 500, seeds)
+    assert grouped.shape == (4, 4)
+    for k, pauli in enumerate(paulis):
+        column = sampled_expectation(states, pauli, 500, [row[k] for row in seeds])
+        assert np.array_equal(grouped[:, k], column)
+    one = sampled_expectation(states[0], paulis, 500, seeds[0])
+    assert one.shape == (4,) and np.array_equal(one, grouped[0])
+    with_identity = sampled_expectation(states, (PauliString("ZZX"), PauliString("III")), 500,
+                                        [row[:2] for row in seeds])
+    assert np.all(with_identity[:, 1] == 1.0)
+
+
+def test_grouped_call_rejects_strings_that_do_not_commute_qubit_wise():
+    states = _random_states(np.random.default_rng(0), 2, 2)
+    with pytest.raises(ValueError, match="qubit-wise"):
+        sampled_expectation(states, (PauliString("XZ"), PauliString("ZZ")), 10, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="one seed per state"):
+        sampled_expectation(states, (PauliString("XZ"), PauliString("XI")), 10, [1, 2])
 
 
 def test_batched_expectations_equal_per_state_calls():
@@ -257,9 +281,28 @@ def test_batched_sampling_needs_one_seed_per_state():
 
 
 def test_shots_validation():
+    """Shot counts that multinomial would truncate or reject are a ValueError."""
     zero = apply_circuit([], 1)
-    with pytest.raises(ValueError):
-        sampled_expectation(zero, PauliString("Z"), 0, 1)
+    for shots in (0, 10.5, True, float("nan")):
+        with pytest.raises(ValueError, match="shots"):
+            sampled_expectation(zero, PauliString("Z"), shots, 1)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([np.nan, 1.0]),
+    np.array([np.inf, 0.0]),
+    np.array([0.0, 0.0]),
+    np.array([[1.0, 0.0], [0.0, 0.0]]),
+    np.array([[1.0, 0.0], [np.nan, 0.0]]),
+])
+@pytest.mark.parametrize("measure", ["exact", "sampled"])
+def test_non_finite_or_zero_norm_states_are_rejected(bad, measure):
+    with pytest.raises(ValueError, match="finite with nonzero norm"):
+        if measure == "exact":
+            exact_expectation(bad.astype(complex), PauliString("Z"))
+        else:
+            seeds = 1 if bad.ndim == 1 else [1, 2]
+            sampled_expectation(bad.astype(complex), PauliString("Z"), 10, seeds)
 
 
 # --- stream splitting ---
