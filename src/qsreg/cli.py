@@ -344,6 +344,9 @@ def _parse_range(text: str) -> np.ndarray:
         raise ConfigError(f"range must be lo:hi:count, got {text!r}") from exc
     if count < 1:
         raise ConfigError("range count must be >= 1")
+    # every swept model value (m, r, p or s) must be a positive finite real
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo > 0.0 and hi > 0.0):
+        raise ConfigError(f"range bounds must be positive finite reals, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -358,6 +361,11 @@ def _params_from_args(args) -> tuple[ComplexityParams, bool]:
 
 
 def cmd_complexity(args) -> int:
+    # the model values ComplexityParams would reject are configuration errors
+    for flag in ("m", "p", "s", "r"):
+        value = getattr(args, flag)
+        if value is not None and not (np.isfinite(value) and value > 0.0):
+            raise ConfigError(f"--{flag} must be a positive finite real, got {value!r}")
     if args.action == "threshold":
         params, full = _params_from_args(args)
         n_star, peak_value = peak(params)

@@ -1,15 +1,18 @@
 """Expectation-value objective h(theta) with sample/query accounting.
 
 A *sample* is one objective evaluation at one parameter point; a *query* is
-one backend round trip (a batched request counts once).  Shot-mode evaluation
-rotates into each qubit-wise-commuting measurement basis of the observable
-once, and measures every non-identity term there independently with the full
-shot budget from its own child stream ``(seed, point, term)``; the identity
-weight is added classically and never consumes shots.
+one backend round trip (a batched request counts once).  Exact and shot mode
+share one measurement path: the batch is rotated once into each
+qubit-wise-commuting measurement basis of the observable and the outcome
+table |amplitude|^2 is taken once per basis.  Exact mode reads each term off
+that table; shot mode draws every non-identity term's histogram from it with
+the full shot budget.  Each sample owns one random stream
+``(seed, sample_index)``, consumed group by group in group order.  The
+identity weight is added classically and never consumes shots.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,11 +41,7 @@ class EvalLedger:
     measurements: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "queries": self.queries,
-            "measurements": self.measurements,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,9 @@ def _evaluate_points(
 ) -> np.ndarray:
     """The one evaluator: objective values at the rows of ``points`` as one query.
 
-    All rows are simulated as one batch.  Exact mode evaluates each term on
-    the whole batch at once; shot mode measures each qubit-wise-commuting
-    group of terms on the whole batch at once, so the batch is rotated once
-    per group.  Row ``i`` draws its shots from the streams of sample index
-    ``first_index + i``.  Either way the terms are summed in term order.
+    All rows are simulated as one batch, and each measurement group of the
+    observable is evaluated on the whole batch at once.  In shot mode row
+    ``i`` draws from the one stream of sample index ``first_index + i``.
     """
     if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != spec.num_params:
         raise ValueError(
@@ -93,27 +90,24 @@ def _evaluate_points(
         raise ValueError("parameter points must be finite")
     states = spec.ansatz.states(points)
     terms = spec.observable.terms
-    rows = range(first_index, first_index + points.shape[0])
-    measured = 0
-    if spec.mode == "shots":
-        sampled = np.empty((points.shape[0], len(terms)))
-        for group in spec.observable.measurement_groups:
-            seeds = [[child_seed(spec.seed, row, term_index) for term_index in group] for row in rows]
-            paulis = tuple(terms[term_index][1] for term_index in group)
-            sampled[:, group] = sampled_expectation(states, paulis, spec.shots, seeds)
-            measured += len(rows) * len(group) * spec.shots
+    groups = spec.observable.measurement_groups
+    shots = spec.shots if spec.mode == "shots" else 0
+    if shots:
+        rngs = [np.random.default_rng(child_seed(spec.seed, first_index + row)) for row in range(len(points))]
     values = np.zeros(points.shape[0])
-    for term_index, (weight, pauli) in enumerate(terms):
-        if pauli.is_identity:
-            values += weight
-        elif spec.mode == "exact":
-            values += weight * exact_expectation(states, pauli)
+    for group in groups:
+        paulis = tuple(terms[index][1] for index in group)
+        if shots:
+            measured = sampled_expectation(states, paulis, shots, rngs)
         else:
-            values += weight * sampled[:, term_index]
+            measured = exact_expectation(states, paulis)
+        for column, index in enumerate(group):
+            values += terms[index][0] * measured[:, column]
+    values += sum(weight for weight, pauli in terms if pauli.is_identity)
     if ledger is not None:
         ledger.samples += points.shape[0]
         ledger.queries += 1
-        ledger.measurements += measured
+        ledger.measurements += points.shape[0] * sum(map(len, groups)) * shots
     return values
 
 
@@ -121,8 +115,8 @@ def evaluate(spec: ObjectiveSpec, theta, ledger: EvalLedger | None = None, sampl
     """One objective sample; increments the ledger by one sample and one query.
 
     Exact mode is deterministic.  Shot mode is deterministic given
-    ``(spec.seed, sample_index)``: each (point, term) pair owns an independent
-    child random stream, so results do not depend on evaluation order.
+    ``(spec.seed, sample_index)``: each sample owns an independent child
+    random stream, so results do not depend on evaluation order.
     """
     point = np.atleast_1d(np.asarray(theta, dtype=float))[None]
     return float(_evaluate_points(spec, point, ledger, sample_index)[0])

@@ -37,6 +37,8 @@ __all__ = [
 
 # standard simplex coefficients: reflection, expansion, contraction, shrink
 _RHO, _CHI, _GAMMA, _SIGMA = 1.0, 2.0, 0.5, 0.5
+# edge of the initial simplex along each axis, in radians
+_INIT_STEP = 0.25
 
 # model minimization: Newton starts taken from the grid scan, the Hessian eigenvalue
 # floor relative to sum|c|, the step length (radians) that retires a start, and a step cap
@@ -65,7 +67,6 @@ def nelder_mead_minimize(
     max_evals: int = 500,
     xtol: float = 1e-6,
     ftol: float | None = 1e-6,
-    init_step: float = 0.25,
     record_trace: bool = False,
 ) -> OptimizationResult:
     """Nelder-Mead simplex descent with coefficients (1, 2, 0.5, 0.5).
@@ -75,7 +76,7 @@ def nelder_mead_minimize(
     (``ftol=None`` disables the value test, which keeps the search path
     invariant under positive rescaling of ``f``).  An exhausted evaluation
     budget sets ``converged=False`` instead of raising.  The initial simplex
-    steps ``init_step`` along each axis from ``theta0``.
+    steps 0.25 rad along each axis from ``theta0``.
     """
     theta0 = wrap_angles(theta0)
     n = theta0.size
@@ -105,7 +106,7 @@ def nelder_mead_minimize(
         fsim.append(call(sim[0]))
         for i in range(n):
             vertex = theta0.copy()
-            vertex[i] += init_step
+            vertex[i] += _INIT_STEP
             sim.append(vertex)
             fsim.append(call(vertex))
         sim = np.asarray(sim)

@@ -169,80 +169,81 @@ def _check_states(state: np.ndarray, num_qubits: int) -> None:
         )
 
 
-def exact_expectation(state: np.ndarray, pauli: PauliString):
-    """<psi|P|psi> with no shot noise; real by Hermiticity.
+def _measurement_table(state: np.ndarray, paulis):
+    """The front half of both expectations: ``(table, signs, grouped)`` for one string or a tuple.
 
-    ``state`` is one state of shape (2**n,), which gives a float, or a batch
-    of shape (B, 2**n), which gives a length-B array.  A non-finite or
-    zero-norm state raises ``ValueError``.
+    Checks the states and rotates them once into the strings' shared basis.
+    ``table`` holds each state's |amplitude|^2 per outcome, not normalised,
+    as shape (B, 2**n) (B = 1 for one state); ``signs`` holds each string's
+    parity signs, shape (k, 2**n); ``grouped`` says ``paulis`` was a tuple.
     """
-    _check_states(state, pauli.num_qubits)
-    n = pauli.num_qubits
-    phi = state
-    for qubit, label in enumerate(pauli.ops):
-        if label == "I":
-            continue
-        phi = _apply_single(phi, PAULI_MATRICES[label], qubit, n)
-    values = np.einsum("...i,...i->...", state.conj(), phi).real
-    return float(values) if state.ndim == 1 else values
-
-
-def _measurement_probabilities(states: np.ndarray, basis: PauliString) -> np.ndarray:
-    """Rotate each qubit of ``basis`` onto Z, then return |amplitude|^2 per state, normalised."""
+    grouped = not isinstance(paulis, PauliString)
+    strings = tuple(paulis) if grouped else (paulis,)
+    basis = measurement_basis(strings)
     n = basis.num_qubits
-    rotated = states
+    _check_states(state, n)
+    rotated = state
     for qubit, label in enumerate(basis.ops):
         if label == "X":
             rotated = _apply_single(rotated, _H_MATRIX, qubit, n)
         elif label == "Y":
             rotated = _apply_single(rotated, _Y_TO_Z, qubit, n)
-    probs = np.abs(rotated) ** 2
-    return probs / probs.sum(axis=-1, keepdims=True)
+    # C order, so that each row's sums run in one order whatever the batch size and layout
+    table = np.ascontiguousarray((rotated.real**2 + rotated.imag**2).reshape(-1, 2**n))
+    return table, np.stack([pauli.parity_signs for pauli in strings]), grouped
 
 
-def sampled_expectation(state: np.ndarray, paulis, shots: int, rng_seed):
+def _shaped(values: np.ndarray, state: np.ndarray, grouped: bool):
+    """(B, k) values in the caller's shape: (B, k), (k,), (B,) or a float."""
+    values = values.reshape(state.shape[:-1] + (-1,))
+    values = values if grouped else values[..., 0]
+    return float(values) if values.ndim == 0 else values
+
+
+def exact_expectation(state: np.ndarray, paulis):
+    """<psi|P|psi> with no shot noise: P's parity signs dotted with the outcome table.
+
+    ``paulis`` is one ``PauliString`` or a tuple of k qubit-wise-commuting
+    strings, and ``state`` one state of shape (2**n,) or a batch of shape
+    (B, 2**n); the result is a float, (B,), (k,) or (B, k).  The table is
+    not renormalised, so any finite nonzero state works; others raise
+    ``ValueError``.
+    """
+    table, signs, grouped = _measurement_table(state, paulis)
+    # one (B, 2**n) product per string, not a (B, k, 2**n) one
+    return _shaped(np.stack([(table * sign).sum(axis=-1) for sign in signs], axis=-1), state, grouped)
+
+
+def sampled_expectation(state: np.ndarray, paulis, shots: int, rngs):
     """Empirical means of ``shots`` simulated +/-1 measurements per Pauli string.
 
-    ``paulis`` is one ``PauliString``, or a tuple of k strings that commute
-    qubit-wise and so share one measurement basis.  ``state`` is one state
-    of shape (2**n,) or a batch of shape (B, 2**n).  ``rng_seed`` holds one
-    seed per (state, string) pair: a single seed for one state and one
-    string, shape (B,) for a batch and one string, shape (k,) or (B, k) for
-    a tuple.  The result has the seeds' shape (a float for a single seed).
-    A seed may be an int, a ``numpy.random.SeedSequence`` or a
-    ``numpy.random.Generator``; a fixed seed gives a bit-reproducible result.
-
-    Each state is rotated into the shared basis once.  Each (state, string)
-    pair then draws its outcome histogram as one
-    ``default_rng(seed).multinomial(shots, probabilities)`` with the full
-    ``shots`` budget, and its value is the string's parity signs dotted with
-    the counts over ``shots``.  Identity strings give exactly 1.0.
+    Shapes are as in :func:`exact_expectation`.  ``rngs`` holds one generator
+    or seed per state, each passed through ``numpy.random.default_rng``, so a
+    ``Generator`` is drawn from in place and its stream continues across
+    calls.  Each state draws its k histograms as one ``multinomial(shots, p,
+    size=k)`` from the normalised table: every string gets the full budget,
+    and its value is its parity signs dotted with its counts over ``shots``
+    (exactly 1.0 for an identity string).
     """
     shots = _check_integer(shots, "shots", minimum=1)
-    grouped = not isinstance(paulis, PauliString)
-    strings = tuple(paulis) if grouped else (paulis,)
-    basis = measurement_basis(strings)
-    _check_states(state, basis.num_qubits)
-    seeds = np.asarray(rng_seed, dtype=object)
-    expected = state.shape[:-1] + ((len(strings),) if grouped else ())
-    if seeds.shape != expected:
-        raise ValueError(f"need one seed per state and string: seeds have shape {seeds.shape}, expected {expected}")
-    probs = _measurement_probabilities(state.reshape(-1, state.shape[-1]), basis)
+    table, signs, grouped = _measurement_table(state, paulis)
+    generators = np.asarray(rngs, dtype=object)
+    if generators.shape != state.shape[:-1]:
+        raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {state.shape[:-1]}")
+    probs = table / table.sum(axis=1, keepdims=True)
     counts = np.array([
-        [np.random.default_rng(seed).multinomial(shots, row_probs) for seed in row_seeds]
-        for row_probs, row_seeds in zip(probs, seeds.reshape(probs.shape[0], len(strings)))
+        np.random.default_rng(rng).multinomial(shots, p, size=len(signs)) for rng, p in zip(generators.flat, probs)
     ])
-    signs = np.stack([pauli.parity_signs for pauli in strings])
     # the signs are +/-1 and the counts integers, so the sums are exact in any order
-    values = np.einsum("bkd,kd->bk", counts, signs) / shots
-    return float(values[0, 0]) if not expected else values.reshape(expected)
+    return _shaped((counts * signs).sum(axis=-1) / shots, state, grouped)
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:
     """Deterministic stream splitting: one child stream per integer path.
 
-    The objective uses ``child_seed(seed, point_index, term_index)`` so that
-    evaluation order (serial, batched, or concurrent) cannot change results.
+    The objective uses ``child_seed(seed, sample_index)``, one stream per
+    sample, so that evaluation order (serial, batched, or concurrent) cannot
+    change results.
     """
     if root_seed < 0 or any(p < 0 for p in path):
         raise ValueError("seeds and stream path entries must be non-negative")

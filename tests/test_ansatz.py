@@ -4,13 +4,16 @@ import pytest
 
 from qsreg import (
     Ansatz,
+    ObjectiveSpec,
     ObservableSum,
     deuteron_ansatz_1,
     deuteron_ansatz_2,
+    evaluate_batch,
     verify_bandwidth,
 )
-from qsreg.ansatz import exact_objective
+from qsreg.ansatz import BandwidthAxisCheck, BandwidthReport, exact_objective
 from qsreg.cli import PROBLEMS, ConfigError, load_problem
+from qsreg.regression import lattice_axes
 
 from conftest import scan_polish_min
 
@@ -112,6 +115,42 @@ def test_verify_bandwidth_deuteron_2(deuteron2):
     report = verify_bandwidth(*deuteron2, grid_points_per_axis=64, tolerance=1e-8)
     assert report.passed
     assert report.observed_bandwidths() == (1, 2)
+
+
+def _per_slice_scan(ansatz, observable, grid_points, tolerance, slices, seed):
+    """Reference: one evaluate_batch per (axis, slice), each slice's offsets drawn in turn from one generator."""
+    rng = np.random.default_rng(seed)
+    grid = lattice_axes([grid_points])[0]
+    spec = ObjectiveSpec(ansatz, observable)
+    checks = []
+    for axis, declared in enumerate(ansatz.bandwidths):
+        maxima = []
+        for _ in range(slices if ansatz.num_params > 1 else 1):
+            points = np.tile(rng.uniform(-np.pi, np.pi, size=ansatz.num_params), (grid.size, 1))
+            points[:, axis] = grid
+            amplitudes = np.abs(np.fft.rfft(evaluate_batch(spec, points))) / grid_points
+            above = np.nonzero(amplitudes > tolerance * amplitudes.max())[0]
+            maxima.append(int(above.max()) if amplitudes.max() > 0.0 and above.size else 0)
+        observed = max(maxima)
+        checks.append(BandwidthAxisCheck(axis, ansatz.param_names[axis], declared, observed,
+                                         observed <= declared, tuple(maxima)))
+    return BandwidthReport(tuple(checks))
+
+
+@pytest.mark.parametrize("problem", sorted(PROBLEMS))
+@pytest.mark.parametrize("grid_points, tolerance, slices, seed", [(64, 1e-8, 5, 202), (16, 1e-3, 3, 5)])
+def test_verify_bandwidth_is_one_query_equal_to_the_per_slice_scan(monkeypatch, problem, grid_points,
+                                                                   tolerance, slices, seed):
+    import qsreg.ansatz
+
+    ansatz, observable = load_problem(problem)
+    reference = _per_slice_scan(ansatz, observable, grid_points, tolerance, slices, seed)
+    queries = []
+    original = qsreg.ansatz.evaluate_batch
+    monkeypatch.setattr(qsreg.ansatz, "evaluate_batch", lambda *args: queries.append(1) or original(*args))
+    report = verify_bandwidth(ansatz, observable, grid_points, tolerance, slices, seed)
+    assert report == reference
+    assert len(queries) == 1
 
 
 def test_verify_bandwidth_constant_observable():

@@ -292,6 +292,23 @@ def test_complexity_requires_parameters(capsys):
     assert json.loads(out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--m", "-1", "--r", "2"],
+    ["threshold", "--m", "2", "--p", "nan", "--s", "1"],
+    ["threshold", "--m", "2", "--r", "inf"],
+    ["threshold", "--m", "nan", "--r", "2"],
+    ["efficiency", "--m", "2", "--p", "8", "--s", "0"],
+    ["sweep", "--what", "threshold", "--m-range", "nan:5:3", "--r-range", "1:8:3"],
+    ["sweep", "--what", "threshold", "--m-range", "0:5:3", "--r-range", "1:inf:3"],
+    ["sweep", "--what", "efficiency", "--m", "-2", "--p-range", "2:20:3", "--s-range", "2:5:3"],
+    ["sweep", "--what", "efficiency", "--m", "2", "--p-range", "2:20:3", "--s-range", "2:nan:3"],
+])
+def test_complexity_rejects_bad_model_values_with_exit_2(capsys, argv):
+    code, out = _run(capsys, ["complexity", *argv])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
 # --- landscape ---
 
 def test_landscape_exact_grid(capsys, tmp_path):

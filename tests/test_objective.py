@@ -15,8 +15,24 @@ from qsreg import (
     nyquist_lattice,
 )
 from qsreg.ansatz import exact_objective
-from qsreg.statevector import _measurement_probabilities, child_seed
+from qsreg.statevector import _measurement_table, child_seed
 from conftest import scan_polish_min
+
+
+_LADDER_STRINGS = ["XXII", "IYYI", "IIZZ", "ZIIZ", "XYZI", "IZXY", "YIIX", "ZZZZ"]
+
+
+def _ladder():
+    """A 4-qubit, 4-parameter RY+CNOT ladder and an 8-string observable with an identity term."""
+
+    def builder(theta):
+        gates = [Gate("X", (0,)), Gate("X", (2,))]
+        gates += [Gate("RY", (j,), float(theta[j])) for j in range(4)]
+        return gates + [Gate("CNOT", (q, q + 1)) for q in range(3)]
+
+    ansatz = Ansatz("ladder", 4, 4, (1, 1, 1, 1), ("a", "b", "c", "d"), builder)
+    obs = ObservableSum(4, [(0.5, "IIII")] + [(1.0 + k, p) for k, p in enumerate(_LADDER_STRINGS)])
+    return ansatz, obs
 
 
 def test_spec_validation(deuteron1):
@@ -129,7 +145,7 @@ def test_batch_rejects_empty(deuteron1):
 
 
 def test_batch_matches_indexed_singles(deuteron1):
-    """Per-(point, term) streams make batch order irrelevant."""
+    """One stream per sample index makes batch order irrelevant."""
     ansatz, obs = deuteron1
     spec = ObjectiveSpec(ansatz, obs, "shots", shots=300, seed=5)
     points = nyquist_lattice([2])
@@ -140,6 +156,16 @@ def test_batch_matches_indexed_singles(deuteron1):
     order = [3, 0, 4, 1, 2]
     shuffled = {i: evaluate(spec, points[i], sample_index=i) for i in order}
     assert all(shuffled[i] == batch[i] for i in order)
+
+
+@pytest.mark.parametrize("problem", ["deuteron2", "ladder"])
+def test_exact_rows_do_not_depend_on_the_batch(request, problem):
+    """Exact evaluate at a point is bit for bit its row of evaluate_batch, whatever the batch's memory layout."""
+    ansatz, obs = _ladder() if problem == "ladder" else request.getfixturevalue(problem)
+    spec = ObjectiveSpec(ansatz, obs)
+    points = np.random.default_rng(23).uniform(-np.pi, np.pi, size=(37, ansatz.num_params))
+    batch = evaluate_batch(spec, points)
+    assert np.array_equal(batch, [evaluate(spec, theta) for theta in points])
 
 
 def test_single_and_batch_ledgers_agree_per_point(deuteron2):
@@ -164,38 +190,68 @@ def _outcome_vectors(basis_ops):
     return vectors
 
 
-def test_shot_streams_are_one_multinomial_per_point_and_term(deuteron2):
-    """Bit for bit: value = sum of weight * signs @ default_rng(child_seed(seed, row, term)).multinomial(shots, p) / shots.
+def test_shot_streams_are_one_generator_per_sample(deuteron2):
+    """Bit for bit: row r draws multinomial(shots, p, size=k) per group, in order, from one stream.
 
-    ``p`` are the outcome probabilities in the basis of the term's
-    qubit-wise-commuting group.  They are computed here from Pauli-matrix
-    eigenvectors and must match the sampler's to 1e-14; the draws then use
-    the sampler's own ``p``, because an ulp can move one count (multinomial's
-    binomial steps branch at probability 1/2, which uniform rows hit).
+    The stream is ``default_rng(child_seed(seed, r))``, and ``p`` are the
+    outcome probabilities in the group's basis.  They are
+    computed here from Pauli-matrix eigenvectors and must match the
+    sampler's to 1e-14; the draws then use the sampler's own ``p``, because
+    an ulp can move one count (multinomial's binomial steps branch at
+    probability 1/2, which uniform rows hit).  Each term's value is its
+    eigenvalue signs dotted with its counts over ``shots``; the identity
+    weight comes last.
     """
     ansatz, obs = deuteron2
     shots, seed = 10_000, 7
     points = nyquist_lattice([2, 2])
     values = evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=shots, seed=seed), points)
     states = ansatz.states(points)
-    group_of = {index: group for group in obs.measurement_groups for index in group}
+    identity = sum(weight for weight, pauli in obs.terms if pauli.is_identity)
     for row, state in enumerate(states):
+        rng = np.random.default_rng(child_seed(seed, row))
         expected = 0.0
-        for term_index, (weight, pauli) in enumerate(obs.terms):
-            if pauli.is_identity:
-                expected += weight
-                continue
-            members = [obs.terms[i][1].ops for i in group_of[term_index]]
-            basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*members))
+        for group in obs.measurement_groups:
+            paulis = tuple(obs.terms[i][1] for i in group)
+            ops = [pauli.ops for pauli in paulis]
+            basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*ops))
             vectors = _outcome_vectors(basis)
-            p = _measurement_probabilities(state[None], PauliString(basis))[0]
+            table = _measurement_table(state, paulis)[0][0]
+            p = table / table.sum()
             assert np.max(np.abs(np.abs(vectors.conj().T @ state) ** 2 - p)) <= 1e-14
-            eigenvalues = np.einsum("ji,jk,ki->i", vectors.conj(), pauli.matrix(), vectors).real
-            signs = np.rint(eigenvalues)
-            assert np.max(np.abs(eigenvalues - signs)) <= 1e-12
-            counts = np.random.default_rng(child_seed(seed, row, term_index)).multinomial(shots, p)
-            expected += weight * (signs @ counts / shots)
-        assert values[row] == expected
+            counts = rng.multinomial(shots, p, size=len(group))
+            for term_index, pauli, term_counts in zip(group, paulis, counts):
+                eigenvalues = np.einsum("ji,jk,ki->i", vectors.conj(), pauli.matrix(), vectors).real
+                signs = np.rint(eigenvalues)
+                assert np.max(np.abs(eigenvalues - signs)) <= 1e-12
+                expected += obs.terms[term_index][0] * (signs @ term_counts / shots)
+        assert values[row] == expected + identity
+
+
+def test_groups_of_one_sample_continue_its_stream(deuteron2, monkeypatch):
+    """Every group of a row draws from the row's one generator where the previous group stopped.
+
+    Handing each group a fresh stream from the same seed would reuse the
+    same uniforms for every group and correlate the groups' shot noise.
+    """
+    import qsreg.objective
+
+    seen = []
+
+    def recording(states, paulis, shots, rngs):
+        seen.append([(id(rng), rng.bit_generator.state["state"]["state"]) for rng in rngs])
+        return original(states, paulis, shots, rngs)
+
+    original = qsreg.objective.sampled_expectation
+    monkeypatch.setattr(qsreg.objective, "sampled_expectation", recording)
+    ansatz, obs = deuteron2
+    evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=100, seed=3), nyquist_lattice([1, 1]))
+    assert len(seen) == len(obs.measurement_groups) > 1
+    for row, calls in enumerate(zip(*seen)):
+        fresh = np.random.default_rng(child_seed(3, row)).bit_generator.state["state"]["state"]
+        assert calls[0][1] == fresh
+        assert len({generator for generator, _ in calls}) == 1
+        assert len({state for _, state in calls}) == len(calls)
 
 
 def test_measurement_accounting(deuteron1):
@@ -249,18 +305,12 @@ def test_builder_with_a_varying_gate_layout_is_rejected(deuteron1):
 
 
 def test_one_query_is_one_simulation_pass(monkeypatch):
-    """An 81-point lattice is simulated once and each non-identity term is evaluated once."""
+    """An 81-point lattice is simulated once and each measurement group is evaluated once."""
     import qsreg.ansatz
     import qsreg.objective
 
-    def builder(theta):
-        gates = [Gate("X", (0,)), Gate("X", (2,))]
-        gates += [Gate("RY", (j,), float(theta[j])) for j in range(4)]
-        return gates + [Gate("CNOT", (q, q + 1)) for q in range(3)]
-
-    ansatz = Ansatz("ladder", 4, 4, (1, 1, 1, 1), ("a", "b", "c", "d"), builder)
-    strings = ["XXII", "IYYI", "IIZZ", "ZIIZ", "XYZI", "IZXY", "YIIX", "ZZZZ"]
-    obs = ObservableSum(4, [(0.5, "IIII")] + [(1.0 + k, p) for k, p in enumerate(strings)])
+    ansatz, obs = _ladder()
+    strings = _LADDER_STRINGS
     calls = {"apply_circuit": 0, "exact_expectation": 0}
 
     def counted(name, original):
@@ -274,4 +324,5 @@ def test_one_query_is_one_simulation_pass(monkeypatch):
                         counted("exact_expectation", qsreg.objective.exact_expectation))
     values = evaluate_batch(ObjectiveSpec(ansatz, obs), nyquist_lattice([1, 1, 1, 1]))
     assert values.shape == (81,)
-    assert calls == {"apply_circuit": 1, "exact_expectation": len(strings)}
+    assert len(obs.measurement_groups) < len(strings)
+    assert calls == {"apply_circuit": 1, "exact_expectation": len(obs.measurement_groups)}

@@ -219,43 +219,71 @@ def test_sampled_mean_over_400_seeds_is_unbiased():
         for trial in range(3):
             strings = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(6)}
             obs = ObservableSum(n, [(1.0, ops) for ops in strings])
-            # 400 copies of one state, each row with its own streams
+            # 400 copies of one state, each row with its own generator, shared by the groups in order
             states = np.repeat(_random_states(rng, 1, n), repeats, axis=0)
+            generators = [np.random.default_rng(child_seed(trial, n, row)) for row in range(repeats)]
             for group in obs.measurement_groups:
                 paulis = tuple(obs.terms[t][1] for t in group)
-                seeds = [[child_seed(trial, n, row, t) for t in group] for row in range(repeats)]
-                means = sampled_expectation(states, paulis, shots, seeds).mean(axis=0)
+                means = sampled_expectation(states, paulis, shots, generators).mean(axis=0)
                 for pauli, mean in zip(paulis, means):
                     exact = exact_expectation(states[0], pauli)
                     sigma = np.sqrt(max(1.0 - exact**2, 0.0) / (shots * repeats))
                     assert abs(mean - exact) <= 4.0 * sigma + 1e-12, (pauli, mean, exact)
 
 
-def test_grouped_call_equals_one_call_per_string():
-    """Strings that need the same rotation give, grouped, each string's single-string result, shape (B, k)."""
+def test_grouped_call_equals_sequential_draws_from_one_generator():
+    """A grouped call from a seed equals k single-string calls drawn in turn from that seed; shape (B, k)."""
     rng = np.random.default_rng(41)
     states = _random_states(rng, 4, 3)
     # Z and I need no rotation, so each string alone is measured in the group's basis ZZX too
     paulis = (PauliString("ZZX"), PauliString("ZIX"), PauliString("IZX"), PauliString("IIX"))
-    seeds = [[child_seed(2, row, k) for k in range(4)] for row in range(4)]
+    seeds = [child_seed(2, row) for row in range(4)]
     grouped = sampled_expectation(states, paulis, 500, seeds)
     assert grouped.shape == (4, 4)
+    generators = [np.random.default_rng(seed) for seed in seeds]
     for k, pauli in enumerate(paulis):
-        column = sampled_expectation(states, pauli, 500, [row[k] for row in seeds])
+        column = sampled_expectation(states, pauli, 500, generators)
         assert np.array_equal(grouped[:, k], column)
     one = sampled_expectation(states[0], paulis, 500, seeds[0])
     assert one.shape == (4,) and np.array_equal(one, grouped[0])
-    with_identity = sampled_expectation(states, (PauliString("ZZX"), PauliString("III")), 500,
-                                        [row[:2] for row in seeds])
+    with_identity = sampled_expectation(states, (PauliString("ZZX"), PauliString("III")), 500, seeds)
     assert np.all(with_identity[:, 1] == 1.0)
+
+
+def test_grouped_exact_call_equals_one_call_per_string():
+    """Exact mode reads every string of a qubit-wise-commuting tuple off one table, shape (B, k) or (k,)."""
+    states = _random_states(np.random.default_rng(43), 5, 3)
+    # each string alone needs the same rotation as the group, so the tables are the same
+    paulis = (PauliString("ZZX"), PauliString("ZIX"), PauliString("IIX"))
+    grouped = exact_expectation(states, paulis)
+    assert grouped.shape == (5, 3)
+    for k, pauli in enumerate(paulis):
+        assert np.array_equal(grouped[:, k], exact_expectation(states, pauli))
+    assert np.array_equal(exact_expectation(states[0], paulis), grouped[0])
+    # the identity is the squared norm of the rotated state
+    with_identity = exact_expectation(states, (PauliString("ZZX"), PauliString("III")))
+    assert np.max(np.abs(with_identity[:, 1] - 1.0)) <= 1e-14
+
+
+def test_exact_expectation_is_not_renormalised():
+    """<psi|P|psi> scales with the squared norm, as the Pauli-matrix product does."""
+    rng = np.random.default_rng(47)
+    for n in (1, 2, 3):
+        state = 3.0 * _random_states(rng, 1, n)[0]
+        for ops in ("I" * n, "X" * n, "Y" * n, "".join(rng.choice(list("IXYZ"), size=n))):
+            pauli = PauliString(ops)
+            reference = np.vdot(state, pauli.matrix() @ state).real
+            assert exact_expectation(state, pauli) == pytest.approx(reference, rel=1e-13, abs=1e-13)
 
 
 def test_grouped_call_rejects_strings_that_do_not_commute_qubit_wise():
     states = _random_states(np.random.default_rng(0), 2, 2)
     with pytest.raises(ValueError, match="qubit-wise"):
-        sampled_expectation(states, (PauliString("XZ"), PauliString("ZZ")), 10, [[1, 2], [3, 4]])
-    with pytest.raises(ValueError, match="one seed per state"):
-        sampled_expectation(states, (PauliString("XZ"), PauliString("XI")), 10, [1, 2])
+        sampled_expectation(states, (PauliString("XZ"), PauliString("ZZ")), 10, [1, 2])
+    with pytest.raises(ValueError, match="qubit-wise"):
+        exact_expectation(states, (PauliString("XZ"), PauliString("ZZ")))
+    with pytest.raises(ValueError, match="one generator per state"):
+        sampled_expectation(states, (PauliString("XZ"), PauliString("XI")), 10, [1, 2, 3])
 
 
 def test_batched_expectations_equal_per_state_calls():
@@ -276,8 +304,10 @@ def test_batched_expectations_equal_per_state_calls():
 
 def test_batched_sampling_needs_one_seed_per_state():
     states = _random_states(np.random.default_rng(0), 3, 2)
-    with pytest.raises(ValueError, match="one seed per state"):
+    with pytest.raises(ValueError, match="one generator per state"):
         sampled_expectation(states, PauliString("XZ"), 10, [1, 2])
+    with pytest.raises(ValueError, match="one generator per state"):
+        sampled_expectation(states[0], PauliString("XZ"), 10, [1])
 
 
 def test_shots_validation():
