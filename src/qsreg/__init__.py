@@ -58,19 +58,12 @@ from .regression import (
     FourierBasis,
     FourierModel,
     SampleSet,
-    TrigonometricRegression,
     fit_fourier_model,
     nyquist_lattice,
     uniform_lattice,
 )
 from .specfun import gen_upper_incomplete_gamma, lambert_w0, lambert_wm1
-from .statevector import (
-    Gate,
-    apply_circuit,
-    child_seed,
-    exact_expectation,
-    sampled_expectation,
-)
+from .statevector import Gate
 
 __version__ = "0.1.0"
 
@@ -93,10 +86,7 @@ __all__ = [
     "SampleSet",
     "Spectrum",
     "SubcriticalError",
-    "TrigonometricRegression",
     "advantage_threshold",
-    "apply_circuit",
-    "child_seed",
     "crossover_points",
     "deuteron_ansatz_1",
     "deuteron_ansatz_2",
@@ -106,7 +96,6 @@ __all__ = [
     "efficiency_sweep",
     "evaluate",
     "evaluate_batch",
-    "exact_expectation",
     "exact_objective",
     "exact_spectrum",
     "fit_cost_heuristic",
@@ -124,7 +113,6 @@ __all__ = [
     "regression_global_minimize",
     "rescale_natural_units",
     "resource_ratio",
-    "sampled_expectation",
     "threshold_sweep",
     "uniform_lattice",
     "verify_bandwidth",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .objective import ObjectiveSpec, evaluate, evaluate_batch
 from .observables import ObservableSum
-from .regression import _check_bandwidths, lattice_axes
+from .regression import _check_bandwidths, _check_integer, lattice_axes
 from .statevector import Gate, apply_circuit
 
 __all__ = [
@@ -78,12 +78,7 @@ class Ansatz:
             gate if gate.angle is None else Gate(gate.kind, gate.qubits, np.array([c[i].angle for c in circuits]))
             for i, gate in enumerate(circuits[0])
         ]
-        state = apply_circuit(batch, self.num_qubits)
-        # a circuit without rotations is the same at every point
-        return state if state.ndim == 2 else np.tile(state, (len(circuits), 1))
-
-    def state(self, theta) -> np.ndarray:
-        return self.states(np.atleast_1d(np.asarray(theta, dtype=float))[None])[0]
+        return apply_circuit(batch, self.num_qubits, len(circuits))
 
 
 def deuteron_ansatz_1() -> Ansatz:
@@ -204,8 +199,9 @@ def verify_bandwidth(
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be a finite number in (0, 1), got {tolerance!r}")
-    if slices_per_axis < 1:
-        raise ValueError(f"need at least one slice per axis, got {slices_per_axis}")
+    grid_points_per_axis = _check_integer(grid_points_per_axis, "grid_points_per_axis", minimum=1)
+    slices_per_axis = _check_integer(slices_per_axis, "slices_per_axis", minimum=1)
+    seed = _check_integer(seed, "seed", minimum=0)
     max_s = max(ansatz.bandwidths)
     if grid_points_per_axis <= 2 * max_s + 1:
         raise ValueError(

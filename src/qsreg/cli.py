@@ -31,7 +31,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import _check_bandwidths, _check_integer, lattice_axes, uniform_lattice
+from .regression import _check_bandwidths, _check_integer, _check_real, lattice_axes, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -94,12 +94,19 @@ class RunConfig:
             self.seed = _check_integer(self.seed, "seed", minimum=0)
             if self.bandwidths is not None:
                 self.bandwidths = list(_check_bandwidths(self.bandwidths))
+            self.oversample = _check_real(self.oversample, "oversample", minimum=1.0)
+            if self.theta0 is not None:
+                if np.ndim(self.theta0) != 1:
+                    raise ValueError(f"theta0 must be a list of finite real numbers, got {self.theta0!r}")
+                self.theta0 = [_check_real(t, "theta0", minimum=-np.inf) for t in self.theta0]
+            if self.max_evals is not None:
+                self.max_evals = _check_integer(self.max_evals, "max_evals", minimum=1)
+            if self.xtol is not None:
+                self.xtol = _check_real(self.xtol, "xtol", minimum=0.0)
+            if self.ftol is not None:
+                self.ftol = _check_real(self.ftol, "ftol", minimum=0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not np.isfinite(float(self.oversample)) or float(self.oversample) < 1.0:
-            raise ConfigError("oversample must be a finite number >= 1")
-        if self.theta0 is not None and not np.all(np.isfinite(np.asarray(self.theta0, dtype=float))):
-            raise ConfigError("theta0 must be finite")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":

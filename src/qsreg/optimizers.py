@@ -20,6 +20,8 @@ from .regression import (
     FourierModel,
     SampleSet,
     _check_bandwidths,
+    _check_integer,
+    _check_real,
     fit_fourier_model,
     lattice_axes,
     uniform_lattice,
@@ -82,9 +84,9 @@ def nelder_mead_minimize(
     n = theta0.size
     if n < 1:
         raise ValueError("need at least one parameter")
-    if max_evals < 1:
-        raise ValueError("max_evals must be >= 1")
-    ftol_val = math.inf if ftol is None else float(ftol)
+    max_evals = _check_integer(max_evals, "max_evals", minimum=1)
+    xtol = _check_real(xtol, "xtol", minimum=0.0)
+    ftol_val = math.inf if ftol is None else _check_real(ftol, "ftol", minimum=0.0)
     trace: list | None = [] if record_trace else None
     evals = 0
 
@@ -334,9 +336,7 @@ def qsr_run(
             raise ValueError(
                 f"bandwidth override needs {ansatz.num_params} entries, got {len(bandwidths)}"
             )
-    oversample_factor = float(oversample_factor)
-    if not math.isfinite(oversample_factor) or oversample_factor < 1.0:
-        raise ValueError("oversample_factor must be a finite number >= 1")
+    oversample_factor = _check_real(oversample_factor, "oversample_factor", minimum=1.0)
     counts = [
         max(2 * s + 1, int(np.ceil(oversample_factor * (2 * s + 1) - 1e-9)))
         for s in bandwidths

@@ -29,7 +29,6 @@ __all__ = [
     "uniform_lattice",
     "nyquist_lattice",
     "fit_fourier_model",
-    "TrigonometricRegression",
 ]
 
 _DOMAIN_SLACK = 1e-9
@@ -60,6 +59,15 @@ def _check_integer(value, name: str, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _check_real(value, name: str, minimum: float) -> float:
+    # a boolean or a string would otherwise pass float() as a number
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+    return float(value)
 
 
 def _check_bandwidths(bandwidths) -> tuple[int, ...]:
@@ -277,7 +285,7 @@ class FourierModel:
                 "model document needs exactly 'bandwidths', 'coefficients', 'metadata'"
             )
         return cls(
-            bandwidths=tuple(int(s) for s in doc["bandwidths"]),
+            bandwidths=doc["bandwidths"],
             coefficients=np.asarray(doc["coefficients"], dtype=float),
             metadata=dict(doc["metadata"]),
         )
@@ -326,60 +334,3 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
         coefficients=coeffs,
         metadata=metadata,
     )
-
-
-class TrigonometricRegression:
-    """Band-limited trigonometric regression with an estimator interface.
-
-    Duck-types the common estimator protocol (``fit``/``predict``/``score``/
-    ``get_params``/``set_params``) so it composes with pipeline tooling:
-
-    >>> reg = TrigonometricRegression(bandwidths=(1,))
-    >>> reg.fit(points, values).predict(points)
-
-    Fitted attributes: ``coefficients_``, ``residual_norm_``, ``rank_``,
-    ``model_`` and ``n_features_in_``.
-    """
-
-    def __init__(self, bandwidths=None):
-        self.bandwidths = bandwidths
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {"bandwidths": self.bandwidths}
-
-    def set_params(self, **params) -> "TrigonometricRegression":
-        for key, value in params.items():
-            if key != "bandwidths":
-                raise ValueError(f"unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def fit(self, X, y) -> "TrigonometricRegression":
-        """Fit with :func:`fit_fourier_model`; X may hold any finite angles."""
-        if self.bandwidths is None:
-            raise ValueError("bandwidths must be set before fitting")
-        basis = FourierBasis(self.bandwidths)
-        points = _check_points(X, basis.ndim)
-        # the basis is 2*pi-periodic, so wrapping into the sample domain leaves the fit unchanged
-        model = fit_fourier_model(SampleSet(wrap_angles(points), y), basis)
-        self.n_features_in_ = points.shape[1]
-        self.coefficients_ = model.coefficients
-        self.residual_norm_ = model.metadata["residual_norm"]
-        self.rank_ = model.metadata["rank"]
-        self.model_ = model
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        if not hasattr(self, "model_"):
-            raise ValueError("this estimator is not fitted yet; call fit first")
-        return self.model_.evaluate_many(_check_points(X, self.n_features_in_))
-
-    def score(self, X, y) -> float:
-        """Coefficient of determination R^2 on the given data."""
-        y = np.asarray(y, dtype=float).reshape(-1)
-        predicted = self.predict(X)
-        ss_res = float(np.sum((y - predicted) ** 2))
-        ss_tot = float(np.sum((y - y.mean()) ** 2))
-        if ss_tot == 0.0:
-            return 1.0 if ss_res == 0.0 else 0.0
-        return 1.0 - ss_res / ss_tot

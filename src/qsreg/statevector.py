@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, measurement_basis
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, measurement_basis
 from .regression import _check_integer
 
 __all__ = [
@@ -85,7 +85,7 @@ def _single_qubit_matrix(gate: Gate) -> np.ndarray:
 
 
 def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply ``matrix`` to ``qubit`` of each n-qubit state in ``state`` (shape (2**n,) or (B, 2**n)).
+    """Apply ``matrix`` to ``qubit`` of each n-qubit state in ``state`` (shape (B, 2**n)).
 
     ``matrix`` is one (2, 2) matrix for every state or a (B, 2, 2) stack, one per state.
     """
@@ -105,39 +105,26 @@ def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndar
     return state[..., index ^ flip]
 
 
-def _batch_size(gates) -> int | None:
-    """The common length of the rotation-angle arrays, or None when every angle is a float."""
-    sizes = set()
-    for gate in gates:
-        if gate.angle is not None:
-            angle = np.asarray(gate.angle)
-            if angle.ndim > 1:
-                raise ValueError(f"{gate.kind} angle must be a float or a 1-D array, got shape {angle.shape}")
-            if angle.ndim == 1:
-                sizes.add(angle.size)
-    if len(sizes) > 1:
-        raise ValueError(f"rotation angle arrays differ in length: {sorted(sizes)}")
-    return sizes.pop() if sizes else None
+def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
+    """Apply ``gates`` in order to ``batch`` copies of |0...0>; shape (B, 2**num_qubits).
 
-
-def apply_circuit(gates, num_qubits: int) -> np.ndarray:
-    """Apply ``gates`` in order to |0...0> and return the final amplitudes.
-
-    With float angles the result has shape (2**num_qubits,).  Rotations may
-    instead carry length-B angle arrays (float angles are then shared by all
-    B circuits): the B circuits are simulated together as one
-    (B, 2, ..., 2) state tensor and the result has shape (B, 2**num_qubits).
-    Every final state must be finite with unit norm (within 1e-10), so a NaN
-    or infinite angle in any row raises ``RuntimeError``.
+    The B circuits are simulated together as one (B, 2, ..., 2) state tensor.
+    A rotation's angle is a float, shared by all B circuits, or a length-B
+    array; an array of another length raises ``ValueError``.  Every final
+    state must be finite with unit norm (within 1e-10), so a NaN or infinite
+    angle in any row raises ``RuntimeError``.
     """
     if num_qubits < 1 or num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_DENSE_QUBITS}]")
-    batch = _batch_size(gates)
-    state = np.zeros((1 if batch is None else batch, 2**num_qubits), dtype=complex)
+    batch = _check_integer(batch, "batch", minimum=1)
+    state = np.zeros((batch, 2**num_qubits), dtype=complex)
     state[:, 0] = 1.0
     for gate in gates:
         if any(q >= num_qubits for q in gate.qubits):
             raise ValueError(f"gate {gate.kind} addresses qubit out of range: {gate.qubits}")
+        if gate.angle is not None and np.ndim(gate.angle) and np.shape(gate.angle) != (batch,):
+            raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
+                             f"got shape {np.shape(gate.angle)}")
         if gate.kind == "CNOT":
             state = _apply_cnot(state, gate.qubits[0], gate.qubits[1], num_qubits)
         else:
@@ -148,19 +135,16 @@ def apply_circuit(gates, num_qubits: int) -> np.ndarray:
     if drifted.size:
         row = int(drifted[0])
         raise RuntimeError(f"state norm drifted to {norms[row]!r} in batch row {row}")
-    return state[0] if batch is None else state
+    return state
 
 
-def _check_states(state: np.ndarray, num_qubits: int) -> None:
-    """One batch-wide check: shape (2**n,) or (B, 2**n), every state finite with nonzero norm."""
-    if state.ndim not in (1, 2) or state.shape[-1] != 2**num_qubits:
-        raise ValueError(
-            f"states have shape {state.shape}, expected (2**n,) or (B, 2**n) with n = {num_qubits}"
-        )
-    flat = state.reshape(-1, state.shape[-1])
+def _check_states(states: np.ndarray, num_qubits: int) -> None:
+    """One batch-wide check: shape (B, 2**n), every state finite with nonzero norm."""
+    if states.ndim != 2 or states.shape[1] != 2**num_qubits:
+        raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {num_qubits}")
     # an infinite amplitude must reach the test as a non-finite norm, not as a warning
     with np.errstate(invalid="ignore", over="ignore"):
-        squared_norms = np.einsum("ij,ij->i", flat.conj(), flat).real
+        squared_norms = np.einsum("ij,ij->i", states.conj(), states).real
     bad = np.flatnonzero(~(np.isfinite(squared_norms) & (squared_norms > 0.0)))
     if bad.size:
         row = int(bad[0])
@@ -169,52 +153,42 @@ def _check_states(state: np.ndarray, num_qubits: int) -> None:
         )
 
 
-def _measurement_table(state: np.ndarray, paulis):
-    """The front half of both expectations: ``(table, signs, grouped)`` for one string or a tuple.
+def _measurement_table(states: np.ndarray, paulis) -> tuple[np.ndarray, np.ndarray]:
+    """The front half of both expectations: ``(table, signs)`` for a tuple of strings.
 
     Checks the states and rotates them once into the strings' shared basis.
     ``table`` holds each state's |amplitude|^2 per outcome, not normalised,
-    as shape (B, 2**n) (B = 1 for one state); ``signs`` holds each string's
-    parity signs, shape (k, 2**n); ``grouped`` says ``paulis`` was a tuple.
+    as shape (B, 2**n); ``signs`` holds each string's parity signs, shape
+    (k, 2**n).
     """
-    grouped = not isinstance(paulis, PauliString)
-    strings = tuple(paulis) if grouped else (paulis,)
-    basis = measurement_basis(strings)
+    basis = measurement_basis(paulis)
     n = basis.num_qubits
-    _check_states(state, n)
-    rotated = state
+    _check_states(states, n)
+    rotated = states
     for qubit, label in enumerate(basis.ops):
         if label == "X":
             rotated = _apply_single(rotated, _H_MATRIX, qubit, n)
         elif label == "Y":
             rotated = _apply_single(rotated, _Y_TO_Z, qubit, n)
     # C order, so that each row's sums run in one order whatever the batch size and layout
-    table = np.ascontiguousarray((rotated.real**2 + rotated.imag**2).reshape(-1, 2**n))
-    return table, np.stack([pauli.parity_signs for pauli in strings]), grouped
+    table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
+    return table, np.stack([pauli.parity_signs for pauli in paulis])
 
 
-def _shaped(values: np.ndarray, state: np.ndarray, grouped: bool):
-    """(B, k) values in the caller's shape: (B, k), (k,), (B,) or a float."""
-    values = values.reshape(state.shape[:-1] + (-1,))
-    values = values if grouped else values[..., 0]
-    return float(values) if values.ndim == 0 else values
-
-
-def exact_expectation(state: np.ndarray, paulis):
+def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
     """<psi|P|psi> with no shot noise: P's parity signs dotted with the outcome table.
 
-    ``paulis`` is one ``PauliString`` or a tuple of k qubit-wise-commuting
-    strings, and ``state`` one state of shape (2**n,) or a batch of shape
-    (B, 2**n); the result is a float, (B,), (k,) or (B, k).  The table is
-    not renormalised, so any finite nonzero state works; others raise
-    ``ValueError``.
+    ``states`` is a batch of shape (B, 2**n) and ``paulis`` a tuple of k
+    qubit-wise-commuting ``PauliString``s; the result has shape (B, k).  The
+    table is not renormalised, so any finite nonzero state works; others
+    raise ``ValueError``.
     """
-    table, signs, grouped = _measurement_table(state, paulis)
+    table, signs = _measurement_table(states, paulis)
     # one (B, 2**n) product per string, not a (B, k, 2**n) one
-    return _shaped(np.stack([(table * sign).sum(axis=-1) for sign in signs], axis=-1), state, grouped)
+    return np.stack([(table * sign).sum(axis=-1) for sign in signs], axis=-1)
 
 
-def sampled_expectation(state: np.ndarray, paulis, shots: int, rngs):
+def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndarray:
     """Empirical means of ``shots`` simulated +/-1 measurements per Pauli string.
 
     Shapes are as in :func:`exact_expectation`.  ``rngs`` holds one generator
@@ -226,16 +200,16 @@ def sampled_expectation(state: np.ndarray, paulis, shots: int, rngs):
     (exactly 1.0 for an identity string).
     """
     shots = _check_integer(shots, "shots", minimum=1)
-    table, signs, grouped = _measurement_table(state, paulis)
+    table, signs = _measurement_table(states, paulis)
     generators = np.asarray(rngs, dtype=object)
-    if generators.shape != state.shape[:-1]:
-        raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {state.shape[:-1]}")
+    if generators.shape != (len(states),):
+        raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {(len(states),)}")
     probs = table / table.sum(axis=1, keepdims=True)
     counts = np.array([
-        np.random.default_rng(rng).multinomial(shots, p, size=len(signs)) for rng, p in zip(generators.flat, probs)
+        np.random.default_rng(rng).multinomial(shots, p, size=len(signs)) for rng, p in zip(generators, probs)
     ])
     # the signs are +/-1 and the counts integers, so the sums are exact in any order
-    return _shaped((counts * signs).sum(axis=-1) / shots, state, grouped)
+    return (counts * signs).sum(axis=-1) / shots
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:

@@ -4,6 +4,7 @@ import pytest
 
 from qsreg import (
     Ansatz,
+    Gate,
     ObjectiveSpec,
     ObservableSum,
     deuteron_ansatz_1,
@@ -45,18 +46,26 @@ def test_ansatz_1_reference_state_at_zero():
     ansatz = deuteron_ansatz_1()
     gates = ansatz.build([0.0])
     assert any(g.kind == "RY" and g.angle == 0.0 for g in gates)
-    state = ansatz.state([0.0])
-    expected = np.zeros(4)
-    expected[0b10] = 1.0
+    state = ansatz.states([[0.0]])
+    expected = np.zeros((1, 4))
+    expected[0, 0b10] = 1.0
     assert np.allclose(state, expected)
 
 
 def test_ansatz_2_reference_state_at_zero():
     ansatz = deuteron_ansatz_2()
-    state = ansatz.state([0.0, 0.0])
-    expected = np.zeros(8)
-    expected[0b100] = 1.0
+    state = ansatz.states([[0.0, 0.0]])
+    expected = np.zeros((1, 8))
+    expected[0, 0b100] = 1.0
     assert np.allclose(state, expected, atol=1e-15)
+
+
+def test_states_of_a_circuit_without_rotations_has_one_row_per_point():
+    fixed = Ansatz("fixed", 2, 1, (0,), ("t",), lambda theta: [Gate("X", (0,)), Gate("CNOT", (0, 1))])
+    states = fixed.states(np.zeros((3, 1)))
+    expected = np.zeros((3, 4))
+    expected[:, 0b11] = 1.0
+    assert np.array_equal(states, expected)
 
 
 def test_ansatz_bandwidths_use_the_regression_check():
@@ -194,3 +203,13 @@ def test_verify_bandwidth_rejects_bad_tolerance(deuteron2, tolerance):
 def test_verify_bandwidth_rejects_zero_slices(deuteron2):
     with pytest.raises(ValueError, match="slice"):
         verify_bandwidth(*deuteron2, slices_per_axis=0)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("grid_points_per_axis", 64.5), ("grid_points_per_axis", True), ("grid_points_per_axis", "64"),
+    ("slices_per_axis", 2.5), ("slices_per_axis", True), ("seed", 2.5), ("seed", -1),
+])
+def test_verify_bandwidth_rejects_non_integer_settings(deuteron2, setting, value):
+    """int() or range() would truncate these or fail with TypeError: 64.5 grid points scanned 64."""
+    with pytest.raises(ValueError, match=setting):
+        verify_bandwidth(*deuteron2, **{setting: value})

@@ -164,6 +164,39 @@ def test_config_rejects_non_integer_shots_and_seed(capsys, tmp_path, field, valu
     assert json.loads(out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("flags", [["--max-evals", "0"], ["--max-evals", "-3"], ["--xtol", "nan"],
+                                   ["--xtol", "-0.001"], ["--ftol", "-1"], ["--ftol", "inf"]])
+def test_run_rejects_bad_solver_flags_with_exit_2(capsys, flags):
+    """These exited 1 with a bare ValueError, or ran the whole budget and returned converged: false."""
+    code, out = _run(capsys, ["run", "--problem", "deuteron-1", "--algorithm", "vqe", *flags])
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "config"
+    assert flags[0][2:].replace("-", "_") in doc["error"]["message"]
+
+
+@pytest.mark.parametrize("field, value", [("max_evals", 2.5), ("max_evals", True), ("max_evals", "10"),
+                                          ("xtol", "abc"), ("xtol", False), ("ftol", -1.0),
+                                          ("oversample", "abc"), ("oversample", True),
+                                          ("theta0", ["a"]), ("theta0", [True]), ("theta0", 0.5)])
+def test_config_rejects_bad_solver_settings(capsys, tmp_path, field, value):
+    """A fractional or boolean max_evals ran 3 or 1 evaluations; non-numeric values exited 1."""
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(problem="deuteron-1", algorithm="vqe", **{field: value})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "deuteron-1", "algorithm": "vqe", field: value}))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
+def test_config_keeps_null_tolerances_and_normalises_numbers():
+    config = RunConfig(problem="deuteron-1", algorithm="vqe", max_evals=np.int64(7), xtol=np.float32(0.5),
+                       ftol=None, theta0=[np.float64(0.25)], oversample=2)
+    assert (config.max_evals, config.xtol, config.ftol, config.theta0, config.oversample) == (7, 0.5, None, [0.25], 2.0)
+    assert type(config.max_evals) is int and type(config.xtol) is float
+
+
 def test_config_accepts_numpy_integers():
     config = RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots",
                        shots=np.int64(100), seed=np.uint32(2))

@@ -216,7 +216,7 @@ def test_shot_streams_are_one_generator_per_sample(deuteron2):
             ops = [pauli.ops for pauli in paulis]
             basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*ops))
             vectors = _outcome_vectors(basis)
-            table = _measurement_table(state, paulis)[0][0]
+            table = _measurement_table(state[None], paulis)[0][0]
             p = table / table.sum()
             assert np.max(np.abs(np.abs(vectors.conj().T @ state) ** 2 - p)) <= 1e-14
             counts = rng.multinomial(shots, p, size=len(group))

@@ -205,6 +205,6 @@ def test_term_by_term_expectation_matches_dense(deuteron1, deuteron2):
         for _ in range(5):
             state = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             state /= np.linalg.norm(state)
-            by_terms = sum(w * exact_expectation(state, p) for w, p in obs.terms)
+            by_terms = sum(w * exact_expectation(state[None], (p,))[0, 0] for w, p in obs.terms)
             direct = float(np.vdot(state, dense @ state).real)
             assert by_terms == pytest.approx(direct, rel=1e-12, abs=1e-12)

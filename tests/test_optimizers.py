@@ -1,4 +1,5 @@
 """Simplex minimizer, model global minimization, and the two solver pipelines."""
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -64,6 +65,15 @@ def test_nm_budget_exhaustion_is_not_an_error():
     assert result.evaluations == 1
     assert len(calls) == 1
     assert not result.converged
+
+
+@pytest.mark.parametrize("setting, value", [("max_evals", 0), ("max_evals", -3), ("max_evals", 2.5),
+                                            ("max_evals", True), ("xtol", math.nan), ("xtol", -1.0),
+                                            ("xtol", "1e-6"), ("ftol", -1.0), ("ftol", math.inf)])
+def test_nm_rejects_bad_settings(setting, value):
+    """A fractional budget ran as its ceiling and a NaN or negative tolerance could never be met."""
+    with pytest.raises(ValueError, match=setting):
+        nelder_mead_minimize(lambda t: t[0] ** 2, [0.5], **{setting: value})
 
 
 def test_nm_never_exceeds_budget():

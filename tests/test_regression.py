@@ -8,7 +8,6 @@ from qsreg import (
     FourierBasis,
     FourierModel,
     SampleSet,
-    TrigonometricRegression,
     fit_fourier_model,
     nyquist_lattice,
     uniform_lattice,
@@ -256,6 +255,11 @@ def test_model_document_schema(tmp_path):
     assert set(doc) == {"bandwidths", "coefficients", "metadata"}
     with pytest.raises(ValueError):
         FourierModel.from_dict({"bandwidths": [1], "coefficients": [1, 0, 0]})
+    assert FourierModel.from_dict(doc).bandwidths == (1,)
+    # int() would load each of these as S = 1 (or -1); the constructor's check rejects them
+    for bandwidths in ([1.7], [True], ["1"], [-1], [float("nan")]):
+        with pytest.raises(ValueError, match="bandwidths"):
+            FourierModel.from_dict(dict(doc, bandwidths=bandwidths))
 
 
 # --- sample-set validation ---
@@ -266,48 +270,3 @@ def test_sampleset_validation():
     with pytest.raises(ValueError):
         SampleSet(np.array([[4.0]]), np.array([1.0]))  # outside ]-pi, pi]
 
-
-# --- estimator interface ---
-
-def test_estimator_params_round_trip():
-    reg = TrigonometricRegression(bandwidths=(1, 2))
-    params = reg.get_params()
-    clone = TrigonometricRegression(**params)
-    assert clone.get_params() == params
-    clone.set_params(bandwidths=(3,))
-    assert clone.get_params()["bandwidths"] == (3,)
-    with pytest.raises(ValueError):
-        clone.set_params(nonsense=1)
-
-
-def test_estimator_fit_predict_matches_model():
-    truth = FourierModel((1, 2), np.arange(15, dtype=float) / 15.0 - 0.4)
-    points = nyquist_lattice(truth.bandwidths)
-    values = truth.evaluate_many(points)
-    reg = TrigonometricRegression(bandwidths=truth.bandwidths).fit(points, values)
-    check = uniform_lattice([7, 7])
-    assert np.allclose(reg.predict(check), truth.evaluate_many(check), atol=1e-10)
-    assert reg.score(check, truth.evaluate_many(check)) == pytest.approx(1.0)
-    assert reg.model_.metadata["sample_count"] == points.shape[0]
-
-
-def test_estimator_fits_points_outside_the_sample_domain():
-    """Any finite X is accepted: the periodic basis sees wrapped points as the same data."""
-    truth = FourierModel((1, 2), np.linspace(-0.7, 0.7, 15))
-    rng = np.random.default_rng(31)
-    points = nyquist_lattice(truth.bandwidths)
-    shifted = points + 2 * np.pi * rng.integers(-3, 4, size=points.shape)
-    assert np.any(np.abs(shifted) > np.pi)
-    reg = TrigonometricRegression(bandwidths=truth.bandwidths).fit(shifted, truth.evaluate_many(points))
-    check = rng.uniform(-10.0, 10.0, size=(50, 2))
-    assert np.allclose(reg.predict(check), truth.evaluate_many(check), atol=1e-10)
-    assert reg.rank_ == 15
-    assert reg.residual_norm_ < 1e-10
-
-
-def test_estimator_requires_fit_before_predict():
-    reg = TrigonometricRegression(bandwidths=(1,))
-    with pytest.raises(ValueError):
-        reg.predict(np.array([[0.0]]))
-    with pytest.raises(ValueError):
-        TrigonometricRegression().fit(np.array([[0.0]]), np.array([1.0]))
