@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -110,6 +111,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(doc) - known
         if unknown:
@@ -289,11 +292,11 @@ def cmd_table1(args) -> int:
 
 def cmd_run(args) -> int:
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed config file: {exc}") from exc
+        text = Path(args.config).read_text(encoding="utf-8")
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed config file: {exc}") from exc
         config = RunConfig.from_dict(doc)
     else:
         if not args.problem or not args.algorithm:
@@ -304,41 +307,27 @@ def cmd_run(args) -> int:
             mode=args.mode,
             shots=args.shots,
             seed=args.seed,
-            bandwidths=_parse_int_list(args.bandwidths),
+            bandwidths=_parse_list(args.bandwidths, int, "integers"),
             oversample=args.oversample,
-            theta0=_parse_float_list(args.theta0),
+            theta0=_parse_list(args.theta0, float, "floats"),
             max_evals=args.max_evals,
             xtol=args.xtol,
             ftol=args.ftol,
             out=args.out,
             model_out=args.model_out,
         )
-    doc = execute_run(config)
-    text = json.dumps(doc, indent=2)
-    print(text)
-    if config.out:
-        path = _resolve_out(config.out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    _emit_json(execute_run(config), config.out)
     return 0
 
 
-def _parse_int_list(text: str | None) -> list[int] | None:
+def _parse_list(text: str | None, convert, noun: str) -> list | None:
+    """Comma-separated values through ``convert``; ``noun`` names them in the error."""
     if text is None:
         return None
     try:
-        return [int(part) for part in str(text).split(",") if part != ""]
+        return [convert(part) for part in str(text).split(",") if part != ""]
     except ValueError as exc:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_float_list(text: str | None) -> list[float] | None:
-    if text is None:
-        return None
-    try:
-        return [float(part) for part in str(text).split(",") if part != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated floats, got {text!r}") from exc
+        raise ConfigError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def _parse_range(text: str) -> np.ndarray:
@@ -428,13 +417,27 @@ def cmd_complexity(args) -> int:
     raise ConfigError(f"unknown complexity action {args.action!r}")
 
 
+def _write_out(text: str, out: str) -> str:
+    path = _resolve_out(out)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
+
+
 def _emit_json(doc: dict, out: str | None) -> None:
+    """Print the document, and write it to ``out`` as well when given."""
     text = json.dumps(doc, indent=2)
     print(text)
     if out:
-        path = _resolve_out(out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write_out(text, out)
+
+
+def _emit_csv(text: str, out: str | None, note: str = "") -> None:
+    """Write the CSV to ``out`` and report the path (plus ``note``), or print it."""
+    if out:
+        print(f"wrote {_write_out(text, out)}{note}")
+    else:
+        print(text)
 
 
 def _emit_grid_csv(corner: str, row_values, col_values, matrix, out: str | None) -> None:
@@ -443,14 +446,7 @@ def _emit_grid_csv(corner: str, row_values, col_values, matrix, out: str | None)
     lines = [[corner] + [f"{v:.10g}" for v in col_values]]
     for value, row in zip(row_values, matrix):
         lines.append([f"{value:.10g}"] + [f"{cell:.10g}" for cell in row])
-    text = "\n".join(",".join(line) for line in lines)
-    if out:
-        path = _resolve_out(out)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path}")
-    else:
-        print(text)
+    _emit_csv("\n".join(",".join(line) for line in lines), out)
 
 
 def cmd_landscape(args) -> int:
@@ -468,7 +464,7 @@ def cmd_landscape(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    bandwidths = _bandwidth_override(ansatz, _parse_int_list(args.bandwidths))
+    bandwidths = _bandwidth_override(ansatz, _parse_list(args.bandwidths, int, "integers"))
     resolution = int(args.resolution)
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
@@ -478,19 +474,13 @@ def cmd_landscape(args) -> int:
     model, _, _ = qsr_run(spec, bandwidth_override=bandwidths)
     predicted = model.evaluate_grid(lattice_axes(counts)).ravel()
 
-    path = _resolve_out(args.out) if args.out else None
     header = list(ansatz.param_names) + ["raw", "model"]
     rows = [
         [f"{v:.12g}" for v in grid[i]] + [f"{raw[i]:.12g}", f"{predicted[i]:.12g}"]
         for i in range(grid.shape[0])
     ]
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows])
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {path} ({grid.shape[0]} rows)")
-    else:
-        print(text)
+    _emit_csv(text, args.out, f" ({grid.shape[0]} rows)")
     return 0
 
 

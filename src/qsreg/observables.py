@@ -142,7 +142,7 @@ class ObservableSum:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __init__(self, num_qubits, terms):
-        if not isinstance(num_qubits, int) or num_qubits < 1:
+        if isinstance(num_qubits, bool) or not isinstance(num_qubits, int) or num_qubits < 1:
             raise ObservableError("num_qubits must be a positive integer")
         merged: dict[str, float] = {}
         for weight, pauli in terms:
@@ -239,9 +239,6 @@ def parse_observable(text: str) -> ObservableSum:
         raise ObservableError(f"unknown keys in Hamiltonian document: {sorted(unknown)}")
     if "num_qubits" not in doc or "terms" not in doc:
         raise ObservableError("Hamiltonian document needs 'num_qubits' and 'terms'")
-    num_qubits = doc["num_qubits"]
-    if not isinstance(num_qubits, int) or num_qubits < 1:
-        raise ObservableError("'num_qubits' must be a positive integer")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise ObservableError("'terms' must be a list")
@@ -252,7 +249,7 @@ def parse_observable(text: str) -> ObservableSum:
         if not isinstance(entry["weight"], (int, float)) or isinstance(entry["weight"], bool):
             raise ObservableError(f"weight must be a number: {entry!r}")
         terms.append((float(entry["weight"]), PauliString(str(entry["pauli"]))))
-    return ObservableSum(num_qubits, terms)
+    return ObservableSum(doc["num_qubits"], terms)
 
 
 def exact_spectrum(obs: ObservableSum) -> Spectrum:

@@ -78,8 +78,10 @@ def _check_bandwidths(bandwidths) -> tuple[int, ...]:
 
 
 def wrap_angles(theta) -> np.ndarray:
-    """Map angles into the half-open torus domain ]-pi, pi]."""
+    """Map finite angles into the half-open torus domain ]-pi, pi]."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(theta).all():
+        raise ValueError("angles must be finite")
     return theta - 2.0 * np.pi * np.ceil((theta - np.pi) / (2.0 * np.pi))
 
 
@@ -89,9 +91,8 @@ def lattice_axes(counts) -> list[np.ndarray]:
     Axis j contributes points -pi + 2*pi*(i+1)/M_j for i = 0..M_j-1, so the
     endpoint pi is included and -pi is excluded.
     """
-    counts = [int(m) for m in np.atleast_1d(counts)]
-    if any(m < 1 for m in counts):
-        raise ValueError("lattice needs at least one point per axis")
+    entries = list(counts) if np.ndim(counts) else [counts]
+    counts = [_check_integer(m, "lattice counts", minimum=1) for m in entries]
     return [-np.pi + 2.0 * np.pi * (np.arange(m) + 1) / m for m in counts]
 
 
@@ -284,9 +285,15 @@ class FourierModel:
             raise ValueError(
                 "model document needs exactly 'bandwidths', 'coefficients', 'metadata'"
             )
+        coefficients = doc["coefficients"]
+        # np.asarray would read "1" and true as numbers and null as nan
+        if not isinstance(coefficients, list) or not all(
+            isinstance(c, numbers.Real) and not isinstance(c, bool) for c in coefficients
+        ):
+            raise ValueError("model coefficients must be a list of real numbers")
         return cls(
             bandwidths=doc["bandwidths"],
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
+            coefficients=coefficients,
             metadata=dict(doc["metadata"]),
         )
 

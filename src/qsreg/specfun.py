@@ -32,67 +32,48 @@ def _halley(w: float, x: float) -> float:
     return w
 
 
-def _branch_offset(x: float) -> float:
-    """e*x + 1, clamped against rounding just below the branch point."""
-    t = math.e * x + 1.0
-    if -1e-12 < t < 0.0:
-        return 0.0
-    return t
+def _lambert_w(x, name: str, sign: float) -> float:
+    """Solve w*exp(w) = x on W0 (``sign`` = +1) or W-1 (``sign`` = -1).
 
-
-def lambert_w0(x: float) -> float:
-    """Principal branch W0(x) for x >= -1/e; residual <= 1e-12*max(1, |x|)."""
+    The branches share the branch-point series in p = sign*sqrt(2(e*x+1)) and
+    the asymptotic start log|x| - log|log|x||; only W0 starts from log1p(x)
+    for moderate x, and only W-1 needs x < 0.
+    """
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("x must be finite")
-    t = _branch_offset(x)
+    if sign < 0.0 and x >= 0.0:
+        raise ValueError(f"{name} requires x < 0, got {x}")
+    t = math.e * x + 1.0
+    if -1e-12 < t < 0.0:
+        t = 0.0  # rounding just below the branch point
     if t < 0.0:
-        raise ValueError(f"lambert_w0 requires x >= -1/e, got {x}")
+        raise ValueError(f"{name} requires x >= -1/e, got {x}")
     if t == 0.0:
         return -1.0
-    p = math.sqrt(2.0 * t)
+    p = sign * math.sqrt(2.0 * t)
     if t < 1e-12:
         # so close to the branch point that the series is already exact
         return -1.0 + p - p * p / 3.0
     if t <= 0.7:
         w = -1.0 + p - p * p / 3.0 + 11.0 * p**3 / 72.0
-    elif x < math.e:
+    elif sign > 0.0 and x < math.e:
         w = math.log1p(x)
     else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
+        l1 = math.log(abs(x))
+        l2 = math.log(abs(l1))
         w = l1 - l2 + l2 / l1
     return _halley(w, x)
+
+
+def lambert_w0(x: float) -> float:
+    """Principal branch W0(x) for x >= -1/e; residual <= 1e-12*max(1, |x|)."""
+    return _lambert_w(x, "lambert_w0", 1.0)
 
 
 def lambert_wm1(x: float) -> float:
     """Lower branch W-1(x) for -1/e <= x < 0; residual <= 1e-12*max(1, |x|)."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    if x >= 0.0:
-        raise ValueError(f"lambert_wm1 requires x < 0, got {x}")
-    t = _branch_offset(x)
-    if t < 0.0:
-        raise ValueError(f"lambert_wm1 requires x >= -1/e, got {x}")
-    if t == 0.0:
-        return -1.0
-    p = math.sqrt(2.0 * t)
-    if t < 1e-12:
-        return -1.0 - p - p * p / 3.0
-    if t <= 0.7:
-        w = -1.0 - p - p * p / 3.0 - 11.0 * p**3 / 72.0
-    else:
-        l1 = math.log(-x)
-        l2 = math.log(-l1)
-        w = l1 - l2 + l2 / l1
-    return _halley(w, x)
-
-
-def _integrand(a: float, t: float) -> float:
-    if t == 0.0:
-        return 1.0 if a == 1.0 else (0.0 if a > 1.0 else math.inf)
-    return t ** (a - 1.0) * math.exp(-t)
+    return _lambert_w(x, "lambert_wm1", -1.0)
 
 
 def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
@@ -116,21 +97,23 @@ def _adaptive_simpson(f, a, b, fa, fm, fb, whole, tol, depth) -> float:
 
 
 def _integrate(f, a: float, b: float, rel_tol: float = 1e-13) -> float:
-    if a == b:
-        return 0.0
-    # coarse composite pass to set the absolute tolerance scale
+    """Integral of ``f`` over [a, b] for a < b by adaptive Simpson."""
+    # 8 coarse Simpson panels: their sum sets the absolute tolerance scale, and
+    # each panel then seeds its own adaptive refinement
     grid = [a + (b - a) * i / 16.0 for i in range(17)]
     fvals = [f(t) for t in grid]
+    panels = [
+        _simpson(fvals[i], fvals[i + 1], fvals[i + 2], grid[i + 2] - grid[i]) for i in range(0, 16, 2)
+    ]
     coarse = 0.0
-    for i in range(0, 16, 2):
-        coarse += _simpson(fvals[i], fvals[i + 1], fvals[i + 2], grid[i + 2] - grid[i])
+    # a plain left-to-right sum: sum() compensates its rounding on Python >= 3.12
+    for whole in panels:
+        coarse += whole
     tol = max(rel_tol * abs(coarse), 5e-324)
     total = 0.0
-    for i in range(0, 16, 2):
-        x0, xm, x1 = grid[i], grid[i + 1], grid[i + 2]
-        whole = _simpson(fvals[i], fvals[i + 1], fvals[i + 2], x1 - x0)
+    for i, whole in zip(range(0, 16, 2), panels):
         total += _adaptive_simpson(
-            f, x0, x1, fvals[i], fvals[i + 1], fvals[i + 2], whole, tol / 8.0, 48
+            f, grid[i], grid[i + 2], fvals[i], fvals[i + 1], fvals[i + 2], whole, tol / 8.0, 48
         )
     return total
 
@@ -173,7 +156,8 @@ def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
     if x0 == x1:
         return 0.0
 
-    f = lambda t: _integrand(a, t)
+    # never evaluated at t = 0 with a < 1: that case starts after the series head
+    f = lambda t: t ** (a - 1.0) * math.exp(-t)
     head = 0.0
     if x0 == 0.0 and a < 1.0:
         delta = min(0.1, x1)

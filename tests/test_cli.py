@@ -105,6 +105,15 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "wobble" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize("document", [5, "abc", [], None])
+def test_config_file_must_hold_an_object(capsys, tmp_path, document):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(document))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "config", "message": "config must be a JSON object"}
+
+
 def test_config_dataclass_round_trip():
     config = RunConfig(problem="deuteron-2", algorithm="vqe", mode="shots", seed=3)
     clone = RunConfig.from_dict(config.to_dict())
@@ -317,6 +326,24 @@ def test_complexity_threshold_sweep_csv(capsys, tmp_path):
     assert code == 0
     lines = out_csv.read_text().strip().splitlines()
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("argv", [
+    ["landscape", "--problem", "deuteron-1", "--resolution", "7"],
+    ["complexity", "sweep", "--what", "threshold", "--m-range", "0.5:10:4", "--r-range", "1:8:3"],
+    ["complexity", "sweep", "--what", "efficiency", "--m", "2",
+     "--p-range", "2:20:3", "--s-range", "2:5:2"],
+])
+def test_csv_commands_print_what_out_writes(capsys, tmp_path, argv):
+    code, printed = _run(capsys, argv)
+    assert code == 0
+    out_csv = tmp_path / "grid.csv"
+    code, note = _run(capsys, [*argv, "--out", str(out_csv)])
+    assert code == 0
+    written = out_csv.read_text()
+    assert printed == written
+    rows = f" ({len(written.splitlines()) - 1} rows)" if argv[0] == "landscape" else ""
+    assert note == f"wrote {out_csv}{rows}\n"
 
 
 def test_complexity_requires_parameters(capsys):

@@ -86,6 +86,7 @@ def test_merge_prunes_cancelling_terms():
         '{"num_qubits":1,"terms":[{"pauli":"Z","weight":1.0,"extra":1}]}',
         '{"num_qubits":1,"terms":[{"pauli":"Z","weight":1.0}],"junk":true}',
         '{"num_qubits":0,"terms":[]}',
+        '{"num_qubits": true, "terms": [{"pauli": "Z", "weight": 1.0}]}',  # bool is an int subclass
     ],
 )
 def test_parse_rejects_malformed(text):

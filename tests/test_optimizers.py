@@ -34,6 +34,12 @@ def test_wrap_angles_half_open_domain():
     assert np.all(wrapped > -np.pi) and np.all(wrapped <= np.pi)
 
 
+@pytest.mark.parametrize("angle", [np.inf, -np.inf, np.nan])
+def test_wrap_angles_rejects_non_finite(angle):
+    with pytest.raises(ValueError, match="finite"):
+        wrap_angles([0.0, angle])
+
+
 # --- nelder_mead_minimize ---
 
 def test_nm_convex_quadratic():

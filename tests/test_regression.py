@@ -53,6 +53,13 @@ def test_lattice_is_dimension_major():
     assert not np.allclose(points[:3, 1], points[0, 1])
 
 
+@pytest.mark.parametrize("counts", [[2.5], [True], [float("nan")], [2.5, True], [3, True]])
+def test_lattice_rejects_non_integer_counts(counts):
+    # int() would truncate 2.5 to 2 and read True as 1
+    with pytest.raises(ValueError, match="only integers are allowed for lattice counts"):
+        uniform_lattice(counts)
+
+
 # --- design matrix ---
 
 def test_design_row_at_zero():
@@ -256,10 +263,19 @@ def test_model_document_schema(tmp_path):
     with pytest.raises(ValueError):
         FourierModel.from_dict({"bandwidths": [1], "coefficients": [1, 0, 0]})
     assert FourierModel.from_dict(doc).bandwidths == (1,)
-    # int() would load each of these as S = 1 (or -1); the constructor's check rejects them
-    for bandwidths in ([1.7], [True], ["1"], [-1], [float("nan")]):
-        with pytest.raises(ValueError, match="bandwidths"):
-            FourierModel.from_dict(dict(doc, bandwidths=bandwidths))
+    # int() would load each bandwidth as S = 1 (or -1), and np.asarray would read
+    # "1" and true as coefficients; both are rejected instead
+    bad_documents = [
+        (dict(doc, bandwidths=bandwidths), "bandwidths")
+        for bandwidths in ([1.7], [True], ["1"], [-1], [float("nan")])
+    ] + [
+        ({"bandwidths": [1], "coefficients": ["1", True, "0.5"], "metadata": {}}, "coefficients"),
+        ({"bandwidths": [1], "coefficients": [1.0, True, 0.5], "metadata": {}}, "coefficients"),
+        ({"bandwidths": [1], "coefficients": [1.0, None, 0.5], "metadata": {}}, "coefficients"),
+    ]
+    for bad, field_name in bad_documents:
+        with pytest.raises(ValueError, match=field_name):
+            FourierModel.from_dict(bad)
 
 
 # --- sample-set validation ---
