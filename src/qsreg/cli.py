@@ -1,8 +1,10 @@
 """Command-line front end: benchmark runs, comparison tables, model sweeps.
 
 Subcommands: ``run``, ``table1``, ``complexity``, ``landscape``,
-``verify-bandwidth``.  All outputs are plain JSON or CSV.  Exit codes:
-0 success, 1 runtime error, 2 configuration error.  Relative output paths are
+``verify-bandwidth``.  All outputs are plain JSON or CSV; besides ``--out``,
+only a qsr ``run`` writes a file, its fitted model.  Exit codes: 0 success,
+1 runtime error, 2 configuration error.  ``RunConfig`` checks every solver
+setting of ``run``, ``table1`` and ``landscape``.  Relative output paths are
 resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set.
 """
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import _check_bandwidths, _check_integer, _check_real, lattice_axes, uniform_lattice
+from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, lattice_axes, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -81,7 +83,7 @@ class RunConfig:
     model_out: str | None = None
 
     def __post_init__(self) -> None:
-        if self.problem not in PROBLEMS:
+        if not isinstance(self.problem, str) or self.problem not in PROBLEMS:
             raise ConfigError(f"unknown problem {self.problem!r}")
         if self.algorithm not in ("vqe", "qsr"):
             raise ConfigError("algorithm must be 'vqe' or 'qsr'")
@@ -108,6 +110,14 @@ class RunConfig:
                 self.ftol = _check_real(self.ftol, "ftol", minimum=0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        num_params = PROBLEMS[self.problem][0]().num_params
+        if self.bandwidths is not None and len(self.bandwidths) != num_params:
+            raise ConfigError(f"bandwidths needs {num_params} entries, got {len(self.bandwidths)}")
+        if self.theta0 is not None and len(self.theta0) != num_params:
+            raise ConfigError(f"theta0 needs {num_params} entries")
+        for name in ("out", "model_out"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path string or null, got {getattr(self, name)!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -128,9 +138,7 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def _resolve_out(path: str | None) -> str | None:
-    if path is None:
-        return None
+def _resolve_out(path: str) -> str:
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
@@ -138,25 +146,14 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
-def _bandwidth_override(ansatz: Ansatz, bandwidths) -> tuple[int, ...] | None:
-    """A model bandwidth override, checked against the ansatz as a config error."""
-    if bandwidths is None:
-        return None
-    try:
-        bandwidths = _check_bandwidths(bandwidths)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    if len(bandwidths) != ansatz.num_params:
-        raise ConfigError(f"bandwidths needs {ansatz.num_params} entries, got {len(bandwidths)}")
-    return bandwidths
-
-
 def _error_percent(energy: float, ground: float) -> float:
     return abs(energy - ground) / abs(ground) * 100.0
 
 
-def execute_run(config: RunConfig) -> dict:
-    """Run one solver configuration and return the result document.
+def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
+    """Run one solver configuration; return the result document and the
+    fitted model (``None`` for vqe).  Nothing is written: ``cmd_run`` saves
+    the model at the document's ``model_path``, resolved as an output path.
 
     The reported ``energy`` is the noiseless expectation value of the
     observable at the returned parameters, i.e. the eigenvalue estimate that
@@ -166,14 +163,9 @@ def execute_run(config: RunConfig) -> dict:
     These diagnostics run outside the sample/query ledger.
     """
     ansatz, observable = load_problem(config.problem)
-    spec = ObjectiveSpec(
-        ansatz=ansatz,
-        observable=observable,
-        mode=config.mode,
-        shots=config.shots,
-        seed=config.seed,
-    )
+    spec = ObjectiveSpec(ansatz, observable, mode=config.mode, shots=config.shots, seed=config.seed)
     ledger = EvalLedger()
+    model = None
     result_doc: dict = {
         "problem": config.problem,
         "algorithm": config.algorithm,
@@ -185,28 +177,18 @@ def execute_run(config: RunConfig) -> dict:
     if config.algorithm == "qsr":
         model, opt, ledger = qsr_run(
             spec,
-            bandwidth_override=_bandwidth_override(ansatz, config.bandwidths),
-            oversample_factor=float(config.oversample),
+            bandwidth_override=config.bandwidths,
+            oversample_factor=config.oversample,
             ledger=ledger,
         )
-        used_bandwidths = list(model.bandwidths)
-        model_path = _resolve_out(config.model_out or f"{config.problem}-qsr-model.json")
-        model.save(model_path)
-        result_doc["bandwidths"] = used_bandwidths
-        result_doc["oversample_factor"] = float(config.oversample)
-        result_doc["model_path"] = model_path
+        result_doc["bandwidths"] = list(model.bandwidths)
+        result_doc["oversample_factor"] = config.oversample
+        result_doc["model_path"] = config.model_out or f"{config.problem}-qsr-model.json"
         result_doc["residual_norm"] = model.metadata.get("residual_norm")
     else:
-        theta0 = (
-            np.zeros(ansatz.num_params)
-            if config.theta0 is None
-            else np.asarray(config.theta0, dtype=float)
-        )
-        if theta0.shape != (ansatz.num_params,):
-            raise ConfigError(f"theta0 needs {ansatz.num_params} entries")
         opt = vqe_run(
             spec,
-            theta0,
+            np.zeros(ansatz.num_params) if config.theta0 is None else np.array(config.theta0),
             ledger=ledger,
             max_evals=config.max_evals,
             xtol=config.xtol,
@@ -225,32 +207,28 @@ def execute_run(config: RunConfig) -> dict:
         exact_ground_energy=ground,
         error_percent=_error_percent(energy, ground),
     )
-    return result_doc
+    return result_doc, model
 
 
 def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
     rows = []
     for n, problem in ((1, "deuteron-1"), (2, "deuteron-2")):
         for algorithm in ("vqe", "qsr"):
+            # exact-mode baseline rows get tight stopping so the table's
+            # noiseless errors sit at numerical precision
+            tight = algorithm == "vqe" and mode == "exact"
             config = RunConfig(
                 problem=problem,
                 algorithm=algorithm,
                 mode=mode,
-                shots=shots if mode == "shots" else None,
+                shots=shots,  # checked in exact mode too, where no shot is taken
                 seed=seed,
-                bandwidths=(
-                    list(TABLE_BANDWIDTHS[problem])
-                    if algorithm == "qsr" and TABLE_BANDWIDTHS[problem]
-                    else None
-                ),
-                # exact-mode baseline rows get tight stopping so the table's
-                # noiseless errors sit at numerical precision
-                ftol=1e-12 if (algorithm == "vqe" and mode == "exact") else None,
-                xtol=1e-8 if (algorithm == "vqe" and mode == "exact") else None,
-                max_evals=4000 if (algorithm == "vqe" and mode == "exact") else None,
-                model_out=f"{problem}-table1-model.json",
+                bandwidths=TABLE_BANDWIDTHS[problem] if algorithm == "qsr" else None,
+                ftol=1e-12 if tight else None,
+                xtol=1e-8 if tight else None,
+                max_evals=4000 if tight else None,
             )
-            doc = execute_run(config)
+            doc, _ = execute_run(config)
             rows.append(
                 {
                     "n": n,
@@ -264,11 +242,6 @@ def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
 
 
 def cmd_table1(args) -> int:
-    try:
-        # checked in exact mode too, as RunConfig does; exact rows still report "shots": null
-        _check_integer(args.shots, "shots", minimum=1)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     rows = _table_rows(args.mode, args.shots, args.seed)
     header = f"{'n':>2}  {'Algorithm':<9}  {'Samples':>8}  {'Queries':>8}  {'Error%':>12}"
     print(header)
@@ -301,22 +274,16 @@ def cmd_run(args) -> int:
     else:
         if not args.problem or not args.algorithm:
             raise ConfigError("run needs --problem and --algorithm (or --config)")
-        config = RunConfig(
-            problem=args.problem,
-            algorithm=args.algorithm,
-            mode=args.mode,
-            shots=args.shots,
-            seed=args.seed,
-            bandwidths=_parse_list(args.bandwidths, int, "integers"),
-            oversample=args.oversample,
-            theta0=_parse_list(args.theta0, float, "floats"),
-            max_evals=args.max_evals,
-            xtol=args.xtol,
-            ftol=args.ftol,
-            out=args.out,
-            model_out=args.model_out,
-        )
-    _emit_json(execute_run(config), config.out)
+        # every RunConfig field is a `run` flag of the same name
+        values = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
+        values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
+        values["theta0"] = _parse_list(args.theta0, float, "floats")
+        config = RunConfig(**values)
+    doc, model = execute_run(config)
+    if model is not None:
+        doc["model_path"] = _resolve_out(doc["model_path"])
+        model.save(doc["model_path"])
+    _emit_json(doc, config.out)
     return 0
 
 
@@ -453,25 +420,22 @@ def cmd_landscape(args) -> int:
     ansatz, observable = load_problem(args.problem)
     if ansatz.num_params > 2:
         raise ValueError("landscape export supports at most two parameters")
-    try:
-        spec = ObjectiveSpec(
-            ansatz=ansatz,
-            observable=observable,
-            mode=args.mode,
-            # checked in exact mode too, as RunConfig does
-            shots=args.shots,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    bandwidths = _bandwidth_override(ansatz, _parse_list(args.bandwidths, int, "integers"))
+    config = RunConfig(
+        problem=args.problem,
+        algorithm="qsr",
+        mode=args.mode,
+        shots=args.shots,  # checked in exact mode too
+        seed=args.seed,
+        bandwidths=_parse_list(args.bandwidths, int, "integers"),
+    )
+    spec = ObjectiveSpec(ansatz, observable, mode=config.mode, shots=config.shots, seed=config.seed)
     resolution = int(args.resolution)
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
     counts = [resolution] * ansatz.num_params
     grid = uniform_lattice(counts)
     raw = evaluate_batch(spec, grid)
-    model, _, _ = qsr_run(spec, bandwidth_override=bandwidths)
+    model, _, _ = qsr_run(spec, bandwidth_override=config.bandwidths)
     predicted = model.evaluate_grid(lattice_axes(counts)).ravel()
 
     header = list(ansatz.param_names) + ["raw", "model"]

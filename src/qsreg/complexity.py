@@ -48,7 +48,7 @@ _LN2 = math.log(2.0)
 
 
 class SubcriticalError(ValueError):
-    """The peak ratio never reaches one: the sampler never beats the baseline."""
+    """The peak ratio never exceeds one: the sampler never beats the baseline."""
 
 
 class EmptyWindowError(ValueError):
@@ -118,10 +118,9 @@ def crossover_points(params: ComplexityParams) -> tuple[float, float] | None:
 
 def window_width(params: ComplexityParams) -> float:
     """Width n_upper - n_lower of the advantage window (requires supercritical)."""
-    points = crossover_points(params)
-    if points is None:
-        raise SubcriticalError("no advantage window below criticality")
-    n_lower, n_upper = points
+    if not is_supercritical(params):
+        raise SubcriticalError("no advantage window at or below criticality")
+    n_lower, n_upper = crossover_points(params)
     return n_upper - n_lower
 
 
@@ -133,10 +132,9 @@ def _snap_integer(value: float, tol: float = 1e-9) -> float:
 
 def advantage_threshold(params: ComplexityParams) -> int:
     """Parameter count a = ceil(n_upper) below which the sampler is cheaper."""
-    points = crossover_points(params)
-    if points is None:
-        raise SubcriticalError("no advantage threshold below criticality")
-    return int(math.ceil(_snap_integer(points[1])))
+    if not is_supercritical(params):
+        raise SubcriticalError("no advantage threshold at or below criticality")
+    return int(math.ceil(_snap_integer(crossover_points(params)[1])))
 
 
 def efficiency(params: ComplexityParams) -> float:
@@ -175,14 +173,13 @@ def discrete_window_efficiency(params: ComplexityParams) -> float:
     """Literal discrete window average: sum of ratios over the integers inside
     [n_lower, n_upper], divided by floor(window width).
 
-    Raises :class:`SubcriticalError` below criticality and, distinctly,
+    Raises :class:`SubcriticalError` at or below criticality and, distinctly,
     :class:`EmptyWindowError` when the window holds no integers or its floored
     width degenerates to zero.
     """
-    points = crossover_points(params)
-    if points is None:
-        raise SubcriticalError("no advantage window below criticality")
-    n_lower, n_upper = points
+    if not is_supercritical(params):
+        raise SubcriticalError("no advantage window at or below criticality")
+    n_lower, n_upper = crossover_points(params)
     first = math.ceil(_snap_integer(n_lower))
     last = math.floor(_snap_integer(n_upper))
     width = math.floor(_snap_integer(n_upper - n_lower))
@@ -243,10 +240,9 @@ class ModelReport:
 
 def model_report(params: ComplexityParams) -> ModelReport:
     n_star, peak_value = peak(params)
-    points = crossover_points(params)
-    if points is None:
+    if not is_supercritical(params):
         return ModelReport(params, n_star, peak_value, advantage_possible=False)
-    n_lower, n_upper = points
+    n_lower, n_upper = crossover_points(params)
     return ModelReport(
         params=params,
         peak_location=n_star,
@@ -271,10 +267,8 @@ def threshold_sweep(m_values, r_values) -> np.ndarray:
     for i, m in enumerate(m_values):
         for j, r in enumerate(r_values):
             # p = r at s = 1 gives r = p/s exactly; a depends on (m, r) only
-            try:
-                out[i, j] = advantage_threshold(ComplexityParams(m=m, p=r, s=1.0))
-            except SubcriticalError:
-                out[i, j] = math.nan
+            params = ComplexityParams(m=m, p=r, s=1.0)
+            out[i, j] = advantage_threshold(params) if is_supercritical(params) else math.nan
     return out
 
 

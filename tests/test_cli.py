@@ -218,6 +218,22 @@ def test_shots_mode_defaults_shot_count():
     assert config.shots == 10_000
 
 
+@pytest.mark.parametrize("field, value", [("model_out", 1), ("out", True), ("out", ["a"]), ("problem", ["x"])])
+def test_config_rejects_non_string_paths_and_problem(capsys, tmp_path, monkeypatch, field, value):
+    """A numeric model_out wrote to fd 1 and closed it, out: true printed the result twice,
+    a list out failed after the whole solver ran, a list problem failed as unhashable."""
+    doc = {"problem": "deuteron-1", "algorithm": "qsr", field: value}
+    with pytest.raises(ConfigError, match=field):
+        RunConfig.from_dict(doc)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSREG_OUTPUT_DIR", raising=False)
+    (tmp_path / "config.json").write_text(json.dumps(doc))
+    code, out = _run(capsys, ["run", "--config", "config.json"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("QSREG_OUTPUT_DIR", str(tmp_path / "outputs"))
     code, out = _run(
@@ -233,10 +249,13 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
 # --- table1 ---
 
 def test_table1_exact_mode(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QSREG_OUTPUT_DIR", str(tmp_path))
     out_csv = tmp_path / "table.csv"
-    code, out = _run(capsys, ["table1", "--mode", "exact", "--seed", "1", "--out", str(out_csv)])
+    code, out = _run(capsys, ["table1", "--mode", "exact", "--seed", "1", "--out", "table.csv"])
     assert code == 0
+    # only --out is written: no model file in the working or output directory
+    assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
     with open(out_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
@@ -418,10 +437,13 @@ def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2
 
 @pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"],
                                    ["--shots", "0"]])
-def test_landscape_config_errors_exit_2(capsys, flags):
+def test_landscape_config_errors_exit_2(capsys, tmp_path, monkeypatch, flags):
+    """One RunConfig checks both commands, so `run` prints the same error document."""
+    monkeypatch.chdir(tmp_path)
     code, out = _run(capsys, ["landscape", "--problem", "deuteron-2", "--resolution", "5", *flags])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "config"
+    assert _run(capsys, ["run", "--problem", "deuteron-2", "--algorithm", "qsr", *flags]) == (code, out)
 
 
 def test_landscape_rejects_too_many_parameters(capsys, monkeypatch):

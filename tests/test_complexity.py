@@ -113,6 +113,24 @@ def test_peak_ratio_one_at_criticality():
     assert n1 == pytest.approx(n_star)
 
 
+def test_criticality_has_no_advantage():
+    """At m * n_star == e the ratio only touches one: every report agrees with
+    is_supercritical that the sampler never wins, and crossover_points keeps
+    the touching root."""
+    params = ComplexityParams(m=math.e, p=LN2, s=1.0)
+    assert params.m * peak(params)[0] == math.e
+    assert not is_supercritical(params)
+    assert crossover_points(params) == (1.0, 1.0)
+    report = model_report(params)
+    assert report.advantage_possible is False
+    assert (report.threshold, report.efficiency, report.window_width) == (None, None, None)
+    for quantity in (window_width, advantage_threshold, efficiency, discrete_window_efficiency):
+        with pytest.raises(SubcriticalError):
+            quantity(params)
+    assert math.isnan(threshold_sweep([math.e], [LN2])[0, 0])
+    assert math.isnan(efficiency_sweep([LN2], [1.0], math.e)[0, 0])
+
+
 def test_subcritical_has_no_crossings():
     params = ComplexityParams(0.1, 1.0, 1.0)
     assert not is_supercritical(params)
