@@ -5,7 +5,9 @@ Subcommands: ``run``, ``table1``, ``complexity``, ``landscape``,
 only a qsr ``run`` writes a file, its fitted model.  Exit codes: 0 success,
 1 runtime error, 2 configuration error.  ``RunConfig`` checks every solver
 setting of ``run``, ``table1`` and ``landscape``.  Relative output paths are
-resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set.
+resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set, and an
+output whose directory does not exist is a configuration error before any
+solver, sweep or grid runs.
 """
 from __future__ import annotations
 
@@ -24,10 +26,11 @@ import numpy as np
 from .ansatz import Ansatz, deuteron_ansatz_1, deuteron_ansatz_2, exact_objective, verify_bandwidth
 from .complexity import (
     ComplexityParams,
+    advantage_threshold,
+    crossover_points,
     efficiency,
     efficiency_sweep,
     is_supercritical,
-    model_report,
     peak,
     threshold_sweep,
 )
@@ -146,6 +149,14 @@ def _resolve_out(path: str) -> str:
     return path
 
 
+def _check_out(path: str | None) -> None:
+    """Raise ``ConfigError`` before any work if an output path's directory is missing."""
+    if path:
+        directory = os.path.dirname(_resolve_out(path)) or "."
+        if not os.path.isdir(directory):
+            raise ConfigError(f"output directory {directory!r} does not exist")
+
+
 def _error_percent(energy: float, ground: float) -> float:
     return abs(energy - ground) / abs(ground) * 100.0
 
@@ -242,6 +253,7 @@ def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
 
 
 def cmd_table1(args) -> int:
+    _check_out(args.out)
     rows = _table_rows(args.mode, args.shots, args.seed)
     header = f"{'n':>2}  {'Algorithm':<9}  {'Samples':>8}  {'Queries':>8}  {'Error%':>12}"
     print(header)
@@ -279,6 +291,9 @@ def cmd_run(args) -> int:
         values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
         values["theta0"] = _parse_list(args.theta0, float, "floats")
         config = RunConfig(**values)
+    _check_out(config.out)
+    if config.algorithm == "qsr":
+        _check_out(config.model_out)
     doc, model = execute_run(config)
     if model is not None:
         doc["model_path"] = _resolve_out(doc["model_path"])
@@ -329,21 +344,22 @@ def cmd_complexity(args) -> int:
         value = getattr(args, flag)
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigError(f"--{flag} must be a positive finite real, got {value!r}")
+    _check_out(args.out)
     if args.action == "threshold":
         params, full = _params_from_args(args)
         n_star, peak_value = peak(params)
         doc = {"m": params.m, "r": params.r, "peak_location": n_star, "peak_ratio": peak_value}
         if is_supercritical(params):
-            report = model_report(params)
+            n_lower, n_upper = crossover_points(params)
             doc.update(
                 advantage=True,
-                n_lower=report.n_lower,
-                n_upper=report.n_upper,
-                window_width=report.window_width,
-                threshold=report.threshold,
+                n_lower=n_lower,
+                n_upper=n_upper,
+                window_width=n_upper - n_lower,
+                threshold=advantage_threshold(params),
             )
             if full:
-                doc.update(p=params.p, s=params.s, efficiency=report.efficiency)
+                doc.update(p=params.p, s=params.s, efficiency=efficiency(params))
         else:
             doc["advantage"] = False
         _emit_json(doc, args.out)
@@ -428,6 +444,7 @@ def cmd_landscape(args) -> int:
         seed=args.seed,
         bandwidths=_parse_list(args.bandwidths, int, "integers"),
     )
+    _check_out(args.out)
     spec = ObjectiveSpec(ansatz, observable, mode=config.mode, shots=config.shots, seed=config.seed)
     resolution = int(args.resolution)
     if resolution < 2:

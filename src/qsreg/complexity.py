@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import gen_upper_incomplete_gamma, lambert_w0, lambert_wm1
+from .specfun import _real, gen_upper_incomplete_gamma, lambert_w0, lambert_wm1
 
 __all__ = [
     "SubcriticalError",
@@ -69,7 +69,7 @@ class ComplexityParams:
 
     def __post_init__(self) -> None:
         for name in ("m", "p", "s"):
-            value = float(getattr(self, name))
+            value = _real(getattr(self, name), name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be a positive finite real")
             object.__setattr__(self, name, value)

@@ -2,16 +2,16 @@
 
 Both real branches of Lambert W solve w*exp(w) = x: the principal branch W0
 (w >= -1, defined for x >= -1/e) and the lower branch W-1 (w <= -1, defined
-for -1/e <= x < 0).  The generalized upper incomplete gamma restricted to a
-finite window is the integral of t^(a-1)*exp(-t) over [x0, x1].
+for -1/e <= x < 0).  The generalized upper incomplete gamma over [x0, x1] is
+adaptive Simpson on t^(a-1)*exp(-t), split at its peak, by parts for a < 1.
 """
 from __future__ import annotations
 
 import math
+import numbers
 
 __all__ = ["lambert_w0", "lambert_wm1", "gen_upper_incomplete_gamma"]
 
-_INV_E = math.exp(-1.0)
 _STEP_TOL = 1e-14
 _MAX_ITER = 50
 
@@ -32,6 +32,13 @@ def _halley(w: float, x: float) -> float:
     return w
 
 
+def _real(value, name: str) -> float:
+    # a boolean or a string would otherwise pass float() as a number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def _lambert_w(x, name: str, sign: float) -> float:
     """Solve w*exp(w) = x on W0 (``sign`` = +1) or W-1 (``sign`` = -1).
 
@@ -39,7 +46,7 @@ def _lambert_w(x, name: str, sign: float) -> float:
     the asymptotic start log|x| - log|log|x||; only W0 starts from log1p(x)
     for moderate x, and only W-1 needs x < 0.
     """
-    x = float(x)
+    x = _real(x, "x")
     if not math.isfinite(x):
         raise ValueError("x must be finite")
     if sign < 0.0 and x >= 0.0:
@@ -118,32 +125,16 @@ def _integrate(f, a: float, b: float, rel_tol: float = 1e-13) -> float:
     return total
 
 
-def _series_head(a: float, delta: float) -> float:
-    """Integral over [0, delta] via the alternating power series; needs delta <= 0.2."""
-    total = 0.0
-    term_sign = 1.0
-    factorial = 1.0
-    for k in range(0, 40):
-        if k > 0:
-            factorial *= k
-            term_sign = -term_sign
-        term = term_sign * delta ** (a + k) / (factorial * (a + k))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            break
-    return total
-
-
 def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
-    """Integral of t^(a-1)*exp(-t) over [x0, x1] to ~1e-10 relative accuracy.
+    """Integral of t^(a-1)*exp(-t) over [x0, x1], ~1e-12 relative for a >= 0.005.
 
-    Requires a > 0, 0 <= x0 <= x1.  An infinite x1 is truncated where the
-    integrand underflows.  The integrable endpoint singularity at t = 0 for
-    a < 1 is handled with a series head before the adaptive quadrature.
+    Requires a > 0, 0 <= x0 <= x1; an infinite x1 is truncated where the
+    integrand underflows.  If x0 < a < 1 and x1 >= 2*x0 (always so from 0),
+    integration by parts leaves [t^a*exp(-t)]/a and an a+1 integral bounded at
+    t = 0; elsewhere that boundary term would cancel.  A window holding the
+    peak t = a-1 is split there, so each half's coarse pass sees the peak.
     """
-    a = float(a)
-    x0 = float(x0)
-    x1 = float(x1)
+    a, x0, x1 = _real(a, "a"), _real(x0, "x0"), _real(x1, "x1")
     if not a > 0.0:
         raise ValueError("a must be positive")
     if x0 < 0.0 or math.isnan(x0) or math.isnan(x1):
@@ -155,14 +146,10 @@ def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
         x1 = max(x0, 64.0 * (1.0 + a) + 700.0)
     if x0 == x1:
         return 0.0
-
-    # never evaluated at t = 0 with a < 1: that case starts after the series head
+    if x0 < a < 1.0 and x1 >= 2.0 * x0:
+        boundary = x1**a * math.exp(-x1) - x0**a * math.exp(-x0)
+        return (boundary + gen_upper_incomplete_gamma(a + 1.0, x0, x1)) / a
     f = lambda t: t ** (a - 1.0) * math.exp(-t)
-    head = 0.0
-    if x0 == 0.0 and a < 1.0:
-        delta = min(0.1, x1)
-        head = _series_head(a, delta)
-        x0 = delta
-        if x0 == x1:
-            return head
-    return head + _integrate(f, x0, x1)
+    if x0 < a - 1.0 < x1:
+        return _integrate(f, x0, a - 1.0) + _integrate(f, a - 1.0, x1)
+    return _integrate(f, x0, x1)

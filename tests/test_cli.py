@@ -246,6 +246,37 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "outputs" / "r.json").exists()
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--out", "missing/r.json"], None),
+    (["run", "--problem", "deuteron-2", "--algorithm", "qsr", "--model-out", "missing/m.json"], None),
+    (["run", "--config", "config.json"], {"out": "missing/r.json"}),
+    (["run", "--config", "config.json"], {"model_out": "missing/m.json"}),
+    (["table1", "--mode", "exact", "--out", "missing/t.csv"], None),
+    (["landscape", "--problem", "deuteron-2", "--out", "missing/l.csv"], None),
+    (["complexity", "threshold", "--m", "2", "--r", "4", "--out", "missing/c.json"], None),
+    (["complexity", "sweep", "--m-range", "1:10:3", "--r-range", "1:8:3", "--out", "missing/a.csv"], None),
+])
+def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
+    """The run used to print its result and then a second error document, exiting 1."""
+    import qsreg.cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work ran before the output directory was checked")
+
+    for name in ("qsr_run", "vqe_run", "evaluate_batch", "threshold_sweep", "efficiency_sweep", "peak"):
+        monkeypatch.setattr(cli_mod, name, forbidden)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("QSREG_OUTPUT_DIR", str(tmp_path / "outputs"))
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", **config}))
+    code, out = _run(capsys, argv)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "config",
+        "message": f"output directory {str(tmp_path / 'outputs' / 'missing')!r} does not exist",
+    }
+
+
 # --- table1 ---
 
 def test_table1_exact_mode(capsys, tmp_path, monkeypatch):
@@ -303,6 +334,32 @@ def test_complexity_threshold_against_bisection(capsys):
     assert doc["n_lower"] == pytest.approx(bisect(1e-9, n_star), abs=1e-9)
     assert doc["n_upper"] == pytest.approx(bisect(n_star, hi), abs=1e-9)
     assert doc["threshold"] == math.ceil(doc["n_upper"])
+
+
+def test_complexity_threshold_in_m_r_form_prints_exactly_the_window(capsys):
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", "--r", "4"])
+    assert code == 0
+    assert out == """{
+  "m": 2.0,
+  "r": 4.0,
+  "peak_location": 5.7707801635558535,
+  "peak_ratio": 324.9976166915245,
+  "advantage": true,
+  "n_lower": 0.5499985151188046,
+  "n_upper": 21.779630218440825,
+  "window_width": 21.22963170332202,
+  "threshold": 22
+}
+"""
+
+
+def test_complexity_threshold_in_m_r_form_computes_no_efficiency(capsys):
+    """At r = 120 the unprinted efficiency of (p = r, s = 1) overflowed and the command exited 1."""
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", "--r", "120"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["threshold"] == 1371
+    assert "efficiency" not in doc
 
 
 def test_complexity_subcritical_point(capsys):

@@ -52,6 +52,26 @@ def test_params_validation():
     assert params.r == 2.0
 
 
+@pytest.mark.parametrize("m, p, s", [
+    (True, 8.0, 2.0),
+    (2.0, "8", 2.0),
+    (2.0, 8.0, np.bool_(True)),
+    (2.0, 8.0, None),
+])
+def test_params_reject_booleans_and_strings(m, p, s):
+    """ComplexityParams(True, "8", 2) used to build m = 1.0, p = 8.0."""
+    with pytest.raises(ValueError, match="must be a real number"):
+        ComplexityParams(m, p, s)
+
+
+def test_params_accept_numpy_numbers_and_keep_their_messages():
+    params = ComplexityParams(np.int64(3), np.float32(4.0), 2)
+    assert (params.m, params.p, params.s) == (3.0, 4.0, 2.0)
+    assert all(type(v) is float for v in (params.m, params.p, params.s))
+    with pytest.raises(ValueError, match="p must be a positive finite real"):
+        ComplexityParams(2.0, math.inf, 1.0)
+
+
 def test_ratio_direct_substitution():
     # m=1, p=1, r=1: ratio(1) = 1 * 1 * 2^(-1) = 0.5
     assert resource_ratio(ComplexityParams(1.0, 1.0, 1.0), 1.0) == pytest.approx(0.5)

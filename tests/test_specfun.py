@@ -1,5 +1,7 @@
 """Lambert W branches and the finite-window incomplete gamma integral."""
+import decimal
 import math
+import time
 
 import numpy as np
 import pytest
@@ -141,3 +143,80 @@ def test_gamma_degenerate_window_is_zero():
 
 def test_gamma_accepts_infinite_upper_limit():
     assert gen_upper_incomplete_gamma(1.0, 0.0, math.inf) == pytest.approx(1.0, rel=1e-10)
+
+
+def _window_by_series(a, x0, x1):
+    """gamma(a, x1) - gamma(a, x0) from the lower-gamma power series
+    gamma(a, x) = x^a e^-x sum_k x^k / (a (a+1) ... (a+k)), in 90-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 90
+        a = decimal.Decimal(a)
+
+        def lower(x):
+            x = decimal.Decimal(x)
+            if x == 0:
+                return decimal.Decimal(0)
+            term = total = 1 / a
+            k = 0
+            while term > total * decimal.Decimal("1e-70"):
+                k += 1
+                term *= x / (a + k)
+                total += term
+            return (a * x.ln() - x).exp() * total
+
+        return float(lower(x1) - lower(x0))
+
+
+@pytest.mark.parametrize("a, x0, x1, expected", [
+    (2.0, 0.0, math.inf, 1.0),
+    (2.0, 0.0, 200.0, 1.0 - 201.0 * math.exp(-200.0)),
+    (10.0, 0.5, math.inf, math.factorial(9) * math.exp(-0.5) * sum(0.5**k / math.factorial(k) for k in range(10))),
+])
+def test_gamma_wide_windows_are_fast_and_exact(a, x0, x1, expected):
+    """Windows much wider than the peak near t = a-1; these took up to 20 s."""
+    start = time.perf_counter()
+    value = gen_upper_incomplete_gamma(a, x0, x1)
+    assert time.perf_counter() - start < 1.0
+    assert value == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("a, x0, x1", [
+    (0.0638, 1.83e-6, 113.04),
+    (0.2, 1e-8, 10.0),
+    (0.5, 1e-300, 1.0),
+    (0.9, 1e-12, 50.0),
+    (0.01, 1e-4, 120.0),
+])
+def test_gamma_windows_starting_just_above_zero(a, x0, x1):
+    assert gen_upper_incomplete_gamma(a, x0, x1) == pytest.approx(_window_by_series(a, x0, x1), rel=1e-12)
+
+
+def test_gamma_seeded_sweep_against_series():
+    rng = np.random.default_rng(13)
+    for _ in range(150):
+        a = math.exp(rng.uniform(math.log(0.005), math.log(30.0)))
+        x1 = math.exp(rng.uniform(math.log(1e-3), math.log(200.0)))
+        x0 = x1 * (rng.uniform(0.0, 0.5) if rng.uniform() < 0.5 else math.exp(rng.uniform(math.log(1e-9), math.log(0.5))))
+        expected = _window_by_series(a, x0, x1)
+        assert gen_upper_incomplete_gamma(a, x0, x1) == pytest.approx(expected, rel=1e-12), (a, x0, x1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lambert_w0("1"),
+    lambda: lambert_w0(True),
+    lambda: lambert_wm1(np.bool_(True)),
+    lambda: lambert_wm1("-0.1"),
+    lambda: gen_upper_incomplete_gamma("2", 0.0, 1.0),
+    lambda: gen_upper_incomplete_gamma(2.0, False, 1.0),
+    lambda: gen_upper_incomplete_gamma(2.0, 0.0, "1"),
+    lambda: gen_upper_incomplete_gamma(2.0, 0.0, None),
+])
+def test_kernels_reject_booleans_and_strings(call):
+    with pytest.raises(ValueError, match="must be a real number"):
+        call()
+
+
+def test_kernels_accept_numpy_numbers():
+    assert lambert_w0(np.float64(math.e)) == pytest.approx(1.0, abs=1e-14)
+    assert lambert_wm1(np.float32(-0.1)) == pytest.approx(lambert_wm1(float(np.float32(-0.1))))
+    assert gen_upper_incomplete_gamma(np.int64(1), np.int32(0), np.float64(math.log(2.0))) == pytest.approx(0.5, rel=1e-12)
