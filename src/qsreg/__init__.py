@@ -32,10 +32,8 @@ from .complexity import (
     is_supercritical,
     model_report,
     peak,
-    rescale_natural_units,
     resource_ratio,
     threshold_sweep,
-    window_width,
 )
 from .objective import EvalLedger, ObjectiveSpec, evaluate, evaluate_batch
 from .observables import (
@@ -111,12 +109,10 @@ __all__ = [
     "peak",
     "qsr_run",
     "regression_global_minimize",
-    "rescale_natural_units",
     "resource_ratio",
     "threshold_sweep",
     "uniform_lattice",
     "verify_bandwidth",
     "vqe_run",
-    "window_width",
     "wrap_angles",
 ]

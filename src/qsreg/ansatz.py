@@ -48,6 +48,8 @@ class Ansatz:
     builder: Callable[[np.ndarray], list[Gate]]
 
     def __post_init__(self) -> None:
+        for name in ("num_qubits", "num_params"):
+            object.__setattr__(self, name, _check_integer(getattr(self, name), name, minimum=1))
         object.__setattr__(self, "bandwidths", _check_bandwidths(self.bandwidths))
         if len(self.bandwidths) != self.num_params:
             raise ValueError("need one bandwidth per parameter")
@@ -160,10 +162,6 @@ class BandwidthReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def failing_axes(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.checks if not c.passed)
 
     def observed_bandwidths(self) -> tuple[int, ...]:
         return tuple(c.observed for c in self.checks)

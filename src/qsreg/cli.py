@@ -37,7 +37,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, lattice_axes, uniform_lattice
+from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -136,9 +136,6 @@ class RunConfig:
             return cls(**doc)
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _resolve_out(path: str) -> str:
@@ -329,13 +326,34 @@ def _parse_range(text: str) -> np.ndarray:
 
 
 def _params_from_args(args) -> tuple[ComplexityParams, bool]:
-    """Build model params from (m, p, s) or from (m, r); flag says which."""
-    if args.p is not None and args.s is not None:
+    """Build model params from exactly (m, p, s) or (m, r); the flag says which."""
+    given = tuple(getattr(args, flag) is not None for flag in ("p", "s", "r"))
+    if given == (True, True, False):
         return ComplexityParams(m=args.m, p=args.p, s=args.s), True
-    if args.r is not None:
+    if given == (False, False, True):
         # only (m, r)-dependent quantities are meaningful for this synthetic pair
         return ComplexityParams(m=args.m, p=args.r, s=1.0), False
-    raise ConfigError("provide either --p and --s, or --r")
+    raise ConfigError("provide either --p and --s, or --r, and no other model value")
+
+
+def _model_document(params: ComplexityParams, full: bool) -> dict:
+    """The cost-model report; ``full`` (p and s given) adds p, s and the efficiency."""
+    n_star, peak_value = peak(params)
+    doc = {"m": params.m, "r": params.r, "peak_location": n_star, "peak_ratio": peak_value,
+           "advantage": is_supercritical(params)}
+    if doc["advantage"]:
+        n_lower, n_upper = crossover_points(params)
+        doc.update(
+            n_lower=n_lower,
+            n_upper=n_upper,
+            window_width=n_upper - n_lower,
+            threshold=advantage_threshold(params),
+        )
+    if full:
+        doc.update(p=params.p, s=params.s)
+        if doc["advantage"]:
+            doc["efficiency"] = efficiency(params)
+    return doc
 
 
 def cmd_complexity(args) -> int:
@@ -345,41 +363,11 @@ def cmd_complexity(args) -> int:
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigError(f"--{flag} must be a positive finite real, got {value!r}")
     _check_out(args.out)
-    if args.action == "threshold":
+    if args.action in ("threshold", "efficiency"):
         params, full = _params_from_args(args)
-        n_star, peak_value = peak(params)
-        doc = {"m": params.m, "r": params.r, "peak_location": n_star, "peak_ratio": peak_value}
-        if is_supercritical(params):
-            n_lower, n_upper = crossover_points(params)
-            doc.update(
-                advantage=True,
-                n_lower=n_lower,
-                n_upper=n_upper,
-                window_width=n_upper - n_lower,
-                threshold=advantage_threshold(params),
-            )
-            if full:
-                doc.update(p=params.p, s=params.s, efficiency=efficiency(params))
-        else:
-            doc["advantage"] = False
-        _emit_json(doc, args.out)
-        return 0
-    if args.action == "efficiency":
-        if args.p is None or args.s is None:
+        if args.action == "efficiency" and not full:
             raise ConfigError("efficiency needs --m, --p and --s")
-        params = ComplexityParams(m=args.m, p=args.p, s=args.s)
-        if not is_supercritical(params):
-            _emit_json({"m": params.m, "p": params.p, "s": params.s, "advantage": False}, args.out)
-            return 0
-        doc = {
-            "m": params.m,
-            "p": params.p,
-            "s": params.s,
-            "r": params.r,
-            "advantage": True,
-            "efficiency": efficiency(params),
-        }
-        _emit_json(doc, args.out)
+        _emit_json(_model_document(params, full), args.out)
         return 0
     if args.action == "sweep":
         if args.what == "threshold":
@@ -449,11 +437,10 @@ def cmd_landscape(args) -> int:
     resolution = int(args.resolution)
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
-    counts = [resolution] * ansatz.num_params
-    grid = uniform_lattice(counts)
+    grid = uniform_lattice([resolution] * ansatz.num_params)
     raw = evaluate_batch(spec, grid)
     model, _, _ = qsr_run(spec, bandwidth_override=config.bandwidths)
-    predicted = model.evaluate_grid(lattice_axes(counts)).ravel()
+    predicted = model.evaluate_many(grid)
 
     header = list(ansatz.param_names) + ["raw", "model"]
     rows = [
@@ -493,8 +480,15 @@ def cmd_verify_bandwidth(args) -> int:
     return 0 if report.passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ``ConfigError``, so ``main`` prints it as an error document."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qsreg",
         description="Nyquist-lattice sampling regression and baseline eigensolver benchmarks",
     )
@@ -561,9 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(json.dumps({"error": {"type": "config", "message": str(exc)}}))

@@ -32,12 +32,10 @@ __all__ = [
     "peak",
     "is_supercritical",
     "crossover_points",
-    "window_width",
     "advantage_threshold",
     "efficiency",
     "efficiency_integral",
     "discrete_window_efficiency",
-    "rescale_natural_units",
     "fit_cost_heuristic",
     "model_report",
     "threshold_sweep",
@@ -45,6 +43,8 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# an odd count, as composite Simpson needs
+_INTEGRAL_POINTS = 200_001
 
 
 class SubcriticalError(ValueError):
@@ -116,14 +116,6 @@ def crossover_points(params: ComplexityParams) -> tuple[float, float] | None:
     return -n_star * lambert_w0(arg), -n_star * lambert_wm1(arg)
 
 
-def window_width(params: ComplexityParams) -> float:
-    """Width n_upper - n_lower of the advantage window (requires supercritical)."""
-    if not is_supercritical(params):
-        raise SubcriticalError("no advantage window at or below criticality")
-    n_lower, n_upper = crossover_points(params)
-    return n_upper - n_lower
-
-
 def _snap_integer(value: float, tol: float = 1e-9) -> float:
     # guards ceil() against roots that are integers up to rounding error
     nearest = round(value)
@@ -149,20 +141,18 @@ def efficiency(params: ComplexityParams) -> float:
     return (params.m / scale) ** params.p * gamma / (a * scale)
 
 
-def efficiency_integral(params: ComplexityParams, num_points: int = 200_001) -> float:
+def efficiency_integral(params: ComplexityParams) -> float:
     """The defining average (1/a) * integral_1^a resource_ratio dn, by quadrature.
 
     Exposed alongside :func:`efficiency` so the closed form can be
-    cross-checked; uses composite Simpson on an odd uniform grid.
+    cross-checked; uses composite Simpson on 200,001 uniform points.
     """
     a = advantage_threshold(params)
     if a <= 1:
         return 0.0
-    if num_points % 2 == 0:
-        num_points += 1
-    grid = np.linspace(1.0, float(a), num_points)
+    grid = np.linspace(1.0, float(a), _INTEGRAL_POINTS)
     values = resource_ratio(params, grid)
-    h = (grid[-1] - grid[0]) / (num_points - 1)
+    h = (grid[-1] - grid[0]) / (_INTEGRAL_POINTS - 1)
     integral = h / 3.0 * (
         values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
     )
@@ -191,14 +181,6 @@ def discrete_window_efficiency(params: ComplexityParams) -> float:
     return total / width
 
 
-def rescale_natural_units(params: ComplexityParams, n: float) -> tuple[float, float]:
-    """Strip the e and ln2 factors: returns (n/e, r/(e*ln2)).
-
-    In these units the peak location equals the rescaled ratio itself.
-    """
-    return float(n) / math.e, params.r / (math.e * _LN2)
-
-
 def fit_cost_heuristic(samples_by_n) -> tuple[float, float]:
     """Fit the lower-bounding monomial (m*n)^p to measured sample counts.
 
@@ -206,11 +188,11 @@ def fit_cost_heuristic(samples_by_n) -> tuple[float, float]:
     is then shifted down until the curve touches the lowest point, so the
     returned (m, p) lower-bounds every observation.
     """
-    data = [(float(n), float(total)) for n, total in samples_by_n]
+    data = [(_real(n, "n"), _real(total, "sample count")) for n, total in samples_by_n]
     if len(data) < 2:
         raise ValueError("need at least two (n, samples) points")
-    if any(n <= 0 or total <= 0 for n, total in data):
-        raise ValueError("n and sample counts must be positive")
+    if not all(0.0 < value < math.inf for point in data for value in point):
+        raise ValueError("n and sample counts must be positive and finite")
     log_n = np.array([math.log(n) for n, _ in data])
     log_s = np.array([math.log(total) for _, total in data])
     if np.ptp(log_n) == 0.0:

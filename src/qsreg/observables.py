@@ -15,6 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .regression import _check_real
+
 __all__ = [
     "ObservableError",
     "PauliString",
@@ -94,9 +96,6 @@ class PauliString:
         signs.flags.writeable = False
         return signs
 
-    def __str__(self) -> str:
-        return self.ops
-
 
 def _merge_bases(basis: str, ops: str) -> str | None:
     """The per-qubit measurement basis that covers both strings, or None if they do not commute qubit-wise."""
@@ -153,19 +152,16 @@ class ObservableSum:
                     f"Pauli string {pauli.ops!r} has length {pauli.num_qubits}, "
                     f"expected {num_qubits}"
                 )
-            w = float(weight)
-            if not math.isfinite(w):
-                raise ObservableError(f"non-finite weight for term {pauli.ops!r}")
+            try:
+                w = _check_real(weight, f"weight of term {pauli.ops!r}", minimum=-math.inf)
+            except ValueError as exc:
+                raise ObservableError(str(exc)) from exc
             merged[pauli.ops] = merged.get(pauli.ops, 0.0) + w
         kept = tuple(
             (w, PauliString(ops)) for ops, w in merged.items() if abs(w) >= MERGE_PRUNE_TOLERANCE
         )
         object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "terms", kept)
-
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
 
     @cached_property
     def measurement_groups(self) -> tuple[tuple[int, ...], ...]:
@@ -204,11 +200,6 @@ class ObservableSum:
             m += w * p.matrix()
         return m
 
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " ".join(f"{w:+g}*{p.ops}" for w, p in self.terms)
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -246,9 +237,7 @@ def parse_observable(text: str) -> ObservableSum:
     for entry in raw_terms:
         if not isinstance(entry, dict) or set(entry) != {"pauli", "weight"}:
             raise ObservableError(f"term entries need exactly 'pauli' and 'weight': {entry!r}")
-        if not isinstance(entry["weight"], (int, float)) or isinstance(entry["weight"], bool):
-            raise ObservableError(f"weight must be a number: {entry!r}")
-        terms.append((float(entry["weight"]), PauliString(str(entry["pauli"]))))
+        terms.append((entry["weight"], PauliString(entry["pauli"])))
     return ObservableSum(doc["num_qubits"], terms)
 
 

@@ -48,6 +48,8 @@ def _check_points(x, ndim: int | None = None) -> np.ndarray:
 
 
 def _check_integer(value, name: str, minimum: int) -> int:
+    if type(value) is int and value >= minimum:
+        return value  # the common case, taken per sample and per call, without the checks below
     # a fractional, non-finite or boolean value would otherwise be truncated by int()
     if (
         isinstance(value, (bool, np.bool_))
@@ -215,23 +217,6 @@ class FourierModel:
     def ndim(self) -> int:
         return len(self.bandwidths)
 
-    def evaluate_grid(self, axes) -> np.ndarray:
-        """Model values on the Cartesian product of per-axis coordinates, in an
-        array of shape ``(len(axes[0]), ..., len(axes[-1]))``.  The coefficients
-        are contracted with one per-axis cos/sin table at a time, so no design
-        matrix is built and memory stays at the size of the result.
-        """
-        if len(axes) != self.ndim:
-            raise ValueError(f"got {len(axes)} axes, expected {self.ndim}")
-        tables = []
-        for axis, coords in enumerate(axes):
-            coords = np.asarray(coords, dtype=float)
-            if coords.ndim != 1 or not np.all(np.isfinite(coords)):
-                raise ValueError("axis coordinates must be a finite 1-D array")
-            tables.append(self.basis._axis_table(coords, axis))
-        values = _contract_leading(self.coefficients, tables)
-        return values.reshape([len(coords) for coords in axes])
-
     def _grid_slabs(self, axes):
         """Model values on the Cartesian product of per-axis coordinates ``axes``,
         one leading-axis coordinate at a time.
@@ -241,13 +226,15 @@ class FourierModel:
         contracted once over axes 1..n-1 into a ``(2*S_0+1) x prod_{j>0} M_j``
         partial, so memory is that partial plus one slab, never the whole grid.
         """
-        leading = self.basis._axis_table(axes[0], 0)
-        rest = [self.basis._axis_table(coords, axis) for axis, coords in enumerate(axes) if axis]
         # move axis 0's coefficient index last so the contraction of axes 1..n-1 leaves it first
         sizes = [2 * s + 1 for s in self.bandwidths]
-        coeffs = np.moveaxis(self.coefficients.reshape(sizes), 0, -1)
-        partial = _contract_leading(coeffs, rest).reshape(sizes[0], -1)
-        for row in leading:
+        partial = np.moveaxis(self.coefficients.reshape(sizes), 0, -1)
+        for axis in range(1, self.ndim):
+            # contracts axis j's leading coefficient index and appends its points last
+            table = self.basis._axis_table(axes[axis], axis)
+            partial = partial.reshape(table.shape[1], -1).T @ table.T
+        partial = partial.reshape(sizes[0], -1)
+        for row in self.basis._axis_table(axes[0], 0):
             yield row @ partial
 
     def _value_derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,8 +253,8 @@ class FourierModel:
         return values[:, 0], values[:, unit], values[:, unit[:, None] + unit[None, :]]
 
     def evaluate(self, theta) -> float:
-        point = np.asarray(theta, dtype=float).reshape(-1)
-        return self.evaluate_grid(point[:, None]).item()
+        """The model at one point: the one row of :meth:`evaluate_many`."""
+        return self.evaluate_many(np.asarray(theta, dtype=float).reshape(1, -1)).item()
 
     def evaluate_many(self, points) -> np.ndarray:
         return self.basis.design_matrix(points) @ self.coefficients
@@ -306,14 +293,6 @@ class FourierModel:
     def load(cls, path) -> "FourierModel":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-
-def _contract_leading(values: np.ndarray, tables) -> np.ndarray:
-    """Contract the leading coefficient indices of ``values`` with per-axis
-    ``(points, 2*S_j+1)`` tables, in order; each axis's points are appended last."""
-    for table in tables:
-        values = values.reshape(table.shape[1], -1).T @ table.T
-    return values
 
 
 def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:

@@ -132,7 +132,9 @@ def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
     integrand underflows.  If x0 < a < 1 and x1 >= 2*x0 (always so from 0),
     integration by parts leaves [t^a*exp(-t)]/a and an a+1 integral bounded at
     t = 0; elsewhere that boundary term would cancel.  A window holding the
-    peak t = a-1 is split there, so each half's coarse pass sees the peak.
+    peak t = a-1 is split there, so each half's coarse pass sees the peak.  The
+    integrand is scaled by its largest value on the window and the scale applied
+    last in logarithms, so a representable result does not overflow on the way.
     """
     a, x0, x1 = _real(a, "a"), _real(x0, "x0"), _real(x1, "x1")
     if not a > 0.0:
@@ -149,7 +151,13 @@ def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
     if x0 < a < 1.0 and x1 >= 2.0 * x0:
         boundary = x1**a * math.exp(-x1) - x0**a * math.exp(-x0)
         return (boundary + gen_upper_incomplete_gamma(a + 1.0, x0, x1)) / a
-    f = lambda t: t ** (a - 1.0) * math.exp(-t)
-    if x0 < a - 1.0 < x1:
-        return _integrate(f, x0, a - 1.0) + _integrate(f, a - 1.0, x1)
-    return _integrate(f, x0, x1)
+    # divide the integrand by its largest value on the window, at c, so that neither
+    # t^(a-1) nor exp(-t) overflows on its own (u = 1 where c = 0, i.e. a = 1 from 0)
+    c = min(max(a - 1.0, x0), x1)
+    u, power, exp = c or 1.0, a - 1.0, math.exp  # locals: f runs thousands of times per call
+    f = lambda t: (t / u) ** power * exp(c - t)
+    if x0 < c < x1:
+        total = _integrate(f, x0, c) + _integrate(f, c, x1)
+    else:
+        total = _integrate(f, x0, x1)
+    return total * exp(power * math.log(u) - c)

@@ -58,7 +58,8 @@ class Gate:
                 raise ValueError("CNOT control and target must differ")
         else:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if any((not isinstance(q, int)) or q < 0 for q in self.qubits):
+        # not isinstance(q, int): a boolean is an int too
+        if any(type(q) is not int or q < 0 for q in self.qubits):
             raise ValueError("qubit indices must be non-negative integers")
 
 
@@ -114,7 +115,8 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
     state must be finite with unit norm (within 1e-10), so a NaN or infinite
     angle in any row raises ``RuntimeError``.
     """
-    if num_qubits < 1 or num_qubits > MAX_DENSE_QUBITS:
+    num_qubits = _check_integer(num_qubits, "num_qubits", minimum=1)
+    if num_qubits > MAX_DENSE_QUBITS:
         raise ValueError(f"num_qubits must be in [1, {MAX_DENSE_QUBITS}]")
     batch = _check_integer(batch, "batch", minimum=1)
     state = np.zeros((batch, 2**num_qubits), dtype=complex)
@@ -213,12 +215,11 @@ def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndar
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:
-    """Deterministic stream splitting: one child stream per integer path.
+    """Deterministic stream splitting: one child stream per path of integers >= 0.
 
     The objective uses ``child_seed(seed, sample_index)``, one stream per
     sample, so that evaluation order (serial, batched, or concurrent) cannot
     change results.
     """
-    if root_seed < 0 or any(p < 0 for p in path):
-        raise ValueError("seeds and stream path entries must be non-negative")
-    return np.random.SeedSequence((int(root_seed), *map(int, path)))
+    entries = (_check_integer(value, "child_seed entries", minimum=0) for value in (root_seed, *path))
+    return np.random.SeedSequence(tuple(entries))

@@ -82,6 +82,16 @@ def test_ansatz_bandwidths_use_the_regression_check():
     assert all(type(s) is int for s in normalised)
 
 
+@pytest.mark.parametrize("field, value", [("num_qubits", 2.5), ("num_qubits", True), ("num_qubits", 0),
+                                          ("num_params", True), ("num_params", 2.0 + 1e-9)])
+def test_ansatz_counts_must_be_positive_integers(field, value):
+    honest = deuteron_ansatz_2()
+    fields = dict(name="check", num_qubits=3, num_params=2, bandwidths=honest.bandwidths,
+                  param_names=honest.param_names, builder=honest.builder)
+    with pytest.raises(ValueError, match=field):
+        Ansatz(**{**fields, field: value})
+
+
 def test_builder_rejects_wrong_arity():
     with pytest.raises(ValueError):
         deuteron_ansatz_1().build([0.1, 0.2])
@@ -184,7 +194,7 @@ def test_verify_bandwidth_flags_underdeclared_axis(deuteron2):
     )
     report = verify_bandwidth(lying, obs, grid_points_per_axis=64)
     assert not report.passed
-    assert report.failing_axes == ("eta",)
+    assert [c.name for c in report.checks if not c.passed] == ["eta"]
     assert report.checks[1].observed == 2
 
 

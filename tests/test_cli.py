@@ -1,5 +1,6 @@
 """Command-line surface: result JSONs, tables, sweeps, landscape export."""
 import csv
+import dataclasses
 import json
 import math
 import subprocess
@@ -116,7 +117,7 @@ def test_config_file_must_hold_an_object(capsys, tmp_path, document):
 
 def test_config_dataclass_round_trip():
     config = RunConfig(problem="deuteron-2", algorithm="vqe", mode="shots", seed=3)
-    clone = RunConfig.from_dict(config.to_dict())
+    clone = RunConfig.from_dict(dataclasses.asdict(config))
     assert clone == config
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"problem": "deuteron-1"})
@@ -376,6 +377,27 @@ def test_complexity_efficiency_report(capsys):
     assert doc["efficiency"] > 1.0
 
 
+@pytest.mark.parametrize("model", [["--m", "2", "--p", "8", "--s", "2"], ["--m", "0.1", "--p", "1", "--s", "1"]])
+def test_complexity_efficiency_prints_the_threshold_report(capsys, model):
+    """One document for (m, p, s), super- or subcritical, with every key either action printed before."""
+    code, efficiency_out = _run(capsys, ["complexity", "efficiency", *model])
+    assert code == 0
+    code, threshold_out = _run(capsys, ["complexity", "threshold", *model])
+    assert code == 0
+    assert efficiency_out == threshold_out
+    doc = json.loads(efficiency_out)
+    keys = {"m", "p", "s", "r", "advantage"} | ({"efficiency"} if doc["advantage"] else set())
+    assert keys <= set(doc)
+
+
+@pytest.mark.parametrize("action", ["threshold", "efficiency"])
+def test_complexity_efficiency_of_a_large_power_is_finite(capsys, action):
+    """At p = 110 the value is 7.7e225; the gamma integrand overflowed and the command exited 1."""
+    code, out = _run(capsys, ["complexity", action, "--m", "2", "--p", "110", "--s", "1"])
+    assert code == 0, out
+    assert math.isfinite(json.loads(out)["efficiency"])
+
+
 def test_complexity_efficiency_sweep_csv(capsys, tmp_path):
     out_csv = tmp_path / "eff.csv"
     code, _ = _run(
@@ -424,6 +446,20 @@ def test_csv_commands_print_what_out_writes(capsys, tmp_path, argv):
 
 def test_complexity_requires_parameters(capsys):
     code, out = _run(capsys, ["complexity", "threshold", "--m", "2"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+
+
+@pytest.mark.parametrize("model", [
+    ["--p", "3", "--s", "1", "--r", "50"],
+    ["--p", "3", "--r", "4"],
+    ["--s", "1", "--r", "4"],
+    ["--s", "1"],
+])
+@pytest.mark.parametrize("action", ["threshold", "efficiency"])
+def test_complexity_takes_exactly_m_r_or_m_p_s(capsys, action, model):
+    """A model value outside the (m, r) or (m, p, s) form was dropped without a word."""
+    code, out = _run(capsys, ["complexity", action, "--m", "2", *model])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "config"
 
@@ -480,16 +516,13 @@ def test_landscape_shots_grid_tracks_noise(capsys, tmp_path, deuteron2):
 
 
 def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2):
-    """The separably evaluated model column agrees with the fitted model's own
-    evaluation on the lattice, up to the 12 significant digits printed."""
+    """The model column is the fitted model's ``evaluate_many`` on the lattice, as printed."""
     out_csv = tmp_path / "landscape.csv"
     code, _ = _run(capsys, ["landscape", "--problem", "deuteron-2", "--out", str(out_csv)])
     assert code == 0
-    column = np.array([line.split(",")[3] for line in out_csv.read_text().splitlines()[1:]], dtype=float)
+    column = [line.split(",")[3] for line in out_csv.read_text().splitlines()[1:]]
     model, _, _ = qsr_run(ObjectiveSpec(*deuteron2))
-    expected = model.evaluate_many(uniform_lattice([41, 41]))
-    tolerance = 1e-12 * np.abs(model.coefficients).sum() + 5e-12 * np.abs(expected)
-    assert np.all(np.abs(column - expected) <= tolerance)
+    assert column == [f"{value:.12g}" for value in model.evaluate_many(uniform_lattice([41, 41]))]
 
 
 @pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"],
@@ -552,3 +585,27 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["advantage"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "nope", "--algorithm", "qsr"],
+    ["landscape", "--problem", "deuteron-1", "--resolution", "1.5"],
+    ["complexity", "bogus"],
+    ["run", "--seed", "x"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_print_one_error_document_and_exit_2(capsys, argv):
+    """argparse printed its usage text to stderr and nothing on stdout."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert json.loads(captured.out)["error"]["type"] == "config"
+    assert captured.err == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--problem" in capsys.readouterr().out

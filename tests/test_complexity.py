@@ -18,10 +18,8 @@ from qsreg import (
     is_supercritical,
     model_report,
     peak,
-    rescale_natural_units,
     resource_ratio,
     threshold_sweep,
-    window_width,
 )
 
 LN2 = math.log(2.0)
@@ -144,7 +142,7 @@ def test_criticality_has_no_advantage():
     report = model_report(params)
     assert report.advantage_possible is False
     assert (report.threshold, report.efficiency, report.window_width) == (None, None, None)
-    for quantity in (window_width, advantage_threshold, efficiency, discrete_window_efficiency):
+    for quantity in (advantage_threshold, efficiency, discrete_window_efficiency):
         with pytest.raises(SubcriticalError):
             quantity(params)
     assert math.isnan(threshold_sweep([math.e], [LN2])[0, 0])
@@ -195,7 +193,7 @@ def test_crossings_match_bisection_oracle_on_grid():
 def test_window_width_matches_crossings():
     params = ComplexityParams(4.0, 6.0, 2.0)
     n0, n1 = crossover_points(params)
-    assert window_width(params) == pytest.approx(n1 - n0, abs=1e-10)
+    assert model_report(params).window_width == pytest.approx(n1 - n0, abs=1e-10)
 
 
 def test_threshold_is_ceiling_of_upper_crossing():
@@ -245,6 +243,13 @@ def test_efficiency_closed_form_matches_quadrature_grid():
                     continue
                 worst = max(worst, abs(closed - direct) / abs(direct))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("p", [110.0, 120.0, 130.0])
+def test_efficiency_is_finite_where_its_value_is_representable(p):
+    """At p = 110 the value is 7.7e225, but the gamma integrand overflowed on its own."""
+    params = ComplexityParams(2.0, p, 1.0)
+    assert efficiency(params) == pytest.approx(efficiency_integral(params), rel=1e-12)
 
 
 def test_efficiency_exceeds_one_deep_in_the_window():
@@ -322,30 +327,6 @@ def test_empty_window_is_distinct_from_subcritical():
         discrete_window_efficiency(params)
 
 
-def test_rescaling_strips_constants():
-    params = ComplexityParams(2.0, math.e * LN2, 1.0)
-    n_scaled, r_scaled = rescale_natural_units(params, math.e)
-    assert n_scaled == pytest.approx(1.0)
-    assert r_scaled == pytest.approx(1.0)
-
-
-def test_rescaled_peak_equals_rescaled_ratio():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        params = ComplexityParams(*rng.uniform(0.5, 10.0, 3))
-        n_star, _ = peak(params)
-        n_scaled, r_scaled = rescale_natural_units(params, n_star)
-        assert n_scaled == pytest.approx(r_scaled, rel=1e-12)
-
-
-def test_rescaling_is_linear():
-    a = ComplexityParams(2.0, 4.0, 2.0)
-    b = ComplexityParams(2.0, 8.0, 2.0)  # r doubles
-    _, ra = rescale_natural_units(a, 1.0)
-    _, rb = rescale_natural_units(b, 1.0)
-    assert rb == pytest.approx(2.0 * ra)
-
-
 # --- heuristic fit ---
 
 def test_fit_recovers_exact_monomial():
@@ -382,6 +363,18 @@ def test_fit_rejects_degenerate_data():
         fit_cost_heuristic([(2, 10.0)])
     with pytest.raises(ValueError):
         fit_cost_heuristic([(2, 10.0), (2, 12.0)])
+
+
+@pytest.mark.parametrize("data", [
+    [("2", "10"), ("3", "40")],
+    [(True, 10.0), (3, 40.0)],
+    [(2, 10.0), (3, None)],
+    [(2, 10.0), (3, math.nan)],
+    [(2, 10.0), (math.inf, 40.0)],
+])
+def test_fit_rejects_values_that_are_not_positive_finite_reals(data):
+    with pytest.raises(ValueError, match="n|sample"):
+        fit_cost_heuristic(data)
 
 
 def test_fit_from_benchmark_ledgers(deuteron1, deuteron2):

@@ -109,6 +109,13 @@ def test_shots_mode_seeded_determinism(deuteron1):
     assert a != c
 
 
+def test_shots_mode_rejects_a_fractional_sample_index(deuteron1):
+    """Index 2.5 drew from sample 2's stream."""
+    spec = ObjectiveSpec(*deuteron1, "shots", shots=500, seed=9)
+    with pytest.raises(ValueError, match="child_seed"):
+        evaluate(spec, [0.4], sample_index=2.5)
+
+
 def test_exact_minimum_matches_diagonalization(deuteron1, lam_d1):
     ansatz, obs = deuteron1
     theta_min, value = scan_polish_min(ansatz, obs, scan_per_axis=2000)

@@ -68,7 +68,7 @@ def test_parse_merges_duplicates():
         ],
     }
     obs = parse_observable(json.dumps(doc))
-    assert obs.num_terms == 1
+    assert len(obs.terms) == 1
     assert obs.terms[0][0] == pytest.approx(0.75, abs=1e-15)
 
 
@@ -99,11 +99,18 @@ def test_parse_rejects_non_finite_weight():
         ObservableSum(1, [(float("inf"), "Z")])
 
 
+@pytest.mark.parametrize("weight", ["0.5", True, None, np.bool_(False)])
+def test_weights_must_be_real_numbers(weight):
+    """A string weight was read as 0.5 and a boolean as 1.0."""
+    with pytest.raises(ObservableError, match="weight"):
+        ObservableSum(1, [(weight, "Z")])
+
+
 def test_deuteron_files_parse(deuteron1, deuteron2):
     assert deuteron1[1].num_qubits == 2
-    assert deuteron1[1].num_terms == 5
+    assert len(deuteron1[1].terms) == 5
     assert deuteron2[1].num_qubits == 3
-    assert deuteron2[1].num_terms == 8
+    assert len(deuteron2[1].terms) == 8
 
 
 # --- qubit-wise-commuting measurement groups ---

@@ -199,7 +199,7 @@ def _dense_grid_min(model, polishes=16):
     alone is not enough: two basin floors closer than the grid resolves can put it
     in the shallower basin, as on both benchmark ladders below."""
     axes = lattice_axes([48] * model.ndim)
-    values = model.evaluate_grid(axes)
+    values = np.stack(list(model._grid_slabs(axes))).reshape([48] * model.ndim)
     local = np.ones(values.shape, dtype=bool)
     for axis in range(values.ndim):
         for shift in (1, -1):

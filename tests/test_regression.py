@@ -160,7 +160,8 @@ def test_model_is_periodic():
 
 
 def test_grid_evaluation_matches_design_matrix():
-    """The separable per-axis contraction equals the design-matrix product on the lattice."""
+    """The minimiser's separable scan, stacked slab by slab, equals the design-matrix
+    product on the lattice, and a point evaluation equals its row."""
     rng = np.random.default_rng(2012)
     for ndim in (1, 2, 3, 4):
         bandwidths = tuple(int(s) for s in rng.integers(0, 4 if ndim < 4 else 3, size=ndim))
@@ -168,8 +169,8 @@ def test_grid_evaluation_matches_design_matrix():
         model = FourierModel(bandwidths, rng.normal(size=basis.size))
         counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
         reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
-        separable = model.evaluate_grid(lattice_axes(counts))
-        assert separable.shape == tuple(counts)
+        separable = np.stack(list(model._grid_slabs(lattice_axes(counts))))
+        assert separable.shape == (counts[0], int(np.prod(counts[1:])))
         tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
         assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
         point = uniform_lattice(counts)[-1]

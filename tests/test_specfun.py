@@ -180,6 +180,12 @@ def test_gamma_wide_windows_are_fast_and_exact(a, x0, x1, expected):
     assert value == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [111.0, 150.0, 160.0])
+def test_gamma_of_large_a_does_not_overflow(a):
+    """t^(a-1) alone overflows a float here (near t = 900 at a = 111) although Gamma(a) does not."""
+    assert gen_upper_incomplete_gamma(a, 0.0, math.inf) == pytest.approx(math.gamma(a), rel=1e-12)
+
+
 @pytest.mark.parametrize("a, x0, x1", [
     (0.0638, 1.83e-6, 113.04),
     (0.2, 1e-8, 10.0),

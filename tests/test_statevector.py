@@ -386,3 +386,21 @@ def test_child_seed_streams_are_stable_and_distinct():
 def test_child_seed_rejects_negative():
     with pytest.raises(ValueError):
         child_seed(-1, 0)
+
+
+@pytest.mark.parametrize("entries", [(2.5, 1), (2, 1.7), (True, 1), (2, np.bool_(True)), ("2", 1)])
+def test_child_seed_rejects_entries_that_are_not_integers(entries):
+    """2.5 was truncated to 2, so a fractional sample index reused another sample's stream."""
+    with pytest.raises(ValueError, match="child_seed"):
+        child_seed(*entries)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Gate("RY", (True,), 0.1),
+    lambda: Gate("CNOT", (0, 1.0)),
+    lambda: apply_circuit([], True, 1),
+    lambda: apply_circuit([], 2.5, 1),
+])
+def test_qubit_indices_and_counts_must_be_integers(build):
+    with pytest.raises(ValueError, match="qubit"):
+        build()
