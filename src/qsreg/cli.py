@@ -42,6 +42,7 @@ from .regression import FourierModel, _check_bandwidths, _check_integer, _check_
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
 DEFAULT_SHOTS = 10_000
+DEFAULT_M = 2.0
 OUTPUT_DIR_ENV = "QSREG_OUTPUT_DIR"
 
 # problem name -> (ansatz factory, bundled Hamiltonian file)
@@ -356,7 +357,26 @@ def _model_document(params: ComplexityParams, full: bool) -> dict:
     return doc
 
 
+# the flags each complexity action reads; any other model flag given is a configuration error
+_COMPLEXITY_FLAGS = {
+    ("threshold", None): ("m", "p", "s", "r"),
+    ("efficiency", None): ("m", "p", "s", "r"),
+    ("sweep", "threshold"): ("what", "m_range", "r_range"),
+    ("sweep", "efficiency"): ("what", "m", "p_range", "s_range"),
+}
+
+
 def cmd_complexity(args) -> int:
+    what = (args.what or "threshold") if args.action == "sweep" else None
+    own = _COMPLEXITY_FLAGS[args.action, what]
+    foreign = [flag for flag in ("what", "m", "p", "s", "r", "m_range", "r_range", "p_range", "s_range")
+               if getattr(args, flag) is not None and flag not in own]
+    if foreign:
+        name = args.action if what is None else f"sweep --what {what}"
+        flags = ", ".join("--" + flag.replace("_", "-") for flag in foreign)
+        raise ConfigError(f"complexity {name} does not take {flags}")
+    if args.m is None:
+        args.m = DEFAULT_M
     # the model values ComplexityParams would reject are configuration errors
     for flag in ("m", "p", "s", "r"):
         value = getattr(args, flag)
@@ -369,23 +389,21 @@ def cmd_complexity(args) -> int:
             raise ConfigError("efficiency needs --m, --p and --s")
         _emit_json(_model_document(params, full), args.out)
         return 0
-    if args.action == "sweep":
-        if args.what == "threshold":
-            if args.m_range is None or args.r_range is None:
-                raise ConfigError("threshold sweep needs --m-range and --r-range")
-            m_values = _parse_range(args.m_range)
-            r_values = _parse_range(args.r_range)
-            matrix = threshold_sweep(m_values, r_values)
-            _emit_grid_csv("m/r", m_values, r_values, matrix, args.out)
-        else:
-            if args.p_range is None or args.s_range is None:
-                raise ConfigError("efficiency sweep needs --p-range, --s-range and --m")
-            p_values = _parse_range(args.p_range)
-            s_values = _parse_range(args.s_range)
-            matrix = efficiency_sweep(p_values, s_values, args.m)
-            _emit_grid_csv("p/s", p_values, s_values, matrix, args.out)
-        return 0
-    raise ConfigError(f"unknown complexity action {args.action!r}")
+    if what == "threshold":
+        if args.m_range is None or args.r_range is None:
+            raise ConfigError("threshold sweep needs --m-range and --r-range")
+        m_values = _parse_range(args.m_range)
+        r_values = _parse_range(args.r_range)
+        matrix = threshold_sweep(m_values, r_values)
+        _emit_grid_csv("m/r", m_values, r_values, matrix, args.out)
+    else:
+        if args.p_range is None or args.s_range is None:
+            raise ConfigError("efficiency sweep needs --p-range, --s-range and --m")
+        p_values = _parse_range(args.p_range)
+        s_values = _parse_range(args.s_range)
+        matrix = efficiency_sweep(p_values, s_values, args.m)
+        _emit_grid_csv("p/s", p_values, s_values, matrix, args.out)
+    return 0
 
 
 def _write_out(text: str, out: str) -> str:
@@ -520,11 +538,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     comp = sub.add_parser("complexity", help="cost-model reports and sweeps")
     comp.add_argument("action", choices=["threshold", "efficiency", "sweep"])
-    comp.add_argument("--m", type=float, default=2.0)
+    comp.add_argument("--m", type=float, help=f"default {DEFAULT_M}")
     comp.add_argument("--p", type=float, default=None)
     comp.add_argument("--s", type=float, default=None)
     comp.add_argument("--r", type=float, default=None)
-    comp.add_argument("--what", choices=["threshold", "efficiency"], default="threshold")
+    comp.add_argument("--what", choices=["threshold", "efficiency"], help="sweep only; default threshold")
     comp.add_argument("--m-range", help="lo:hi:count")
     comp.add_argument("--r-range", help="lo:hi:count")
     comp.add_argument("--p-range", help="lo:hi:count")

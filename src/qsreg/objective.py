@@ -86,24 +86,24 @@ def _evaluate_points(
         raise ValueError(
             f"parameter points have shape {points.shape}, expected (k >= 1, {spec.num_params})"
         )
-    if not np.all(np.isfinite(points)):
+    if not np.isfinite(points).all():
         raise ValueError("parameter points must be finite")
     states = spec.ansatz.states(points)
-    terms = spec.observable.terms
-    groups = spec.observable.measurement_groups
+    observable = spec.observable
+    terms = observable.terms
+    groups = observable.measurement_groups
     shots = spec.shots if spec.mode == "shots" else 0
     if shots:
         rngs = [np.random.default_rng(child_seed(spec.seed, first_index + row)) for row in range(len(points))]
     values = np.zeros(points.shape[0])
-    for group in groups:
-        paulis = tuple(terms[index][1] for index in group)
+    for group, paulis in zip(groups, observable.group_strings):
         if shots:
             measured = sampled_expectation(states, paulis, shots, rngs)
         else:
             measured = exact_expectation(states, paulis)
         for column, index in enumerate(group):
             values += terms[index][0] * measured[:, column]
-    values += sum(weight for weight, pauli in terms if pauli.is_identity)
+    values += observable.identity_weight
     if ledger is not None:
         ledger.samples += points.shape[0]
         ledger.queries += 1

@@ -68,7 +68,7 @@ class PauliString:
     def num_qubits(self) -> int:
         return len(self.ops)
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return set(self.ops) == {"I"}
 
@@ -187,6 +187,16 @@ class ObservableSum:
                 bases.append(pauli.ops)
                 groups.append([index])
         return tuple(tuple(group) for group in groups)
+
+    @cached_property
+    def group_strings(self) -> tuple[tuple[PauliString, ...], ...]:
+        """Each measurement group's strings in member order: what one expectation call measures."""
+        return tuple(tuple(self.terms[index][1] for index in group) for group in self.measurement_groups)
+
+    @cached_property
+    def identity_weight(self) -> float:
+        """The summed weight of the identity terms, added classically (0 if there are none)."""
+        return sum(weight for weight, pauli in self.terms if pauli.is_identity)
 
     @property
     def one_norm(self) -> float:

@@ -144,8 +144,10 @@ def gen_upper_incomplete_gamma(a: float, x0: float, x1: float) -> float:
     if x1 < x0:
         raise ValueError("need x1 >= x0")
     if math.isinf(x1):
-        # beyond this point the integrand has decayed to irrelevance
-        x1 = max(x0, 64.0 * (1.0 + a) + 700.0)
+        # 40 widths sqrt(a) past the peak at a-1, plus the 745 e-folds that take exp(-t)
+        # below the smallest float: the integrand has decayed to irrelevance there, yet
+        # is near enough the peak that the scaled t^(a-1) stays a float for a <= 171
+        x1 = max(x0, a - 1.0 + 40.0 * math.sqrt(a) + 745.0)
     if x0 == x1:
         return 0.0
     if x0 < a < 1.0 and x1 >= 2.0 * x0:

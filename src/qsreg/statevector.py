@@ -7,6 +7,7 @@ R_A(theta) = exp(-i*theta*A/2).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -22,12 +23,21 @@ __all__ = [
 ]
 
 _ROTATIONS = {"RX", "RY", "RZ"}
-_FIXED = {"X", "Y", "Z", "H"}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
 # S^dagger then H maps a Y measurement onto a Z measurement
 _Y_TO_Z = _H_MATRIX @ np.diag([1.0, -1.0j])
+
+
+def _entries(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A 2x2 matrix as :func:`_apply_single` takes it: entries (m00, m01, m10, m11), each (1, 1, 1)."""
+    return tuple(matrix.reshape(4, 1, 1, 1))
+
+
+_FIXED_ENTRIES = {"H": _entries(_H_MATRIX), **{kind: _entries(PAULI_MATRICES[kind]) for kind in "XYZ"}}
+# the rotation onto Z for each non-Z label of a measurement basis
+_TO_Z_ENTRIES = {"X": _FIXED_ENTRIES["H"], "Y": _entries(_Y_TO_Z)}
 
 _NORM_TOLERANCE = 1e-10
 
@@ -45,7 +55,7 @@ class Gate:
     angle: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _FIXED:
+        if self.kind in _FIXED_ENTRIES:
             if len(self.qubits) != 1 or self.angle is not None:
                 raise ValueError(f"{self.kind} takes one qubit and no angle")
         elif self.kind in _ROTATIONS:
@@ -63,47 +73,41 @@ class Gate:
             raise ValueError("qubit indices must be non-negative integers")
 
 
-def _single_qubit_matrix(gate: Gate) -> np.ndarray:
-    """The gate's 2x2 matrix, or a (B, 2, 2) stack for a length-B angle array."""
-    if gate.kind == "H":
-        return _H_MATRIX
-    if gate.kind in _FIXED:
-        return PAULI_MATRICES[gate.kind]
-    # a non-finite angle must reach the norm check as NaN amplitudes, not as a warning
-    with np.errstate(invalid="ignore"):
-        half = 0.5 * np.asarray(gate.angle, dtype=float)
-        c, s = np.cos(half), np.sin(half)
-        if gate.kind == "RX":
-            entries = (c, -1j * s, -1j * s, c)
-        elif gate.kind == "RY":
-            entries = (c, -s, s, c)
-        elif gate.kind == "RZ":
-            zero = np.zeros_like(half)
-            entries = (np.exp(-1j * half), zero, zero, np.exp(1j * half))
-        else:
-            raise ValueError(f"not a single-qubit gate: {gate.kind}")
-    return np.stack(entries, axis=-1).astype(complex).reshape(*half.shape, 2, 2)
+def _rotation_entries(kind: str, angle) -> tuple[np.ndarray, ...]:
+    """A rotation's four entries: (1, 1, 1) arrays for a float angle, (B, 1, 1) arrays for a length-B one."""
+    half = 0.5 * np.asarray(angle, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    if kind == "RX":
+        entries = (c, -1j * s, -1j * s, c)
+    elif kind == "RY":
+        entries = (c, -s, s, c)
+    else:
+        zero = np.zeros_like(half)
+        entries = (np.exp(-1j * half), zero, zero, np.exp(1j * half))
+    return tuple(np.array(entries, dtype=complex).reshape(4, -1, 1, 1))
 
 
-def _apply_single(state: np.ndarray, matrix: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """Apply ``matrix`` to ``qubit`` of each n-qubit state in ``state`` (shape (B, 2**n)).
+def _apply_single(state: np.ndarray, entries: tuple, qubit: int, n: int) -> np.ndarray:
+    """Apply the 2x2 matrix ``entries`` to ``qubit`` of each n-qubit state in ``state`` (shape (B, 2**n)).
 
-    ``matrix`` is one (2, 2) matrix for every state or a (B, 2, 2) stack, one per state.
+    Each entry is a (1, 1, 1) array shared by every state or a (B, 1, 1) array, one per state.
     """
+    a, b, c, d = entries
     psi = state.reshape(-1, 2**qubit, 2, 2 ** (n - 1 - qubit))
-    m = matrix.reshape(-1, 1, 4, 1)
     low, high = psi[:, :, 0], psi[:, :, 1]
-    out = np.empty(psi.shape, dtype=complex)
-    out[:, :, 0] = m[:, :, 0] * low + m[:, :, 1] * high
-    out[:, :, 1] = m[:, :, 2] * low + m[:, :, 3] * high
+    out = np.empty_like(psi)
+    np.add(a * low, b * high, out=out[:, :, 0])
+    np.add(c * low, d * high, out=out[:, :, 1])
     return out.reshape(state.shape)
 
 
-def _apply_cnot(state: np.ndarray, control: int, target: int, n: int) -> np.ndarray:
-    """Flip the target bit of every basis index whose control bit is set."""
+@lru_cache(maxsize=64)
+def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
+    """Basis indices with the target bit flipped wherever the control bit is set."""
     index = np.arange(2**n)
-    flip = ((index >> (n - 1 - control)) & 1) << (n - 1 - target)
-    return state[..., index ^ flip]
+    permutation = index ^ (((index >> (n - 1 - control)) & 1) << (n - 1 - target))
+    permutation.flags.writeable = False
+    return permutation
 
 
 def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
@@ -121,60 +125,77 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
     batch = _check_integer(batch, "batch", minimum=1)
     state = np.zeros((batch, 2**num_qubits), dtype=complex)
     state[:, 0] = 1.0
-    for gate in gates:
-        if any(q >= num_qubits for q in gate.qubits):
-            raise ValueError(f"gate {gate.kind} addresses qubit out of range: {gate.qubits}")
-        if gate.angle is not None and np.ndim(gate.angle) and np.shape(gate.angle) != (batch,):
-            raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
-                             f"got shape {np.shape(gate.angle)}")
-        if gate.kind == "CNOT":
-            state = _apply_cnot(state, gate.qubits[0], gate.qubits[1], num_qubits)
-        else:
-            state = _apply_single(state, _single_qubit_matrix(gate), gate.qubits[0], num_qubits)
+    # a non-finite angle must reach the norm check as NaN amplitudes, not as a warning
+    with np.errstate(invalid="ignore"):
+        for gate in gates:
+            if max(gate.qubits) >= num_qubits:
+                raise ValueError(f"gate {gate.kind} addresses qubit out of range: {gate.qubits}")
+            if gate.angle is not None and np.ndim(gate.angle) and np.shape(gate.angle) != (batch,):
+                raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
+                                 f"got shape {np.shape(gate.angle)}")
+            if gate.kind == "CNOT":
+                state = state[:, _cnot_permutation(*gate.qubits, num_qubits)]
+            elif gate.kind in _ROTATIONS:
+                state = _apply_single(state, _rotation_entries(gate.kind, gate.angle), gate.qubits[0], num_qubits)
+            else:
+                state = _apply_single(state, _FIXED_ENTRIES[gate.kind], gate.qubits[0], num_qubits)
     norms = np.linalg.norm(state, axis=1)
     # written so that a NaN norm fails the test too
-    drifted = np.flatnonzero(~(np.abs(norms - 1.0) <= _NORM_TOLERANCE))
-    if drifted.size:
-        row = int(drifted[0])
+    within = np.abs(norms - 1.0) <= _NORM_TOLERANCE
+    if not within.all():
+        row = int(np.argmin(within))
         raise RuntimeError(f"state norm drifted to {norms[row]!r} in batch row {row}")
     return state
 
 
-def _check_states(states: np.ndarray, num_qubits: int) -> None:
-    """One batch-wide check: shape (B, 2**n), every state finite with nonzero norm."""
-    if states.ndim != 2 or states.shape[1] != 2**num_qubits:
-        raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {num_qubits}")
-    # an infinite amplitude must reach the test as a non-finite norm, not as a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        squared_norms = np.einsum("ij,ij->i", states.conj(), states).real
-    bad = np.flatnonzero(~(np.isfinite(squared_norms) & (squared_norms > 0.0)))
-    if bad.size:
-        row = int(bad[0])
-        raise ValueError(
-            f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norms[row]!r}"
-        )
+@lru_cache(maxsize=64)
+def _measurement_plan(paulis: tuple) -> tuple[int, tuple, np.ndarray]:
+    """What measuring a tuple of strings needs, built once per tuple: ``(n, rotations, signs)``.
 
-
-def _measurement_table(states: np.ndarray, paulis) -> tuple[np.ndarray, np.ndarray]:
-    """The front half of both expectations: ``(table, signs)`` for a tuple of strings.
-
-    Checks the states and rotates them once into the strings' shared basis.
-    ``table`` holds each state's |amplitude|^2 per outcome, not normalised,
-    as shape (B, 2**n); ``signs`` holds each string's parity signs, shape
-    (k, 2**n).
+    ``rotations`` holds ``(qubit, entries)`` for each qubit that the strings'
+    shared basis measures in X or Y, and ``signs`` each string's parity
+    signs, shape (k, 2**n).  The cache is bounded, so a run that builds a new
+    observable per operation does not grow it.
     """
     basis = measurement_basis(paulis)
-    n = basis.num_qubits
-    _check_states(states, n)
-    rotated = states
-    for qubit, label in enumerate(basis.ops):
-        if label == "X":
-            rotated = _apply_single(rotated, _H_MATRIX, qubit, n)
-        elif label == "Y":
-            rotated = _apply_single(rotated, _Y_TO_Z, qubit, n)
-    # C order, so that each row's sums run in one order whatever the batch size and layout
-    table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
-    return table, np.stack([pauli.parity_signs for pauli in paulis])
+    rotations = tuple(
+        (qubit, _TO_Z_ENTRIES[label]) for qubit, label in enumerate(basis.ops) if label in _TO_Z_ENTRIES
+    )
+    signs = np.stack([pauli.parity_signs for pauli in paulis])
+    signs.flags.writeable = False
+    return basis.num_qubits, rotations, signs
+
+
+def _measurement_table(states: np.ndarray, paulis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The front half of both expectations: ``(table, totals, signs)`` for a tuple of strings.
+
+    Rotates the states once into the strings' shared basis.  ``table`` holds
+    each state's |amplitude|^2 per outcome, not normalised, as shape
+    (B, 2**n); ``totals`` its row sums, the squared norms; ``signs`` each
+    string's parity signs, shape (k, 2**n).  A batch of another shape raises
+    ``ValueError``, and so does a state that is not finite or has zero norm,
+    which the totals show.
+    """
+    n, rotations, signs = _measurement_plan(tuple(paulis))
+    if states.ndim != 2 or states.shape[1] != 2**n:
+        raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {n}")
+    # an infinite amplitude must reach the check as a non-finite total, not as a warning
+    with np.errstate(invalid="ignore", over="ignore"):
+        rotated = states
+        for qubit, entries in rotations:
+            rotated = _apply_single(rotated, entries, qubit, n)
+        # C order, so that each row's sums run in one order whatever the batch size and layout
+        table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
+        totals = table.sum(axis=1)
+        valid = np.isfinite(totals) & (totals > 0.0)
+        if not valid.all():
+            row = int(np.argmin(valid))
+            # the message quotes the state's own squared norm, which a rotation may turn from inf to NaN
+            squared_norm = np.einsum("j,j->", states[row].conj(), states[row]).real
+            raise ValueError(
+                f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norm!r}"
+            )
+    return table, totals, signs
 
 
 def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
@@ -185,7 +206,7 @@ def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
     table is not renormalised, so any finite nonzero state works; others
     raise ``ValueError``.
     """
-    table, signs = _measurement_table(states, paulis)
+    table, _, signs = _measurement_table(states, paulis)
     # one (B, 2**n) product per string, not a (B, k, 2**n) one
     return np.stack([(table * sign).sum(axis=-1) for sign in signs], axis=-1)
 
@@ -202,11 +223,11 @@ def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndar
     (exactly 1.0 for an identity string).
     """
     shots = _check_integer(shots, "shots", minimum=1)
-    table, signs = _measurement_table(states, paulis)
+    table, totals, signs = _measurement_table(states, paulis)
     generators = np.asarray(rngs, dtype=object)
     if generators.shape != (len(states),):
         raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {(len(states),)}")
-    probs = table / table.sum(axis=1, keepdims=True)
+    probs = table / totals[:, None]
     counts = np.array([
         np.random.default_rng(rng).multinomial(shots, p, size=len(signs)) for rng, p in zip(generators, probs)
     ])

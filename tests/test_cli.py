@@ -481,6 +481,20 @@ def test_complexity_rejects_bad_model_values_with_exit_2(capsys, argv):
     assert json.loads(out)["error"]["type"] == "config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--what", "threshold", "--m-range", "0.5:10:4", "--r-range", "1:8:3", "--p", "5"],
+    ["threshold", "--m", "2", "--r", "4", "--m-range", "1:2:3"],
+    ["sweep", "--what", "efficiency", "--p-range", "2:4:2", "--s-range", "1:2:2", "--m", "2",
+     "--m-range", "1:2:2", "--r", "3"],
+])
+def test_complexity_rejects_flags_of_another_action(capsys, argv):
+    """A flag the action does not read was dropped, and the command exited 0."""
+    code, out = _run(capsys, ["complexity", *argv])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    assert json.loads(out)["error"]["type"] == "config"
+
+
 # --- landscape ---
 
 def test_landscape_exact_grid(capsys, tmp_path):

@@ -1,4 +1,7 @@
 """Weighted expectation objective and its sample/query accounting."""
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from qsreg import (
     nyquist_lattice,
 )
 from qsreg.ansatz import exact_objective
-from qsreg.statevector import _measurement_table, child_seed
+from qsreg.cli import load_problem
+from qsreg.statevector import _measurement_plan, _measurement_table, child_seed
 from conftest import scan_polish_min
 
 
@@ -333,3 +337,62 @@ def test_one_query_is_one_simulation_pass(monkeypatch):
     assert values.shape == (81,)
     assert len(obs.measurement_groups) < len(strings)
     assert calls == {"apply_circuit": 1, "exact_expectation": len(obs.measurement_groups)}
+
+
+def test_observables_that_share_strings_keep_their_own_groups_and_weights():
+    """Interleaved queries on observables that share strings equal the values of fresh objects.
+
+    ``a`` and ``b`` share three strings but group and weigh them differently,
+    and ``c`` acts on three qubits.
+    """
+    terms = {
+        "a": (2, [(0.7, "ZI"), (-0.4, "IZ"), (0.3, "XX"), (0.2, "II")]),
+        "b": (2, [(0.3, "XX"), (0.7, "ZI"), (-0.5, "IZ"), (0.9, "XI")]),
+        "c": (3, [(0.7, "ZII"), (-0.4, "IZI"), (0.3, "XXI"), (1.1, "YYI"), (0.2, "III")]),
+    }
+
+    def spec(name, mode):
+        num_qubits, weighted = terms[name]
+        ansatz = deuteron_ansatz_1() if num_qubits == 2 else load_problem("deuteron-2")[0]
+        return ObjectiveSpec(ansatz, ObservableSum(num_qubits, weighted), mode=mode,
+                             shots=1000 if mode == "shots" else None, seed=5)
+
+    assert spec("a", "exact").observable.measurement_groups != spec("b", "exact").observable.measurement_groups
+    reused = {(name, mode): spec(name, mode) for name in terms for mode in ("exact", "shots")}
+    rng = np.random.default_rng(8)
+    for step in range(30):
+        (name, mode), current = list(reused.items())[step % len(reused)]
+        theta = rng.uniform(-np.pi, np.pi, current.num_params)
+        value = evaluate(current, theta, sample_index=step)
+        _measurement_plan.cache_clear()
+        assert value == evaluate(spec(name, mode), theta, sample_index=step)
+
+
+def test_per_observable_data_does_not_grow_with_the_observables_seen():
+    """1,000 distinct observables in a loop: what stays held after the first 100 must not grow with them."""
+    ansatz = _ladder()[0]
+    rng = np.random.default_rng(2024)
+    theta = [0.1, 0.2, 0.3, 0.4]
+
+    def evaluate_new_observables(count):
+        for _ in range(count):
+            strings = set()
+            while len(strings) < 6:
+                ops = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=4))
+                if ops != "IIII":
+                    strings.add(ops)
+            observable = ObservableSum(4, [(float(rng.normal()), ops) for ops in sorted(strings)])
+            evaluate(ObjectiveSpec(ansatz, observable), theta)
+
+    tracemalloc.start()
+    try:
+        evaluate_new_observables(100)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        evaluate_new_observables(900)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    # a cache that kept every observable's groups grew by about 1.7 MB here
+    assert grown < 256 * 1024

@@ -186,6 +186,12 @@ def test_gamma_of_large_a_does_not_overflow(a):
     assert gen_upper_incomplete_gamma(a, 0.0, math.inf) == pytest.approx(math.gamma(a), rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [170.0, 171.0])
+def test_gamma_near_the_float_limit_does_not_overflow(a):
+    """Gamma(171) = 7.3e306 is a float; the truncated upper limit must stay near enough the peak."""
+    assert gen_upper_incomplete_gamma(a, 0.0, math.inf) == pytest.approx(math.gamma(a), rel=2e-13)
+
+
 @pytest.mark.parametrize("a, x0, x1", [
     (0.0638, 1.83e-6, 113.04),
     (0.2, 1e-8, 10.0),

@@ -134,6 +134,68 @@ def test_norm_preserved_by_random_circuits():
         assert abs(np.linalg.norm(state[0]) - 1.0) < 1e-10
 
 
+_TEXTBOOK_FIXED = {
+    "H": np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0),
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+}
+
+
+def _textbook_matrix(kind, qubits, angle, n):
+    """The gate on n qubits as a dense matrix, built by np.kron with qubit 0 as the leading factor."""
+    identity = np.eye(2)
+    if kind == "CNOT":
+        control, target = qubits
+        on = [np.diag([0.0, 1.0]) if q == control else _TEXTBOOK_FIXED["X"] if q == target else identity
+              for q in range(n)]
+        off = [np.diag([1.0, 0.0]) if q == control else identity for q in range(n)]
+        return _kron_all(off) + _kron_all(on)
+    if kind in _TEXTBOOK_FIXED:
+        single = _TEXTBOOK_FIXED[kind]
+    else:
+        # R_A(theta) = exp(-i theta A / 2) = cos(theta/2) I - i sin(theta/2) A for a Pauli A
+        single = np.cos(angle / 2) * identity - 1j * np.sin(angle / 2) * _TEXTBOOK_FIXED[kind[1]]
+    return _kron_all([single if q == qubits[0] else identity for q in range(n)])
+
+
+def _kron_all(factors):
+    out = np.ones((1, 1))
+    for factor in factors:
+        out = np.kron(out, factor)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_apply_circuit_matches_dense_textbook_matrices(seed):
+    """Every gate kind, with float and length-B angles, against kron-built matrices applied to |0...0>."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 4
+    batch = 3
+    kinds = ["H", "X", "Y", "Z", "RX", "RY", "RZ"] + (["CNOT"] if n > 1 else [])
+    # each kind at least once, in random order, plus random extra gates
+    sequence = list(rng.permutation(kinds)) + list(rng.choice(kinds, size=8))
+    gates = []
+    for kind in sequence:
+        if kind == "CNOT":
+            control, target = rng.choice(n, size=2, replace=False)
+            gates.append(Gate("CNOT", (int(control), int(target))))
+        elif kind.startswith("R"):
+            shared = rng.random() < 0.5
+            angle = float(rng.uniform(-2 * np.pi, 2 * np.pi)) if shared else rng.uniform(-2 * np.pi, 2 * np.pi, batch)
+            gates.append(Gate(str(kind), (int(rng.integers(n)),), angle))
+        else:
+            gates.append(Gate(str(kind), (int(rng.integers(n)),)))
+    states = apply_circuit(gates, n, batch)
+    for row in range(batch):
+        expected = np.zeros(2**n, dtype=complex)
+        expected[0] = 1.0
+        for gate in gates:
+            angle = gate.angle if np.ndim(gate.angle) == 0 else gate.angle[row]
+            expected = _textbook_matrix(gate.kind, gate.qubits, angle, n) @ expected
+        assert np.max(np.abs(states[row] - expected)) <= 1e-13
+
+
 # --- exact expectations ---
 
 def test_exact_expectation_textbook_values():
@@ -147,13 +209,13 @@ def test_exact_expectation_textbook_values():
 
 def test_basis_rotation_equivalence():
     """<X> on psi equals <Z> on H psi, validating measurement rotations."""
-    from qsreg.statevector import _apply_single, _H_MATRIX
+    from qsreg.statevector import _FIXED_ENTRIES, _apply_single
 
     rng = np.random.default_rng(17)
     for _ in range(10):
         state = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         state /= np.linalg.norm(state)
-        rotated = _apply_single(state, _H_MATRIX, 1, 2)
+        rotated = _apply_single(state, _FIXED_ENTRIES["H"], 1, 2)
         x_val = exact_expectation(state, (PauliString("IX"),))[0, 0]
         z_val = exact_expectation(rotated, (PauliString("IZ"),))[0, 0]
         assert x_val == pytest.approx(z_val, abs=1e-12)
@@ -347,6 +409,27 @@ def test_non_finite_or_zero_norm_states_are_rejected(bad, measure):
             exact_expectation(bad.astype(complex), Z)
         else:
             sampled_expectation(bad.astype(complex), Z, 10, [1] * len(bad))
+
+
+@pytest.mark.parametrize("bad", [
+    [0.0, 0.0, 0.0, 0.0],
+    [np.nan, 0.0, 0.0, 0.0],
+    [np.inf, np.inf, 0.0, 0.0],
+    [np.inf, -np.inf, 1.0, 0.0],
+    [1e200, 0.0, 0.0, 0.0],
+])
+@pytest.mark.parametrize("ops", ["XX", "YI", "IY", "XY"])
+def test_rotated_bases_reject_the_rows_and_messages_of_the_z_basis(bad, ops):
+    """The check reads the rotated table's row sums; a rotation must not hide a bad row or change its message."""
+    states = np.array([[0.5, 0.5, 0.5, 0.5], bad], dtype=complex)
+    with pytest.raises(ValueError) as z_basis:
+        exact_expectation(states, (PauliString("ZZ"),))
+    assert "batch row 1" in str(z_basis.value)
+    for measure in (lambda: exact_expectation(states, (PauliString(ops),)),
+                    lambda: sampled_expectation(states, (PauliString(ops),), 10, [1, 2])):
+        with pytest.raises(ValueError) as rotated:
+            measure()
+        assert str(rotated.value) == str(z_basis.value)
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 4), (1, 1, 2)])
