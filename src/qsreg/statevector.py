@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, measurement_basis
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, measurement_basis
 from .regression import _check_integer
 
 __all__ = [
@@ -149,14 +149,16 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _measurement_plan(paulis: tuple) -> tuple[int, tuple, np.ndarray]:
+def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, tuple, np.ndarray]:
     """What measuring a tuple of strings needs, built once per tuple: ``(n, rotations, signs)``.
 
-    ``rotations`` holds ``(qubit, entries)`` for each qubit that the strings'
-    shared basis measures in X or Y, and ``signs`` each string's parity
-    signs, shape (k, 2**n).  The cache is bounded, so a run that builds a new
-    observable per operation does not grow it.
+    ``labels`` holds the strings' ``ops``.  ``rotations`` holds ``(qubit,
+    entries)`` for each qubit that the strings' shared basis measures in X or
+    Y, and ``signs`` each string's parity signs, shape (k, 2**n).  The cache
+    is bounded, so a run that builds a new observable per operation does not
+    grow it, and keyed by labels, so it keeps no caller's objects alive.
     """
+    paulis = tuple(map(PauliString, labels))
     basis = measurement_basis(paulis)
     rotations = tuple(
         (qubit, _TO_Z_ENTRIES[label]) for qubit, label in enumerate(basis.ops) if label in _TO_Z_ENTRIES
@@ -176,7 +178,7 @@ def _measurement_table(states: np.ndarray, paulis) -> tuple[np.ndarray, np.ndarr
     ``ValueError``, and so does a state that is not finite or has zero norm,
     which the totals show.
     """
-    n, rotations, signs = _measurement_plan(tuple(paulis))
+    n, rotations, signs = _measurement_plan(tuple(pauli.ops for pauli in paulis))
     if states.ndim != 2 or states.shape[1] != 2**n:
         raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {n}")
     # an infinite amplitude must reach the check as a non-finite total, not as a warning

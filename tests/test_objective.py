@@ -394,5 +394,5 @@ def test_per_observable_data_does_not_grow_with_the_observables_seen():
         grown = tracemalloc.get_traced_memory()[0] - held
     finally:
         tracemalloc.stop()
-    # a cache that kept every observable's groups grew by about 1.7 MB here
+    # a cache that kept every observable's groups grew by about 0.9 MB here
     assert grown < 256 * 1024
