@@ -66,12 +66,14 @@ class Ansatz:
         """Amplitudes at each row of ``points`` (shape (B, num_params)), shape (B, 2**num_qubits).
 
         ``builder`` runs once per point; each rotation's B angles are then
-        stacked into one array, so the B circuits are simulated in one
-        :func:`apply_circuit` pass.
+        stacked into one array (one point's circuit goes as built), so the B
+        circuits are simulated in one :func:`apply_circuit` pass.
         """
         circuits = [self.build(theta) for theta in np.asarray(points, dtype=float)]
         if not circuits:
             raise ValueError("need at least one parameter point")
+        if len(circuits) == 1:
+            return apply_circuit(circuits[0], self.num_qubits, 1)
         layout = [(gate.kind, gate.qubits) for gate in circuits[0]]
         for gates in circuits[1:]:
             if [(gate.kind, gate.qubits) for gate in gates] != layout:

@@ -289,6 +289,8 @@ def cmd_run(args) -> int:
         values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
         values["theta0"] = _parse_list(args.theta0, float, "floats")
         config = RunConfig(**values)
+    if config.mode == "exact" and config.shots is not None:
+        raise ConfigError("shots is read in shots mode only; set the mode to shots or leave shots out")
     _check_out(config.out)
     if config.algorithm == "qsr":
         _check_out(config.model_out)

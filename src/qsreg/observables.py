@@ -24,7 +24,7 @@ __all__ = [
     "Spectrum",
     "parse_observable",
     "exact_spectrum",
-    "measurement_basis",
+    "qubit_wise_groups",
     "MERGE_PRUNE_TOLERANCE",
     "MAX_DENSE_QUBITS",
 ]
@@ -107,25 +107,28 @@ def _merge_bases(basis: str, ops: str) -> str | None:
     return "".join(merged)
 
 
-def measurement_basis(paulis) -> PauliString:
-    """The one product basis in which every string of ``paulis`` is measured.
+def qubit_wise_groups(paulis) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """Greedy qubit-wise-commuting groups (Verteletskyi et al. 2020, arXiv:1907.03358): ``(bases, groups)``.
 
-    Each qubit takes the non-identity label its strings share there (``I``
-    where all are identity).  Raises ``ValueError`` for an empty sequence or
-    strings that do not commute qubit-wise.
+    In order, each string joins the first group whose per-qubit basis it
+    commutes with qubit-wise, or opens one; ``groups`` holds the indices into
+    ``paulis``.  Empty input or strings of different lengths raise ``ValueError``.
     """
     paulis = tuple(paulis)
     if not paulis:
         raise ValueError("need at least one Pauli string")
-    basis = paulis[0].ops
-    for pauli in paulis[1:]:
-        if pauli.num_qubits != len(basis):
-            raise ValueError(f"Pauli strings act on different qubit counts: {basis!r}, {pauli.ops!r}")
-        merged = _merge_bases(basis, pauli.ops)
-        if merged is None:
-            raise ValueError(f"{pauli.ops!r} does not commute qubit-wise with basis {basis!r}")
-        basis = merged
-    return PauliString(basis)
+    bases: list[str] = []
+    groups: list[list[int]] = []
+    for index, pauli in enumerate(paulis):
+        if pauli.num_qubits != paulis[0].num_qubits:
+            raise ValueError(f"Pauli strings act on different qubit counts: {paulis[0].ops!r}, {pauli.ops!r}")
+        group = next((g for g, basis in enumerate(bases) if _merge_bases(basis, pauli.ops)), len(bases))
+        if group == len(bases):
+            bases.append(pauli.ops)
+            groups.append([])
+        bases[group] = _merge_bases(bases[group], pauli.ops)
+        groups[group].append(index)
+    return tuple(bases), tuple(map(tuple, groups))
 
 
 @dataclass(frozen=True)
@@ -167,31 +170,20 @@ class ObservableSum:
     def measurement_groups(self) -> tuple[tuple[int, ...], ...]:
         """Qubit-wise-commuting groups of the non-identity terms, as indices into ``terms``.
 
-        Greedy in term order (Verteletskyi et al. 2020, arXiv:1907.03358):
-        each term joins the first group whose basis it commutes with qubit-wise,
-        or opens a new group.  Groups and their members keep first-appearance
-        order, and identity terms belong to no group.
+        The groups of :func:`qubit_wise_groups` over the non-identity terms in
+        term order; identity terms belong to no group.
         """
-        bases: list[str] = []
-        groups: list[list[int]] = []
-        for index, (_, pauli) in enumerate(self.terms):
-            if pauli.is_identity:
-                continue
-            for group, basis in enumerate(bases):
-                merged = _merge_bases(basis, pauli.ops)
-                if merged is not None:
-                    bases[group] = merged
-                    groups[group].append(index)
-                    break
-            else:
-                bases.append(pauli.ops)
-                groups.append([index])
-        return tuple(tuple(group) for group in groups)
+        measured = [index for index, (_, pauli) in enumerate(self.terms) if not pauli.is_identity]
+        groups = qubit_wise_groups([self.terms[index][1] for index in measured])[1] if measured else ()
+        return tuple(tuple(measured[member] for member in group) for group in groups)
 
     @cached_property
-    def group_strings(self) -> tuple[tuple[PauliString, ...], ...]:
-        """Each measurement group's strings in member order: what one expectation call measures."""
-        return tuple(tuple(self.terms[index][1] for index in group) for group in self.measurement_groups)
+    def grouped_terms(self) -> tuple[np.ndarray, tuple[PauliString, ...]]:
+        """``(weights, strings)`` of the non-identity terms in group order: what one expectation call measures."""
+        order = [index for group in self.measurement_groups for index in group]
+        weights = np.array([self.terms[i][0] for i in order], dtype=float)
+        weights.flags.writeable = False
+        return weights, tuple(self.terms[i][1] for i in order)
 
     @cached_property
     def identity_weight(self) -> float:

@@ -2,7 +2,9 @@
 
 Amplitude indexing follows the observable convention: qubit 0 is the most
 significant bit of the basis-state index.  Rotations use
-R_A(theta) = exp(-i*theta*A/2).
+R_A(theta) = exp(-i*theta*A/2).  A 2x2 matrix M maps amplitude i to
+M[b, b] psi[i] + M[b, 1-b] psi[i ^ mask], b being i's bit on the gate's
+qubit: every single-qubit gate is ``diag * state + off * state[:, flip]``.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, measurement_basis
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, qubit_wise_groups
 from .regression import _check_integer
 
 __all__ = [
@@ -26,20 +28,16 @@ _ROTATIONS = {"RX", "RY", "RZ"}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
-# S^dagger then H maps a Y measurement onto a Z measurement
-_Y_TO_Z = _H_MATRIX @ np.diag([1.0, -1.0j])
-
-
-def _entries(matrix: np.ndarray) -> tuple[np.ndarray, ...]:
-    """A 2x2 matrix as :func:`_apply_single` takes it: entries (m00, m01, m10, m11), each (1, 1, 1)."""
-    return tuple(matrix.reshape(4, 1, 1, 1))
-
-
-_FIXED_ENTRIES = {"H": _entries(_H_MATRIX), **{kind: _entries(PAULI_MATRICES[kind]) for kind in "XYZ"}}
-# the rotation onto Z for each non-Z label of a measurement basis
-_TO_Z_ENTRIES = {"X": _FIXED_ENTRIES["H"], "Y": _entries(_Y_TO_Z)}
+# a 2x2 matrix as the kernel takes it, (m00, m11, m01, m10): its diagonal, then its off-diagonal, entry per bit
+_ENTRY_ORDER = [0, 3, 1, 2]
+_FIXED_ENTRIES = {kind: PAULI_MATRICES.get(kind, _H_MATRIX).ravel()[_ENTRY_ORDER] for kind in "HXYZ"}
+# the change of basis onto Z per label of a measurement basis, by code: none, H for X, S^dagger then H for Y
+_TO_Z_CODES = {"I": 0, "Z": 0, "X": 1, "Y": 2}
+_TO_Z_ENTRIES = np.array([m.ravel()[_ENTRY_ORDER] for m in (np.eye(2), _H_MATRIX, _H_MATRIX @ np.diag([1, -1j]))])
 
 _NORM_TOLERANCE = 1e-10
+# numbers in the (B, k, 2**n) arrays of a measurement over all groups at once, above which each group takes a pass
+_PASS_NUMBERS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -73,32 +71,31 @@ class Gate:
             raise ValueError("qubit indices must be non-negative integers")
 
 
-def _rotation_entries(kind: str, angle) -> tuple[np.ndarray, ...]:
-    """A rotation's four entries: (1, 1, 1) arrays for a float angle, (B, 1, 1) arrays for a length-B one."""
-    half = 0.5 * np.asarray(angle, dtype=float)
-    c, s = np.cos(half), np.sin(half)
-    if kind == "RX":
-        entries = (c, -1j * s, -1j * s, c)
-    elif kind == "RY":
-        entries = (c, -s, s, c)
-    else:
-        zero = np.zeros_like(half)
-        entries = (np.exp(-1j * half), zero, zero, np.exp(1j * half))
-    return tuple(np.array(entries, dtype=complex).reshape(4, -1, 1, 1))
+@lru_cache(maxsize=None)
+def _flip_index(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flip, pick, sign)``: each basis index with ``qubit``'s bit b flipped, b then 2 + b, and 1 - 2*b."""
+    index = np.arange(2**n)
+    shift = n - 1 - qubit
+    bit = (index >> shift) & 1
+    arrays = (index ^ (1 << shift), np.concatenate([bit, 2 + bit]), 1.0 - 2.0 * bit)
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
-def _apply_single(state: np.ndarray, entries: tuple, qubit: int, n: int) -> np.ndarray:
-    """Apply the 2x2 matrix ``entries`` to ``qubit`` of each n-qubit state in ``state`` (shape (B, 2**n)).
+def _kernel(state: np.ndarray, flip: np.ndarray, diag, off) -> np.ndarray:
+    """``diag * state + off * state[..., flip]``, with one temporary array fewer than that expression."""
+    # coefficients first: numpy's complex product need not round the same with its factors swapped
+    out = diag * state
+    out += off * state.take(flip, axis=-1)
+    return out
 
-    Each entry is a (1, 1, 1) array shared by every state or a (B, 1, 1) array, one per state.
-    """
-    a, b, c, d = entries
-    psi = state.reshape(-1, 2**qubit, 2, 2 ** (n - 1 - qubit))
-    low, high = psi[:, :, 0], psi[:, :, 1]
-    out = np.empty_like(psi)
-    np.add(a * low, b * high, out=out[:, :, 0])
-    np.add(c * low, d * high, out=out[:, :, 1])
-    return out.reshape(state.shape)
+
+def _apply_entries(state: np.ndarray, entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
+    """``state`` after the matrices whose entries are ``entries``, shape (..., 4), act on ``qubit``."""
+    flip, pick, _ = _flip_index(qubit, n)
+    expanded = entries.take(pick, axis=-1)
+    return _kernel(state, flip, expanded[..., : 2**n], expanded[..., 2**n :])
 
 
 @lru_cache(maxsize=64)
@@ -113,11 +110,12 @@ def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
 def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
     """Apply ``gates`` in order to ``batch`` copies of |0...0>; shape (B, 2**num_qubits).
 
-    The B circuits are simulated together as one (B, 2, ..., 2) state tensor.
-    A rotation's angle is a float, shared by all B circuits, or a length-B
-    array; an array of another length raises ``ValueError``.  Every final
-    state must be finite with unit norm (within 1e-10), so a NaN or infinite
-    angle in any row raises ``RuntimeError``.
+    The B circuits are simulated together, each single-qubit gate as one
+    flip-index kernel ``diag * state + off * state[:, flip]``.  A rotation's
+    angle is a float, shared by all B circuits, or a length-B array; an array
+    of another length raises ``ValueError``.  Every final state must be
+    finite with unit norm (within 1e-10), so a NaN or infinite angle in any
+    row raises ``RuntimeError``.
     """
     num_qubits = _check_integer(num_qubits, "num_qubits", minimum=1)
     if num_qubits > MAX_DENSE_QUBITS:
@@ -130,15 +128,24 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
         for gate in gates:
             if max(gate.qubits) >= num_qubits:
                 raise ValueError(f"gate {gate.kind} addresses qubit out of range: {gate.qubits}")
-            if gate.angle is not None and np.ndim(gate.angle) and np.shape(gate.angle) != (batch,):
-                raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
-                                 f"got shape {np.shape(gate.angle)}")
             if gate.kind == "CNOT":
-                state = state[:, _cnot_permutation(*gate.qubits, num_qubits)]
+                state = state.take(_cnot_permutation(*gate.qubits, num_qubits), axis=1)
             elif gate.kind in _ROTATIONS:
-                state = _apply_single(state, _rotation_entries(gate.kind, gate.angle), gate.qubits[0], num_qubits)
+                angle = np.asarray(gate.angle, dtype=float)
+                if angle.ndim and angle.shape != (batch,):
+                    raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
+                                     f"got shape {angle.shape}")
+                flip, _, sign = _flip_index(gate.qubits[0], num_qubits)
+                half = 0.5 * angle.reshape(-1, 1)  # (1, 1) for a float angle, (B, 1) for a length-B one
+                if gate.kind == "RZ":
+                    state = np.exp(-1j * (sign * half)) * state
+                elif gate.kind == "RX":
+                    state = _kernel(state, flip, np.cos(half), -1j * np.sin(half))
+                else:
+                    # RY's off-diagonal entry is -s where the bit is 0 and s where it is 1
+                    state = _kernel(state, flip, np.cos(half), -np.sin(half) * sign)
             else:
-                state = _apply_single(state, _FIXED_ENTRIES[gate.kind], gate.qubits[0], num_qubits)
+                state = _apply_entries(state, _FIXED_ENTRIES[gate.kind], gate.qubits[0], num_qubits)
     norms = np.linalg.norm(state, axis=1)
     # written so that a NaN norm fails the test too
     within = np.abs(norms - 1.0) <= _NORM_TOLERANCE
@@ -149,92 +156,111 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, tuple, np.ndarray]:
-    """What measuring a tuple of strings needs, built once per tuple: ``(n, rotations, signs)``.
+def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, tuple, tuple, tuple, np.ndarray, np.ndarray]:
+    """What measuring strings with these ``ops`` needs: ``(n, sizes, starts, rotations, signs, order)``.
 
-    ``labels`` holds the strings' ``ops``.  ``rotations`` holds ``(qubit,
-    entries)`` for each qubit that the strings' shared basis measures in X or
-    Y, and ``signs`` each string's parity signs, shape (k, 2**n).  The cache
-    is bounded, so a run that builds a new observable per operation does not
-    grow it, and keyed by labels, so it keeps no caller's objects alive.
+    Taken group by group (:func:`qubit_wise_groups`), group g holds the
+    ``sizes[g]`` strings from ``starts[g]`` on, with parity ``signs`` and
+    positions ``order`` in ``labels``.  ``rotations`` holds
+    ``(qubit, codes)`` per qubit that a group measures in X or Y: each group's
+    row of ``_TO_Z_ENTRIES``.  Keyed by labels, so it keeps no caller's objects.
     """
     paulis = tuple(map(PauliString, labels))
-    basis = measurement_basis(paulis)
-    rotations = tuple(
-        (qubit, _TO_Z_ENTRIES[label]) for qubit, label in enumerate(basis.ops) if label in _TO_Z_ENTRIES
-    )
-    signs = np.stack([pauli.parity_signs for pauli in paulis])
-    signs.flags.writeable = False
-    return basis.num_qubits, rotations, signs
+    bases, groups = qubit_wise_groups(paulis)
+    codes = np.array([[_TO_Z_CODES[label] for label in basis] for basis in bases], dtype=np.int8).T
+    rotations = tuple((qubit, to_z) for qubit, to_z in enumerate(codes) if to_z.any())
+    order = np.concatenate(groups)
+    signs = np.stack([paulis[index].parity_signs for index in order])
+    codes.flags.writeable = order.flags.writeable = signs.flags.writeable = False
+    sizes = tuple(map(len, groups))
+    return len(labels[0]), sizes, tuple(np.cumsum([0, *sizes]).tolist()), rotations, signs, order
 
 
-def _measurement_table(states: np.ndarray, paulis) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The front half of both expectations: ``(table, totals, signs)`` for a tuple of strings.
+def _measurement_passes(states: np.ndarray, paulis):
+    """Check the batch's shape; return a generator of ``(table, totals, sizes, signs, columns)`` per pass.
 
-    Rotates the states once into the strings' shared basis.  ``table`` holds
-    each state's |amplitude|^2 per outcome, not normalised, as shape
-    (B, 2**n); ``totals`` its row sums, the squared norms; ``signs`` each
-    string's parity signs, shape (k, 2**n).  A batch of another shape raises
-    ``ValueError``, and so does a state that is not finite or has zero norm,
-    which the totals show.
+    A pass rotates the batch into all G group bases at once with the flip-index
+    kernel, or into one if (B, k, 2**n) arrays would pass ``_PASS_NUMBERS``
+    numbers.  ``table`` is |amplitude|^2, shape (B, groups, 2**n), not
+    normalised; a row sum that is not finite and positive raises ``ValueError``.
     """
-    n, rotations, signs = _measurement_plan(tuple(pauli.ops for pauli in paulis))
+    n, sizes, starts, rotations, signs, order = _measurement_plan(tuple(pauli.ops for pauli in paulis))
     if states.ndim != 2 or states.shape[1] != 2**n:
         raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {n}")
-    # an infinite amplitude must reach the check as a non-finite total, not as a warning
-    with np.errstate(invalid="ignore", over="ignore"):
-        rotated = states
-        for qubit, entries in rotations:
-            rotated = _apply_single(rotated, entries, qubit, n)
-        # C order, so that each row's sums run in one order whatever the batch size and layout
-        table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
-        totals = table.sum(axis=1)
-        valid = np.isfinite(totals) & (totals > 0.0)
-        if not valid.all():
-            row = int(np.argmin(valid))
-            # the message quotes the state's own squared norm, which a rotation may turn from inf to NaN
-            squared_norm = np.einsum("j,j->", states[row].conj(), states[row]).real
-            raise ValueError(
-                f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norm!r}"
-            )
-    return table, totals, signs
+
+    def passes():
+        step = len(sizes) if len(states) * signs.size <= _PASS_NUMBERS else 1
+        for first in range(0, len(sizes), step):
+            last = first + step
+            # an infinite amplitude must reach the check as a non-finite total, not as a warning
+            with np.errstate(invalid="ignore", over="ignore"):
+                rotated = states[:, None, :]
+                for qubit, to_z in rotations:
+                    if step > 1 or to_z[first]:
+                        rotated = _apply_entries(rotated, _TO_Z_ENTRIES.take(to_z[first:last], axis=0), qubit, n)
+                # C order, so that each row's sums run in one order whatever the batch size and layout
+                table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
+                totals = table.sum(axis=-1)
+            valid = np.isfinite(totals) & (totals > 0.0)
+            if not valid.all():
+                # the first bad row of the first group that has one, as a group-by-group pass would find it
+                row = int(np.argmin(valid[:, np.argmin(valid.all(axis=0))]))
+                # the message quotes the state's own squared norm, which a rotation may turn from inf to NaN
+                squared_norm = np.einsum("j,j->", states[row].conj(), states[row]).real
+                raise ValueError(
+                    f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norm!r}"
+                )
+            strings = slice(starts[first], starts[last])
+            yield table, totals, sizes[first:last], signs[strings], order[strings]
+
+    return passes()
 
 
 def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
-    """<psi|P|psi> with no shot noise: P's parity signs dotted with the outcome table.
+    """<psi|P|psi> with no shot noise: P's parity signs dotted with its group's row of the outcome table.
 
     ``states`` is a batch of shape (B, 2**n) and ``paulis`` a tuple of k
-    qubit-wise-commuting ``PauliString``s; the result has shape (B, k).  The
-    table is not renormalised, so any finite nonzero state works; others
+    n-qubit ``PauliString``s, split into greedy qubit-wise-commuting groups
+    that one pass of flip-index kernels rotates the batch into (a pass per
+    group for large batches); the result, (B, k), follows ``paulis``.  Any
+    finite nonzero state works, as the table is not renormalised; others
     raise ``ValueError``.
     """
-    table, _, signs = _measurement_table(states, paulis)
-    # one (B, 2**n) product per string, not a (B, k, 2**n) one
-    return np.stack([(table * sign).sum(axis=-1) for sign in signs], axis=-1)
+    passes = _measurement_passes(states, paulis)
+    values = np.empty((len(states), len(paulis)))
+    for table, _, sizes, signs, columns in passes:
+        values[:, columns] = (table.repeat(sizes, axis=1) * signs).sum(axis=-1)
+    return values
 
 
 def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndarray:
     """Empirical means of ``shots`` simulated +/-1 measurements per Pauli string.
 
-    Shapes are as in :func:`exact_expectation`.  ``rngs`` holds one generator
-    or seed per state, each passed through ``numpy.random.default_rng``, so a
-    ``Generator`` is drawn from in place and its stream continues across
-    calls.  Each state draws its k histograms as one ``multinomial(shots, p,
-    size=k)`` from the normalised table: every string gets the full budget,
-    and its value is its parity signs dotted with its counts over ``shots``
-    (exactly 1.0 for an identity string).
+    Shapes, groups and passes are as in :func:`exact_expectation`.  ``rngs``
+    holds one generator or seed per state, passed through ``default_rng``, so
+    a ``Generator``'s stream continues across calls.  Each state draws, group
+    by group in order, one ``multinomial(shots, p, size=k_g)`` from the
+    group's normalised table row: every string gets the full budget, and its
+    value is its parity signs dotted with its counts over ``shots`` (exactly
+    1.0 for an identity string).
     """
     shots = _check_integer(shots, "shots", minimum=1)
-    table, totals, signs = _measurement_table(states, paulis)
+    passes = _measurement_passes(states, paulis)
     generators = np.asarray(rngs, dtype=object)
     if generators.shape != (len(states),):
         raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {(len(states),)}")
-    probs = table / totals[:, None]
-    counts = np.array([
-        np.random.default_rng(rng).multinomial(shots, p, size=len(signs)) for rng, p in zip(generators, probs)
-    ])
-    # the signs are +/-1 and the counts integers, so the sums are exact in any order
-    return (counts * signs).sum(axis=-1) / shots
+    generators = list(map(np.random.default_rng, generators))
+    values = np.empty((len(states), len(paulis)))
+    for table, totals, sizes, signs, columns in passes:
+        probs = table / totals[..., None]
+        # group by group, so that each state's generator draws its groups in order
+        counts = np.concatenate([
+            np.array([generator.multinomial(shots, p, size=size) for generator, p in zip(generators, probs[:, g])])
+            for g, size in enumerate(sizes)
+        ], axis=1)
+        # the signs are +/-1 and the counts integers, so the sums are exact in any order
+        values[:, columns] = (counts * signs).sum(axis=-1) / shots
+    return values
 
 
 def child_seed(root_seed: int, *path: int) -> np.random.SeedSequence:

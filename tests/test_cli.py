@@ -125,6 +125,23 @@ def test_config_dataclass_round_trip():
         RunConfig(problem="deuteron-1", algorithm="vqe", mode="shots", shots=0)
 
 
+def test_run_rejects_shots_in_exact_mode(capsys, tmp_path):
+    """An exact run that was given a shot count would print it next to 0 measurements."""
+    command = ["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--shots", "1000", "--seed", "1"]
+    code, out = _run(capsys, command)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+    assert "shots mode only" in json.loads(out)["error"]["message"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", "shots": 1000}))
+    assert _run(capsys, ["run", "--config", str(path)]) == (code, out)
+    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "vqe", "mode": "exact", "shots": None,
+                                "max_evals": 3}))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 0
+    assert json.loads(out)["shots"] is None
+
+
 @pytest.mark.parametrize("field, value", [("oversample", math.inf), ("oversample", math.nan),
                                           ("theta0", [math.nan])])
 def test_config_rejects_non_finite_numbers(field, value):

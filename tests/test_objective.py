@@ -19,7 +19,7 @@ from qsreg import (
 )
 from qsreg.ansatz import exact_objective
 from qsreg.cli import load_problem
-from qsreg.statevector import _measurement_plan, _measurement_table, child_seed
+from qsreg.statevector import _measurement_passes, _measurement_plan, child_seed
 from conftest import scan_polish_min
 
 
@@ -218,16 +218,18 @@ def test_shot_streams_are_one_generator_per_sample(deuteron2):
     points = nyquist_lattice([2, 2])
     values = evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=shots, seed=seed), points)
     states = ansatz.states(points)
+    strings = obs.grouped_terms[1]
     identity = sum(weight for weight, pauli in obs.terms if pauli.is_identity)
     for row, state in enumerate(states):
         rng = np.random.default_rng(child_seed(seed, row))
+        # the sampler's table in every group's basis, shape (G, 2**n)
+        tables = np.concatenate([table[0] for table, *_ in _measurement_passes(state[None], strings)])
         expected = 0.0
-        for group in obs.measurement_groups:
+        for group, table in zip(obs.measurement_groups, tables):
             paulis = tuple(obs.terms[i][1] for i in group)
             ops = [pauli.ops for pauli in paulis]
             basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*ops))
             vectors = _outcome_vectors(basis)
-            table = _measurement_table(state[None], paulis)[0][0]
             p = table / table.sum()
             assert np.max(np.abs(np.abs(vectors.conj().T @ state) ** 2 - p)) <= 1e-14
             counts = rng.multinomial(shots, p, size=len(group))
@@ -244,25 +246,36 @@ def test_groups_of_one_sample_continue_its_stream(deuteron2, monkeypatch):
 
     Handing each group a fresh stream from the same seed would reuse the
     same uniforms for every group and correlate the groups' shot noise.
+    After the query's one call, each row's generator must stand where a
+    fresh ``child_seed`` stream of its sample index stands after the G draws
+    ``multinomial(shots, p_g, size=k_g)``, in group order, each of which
+    moves it on.
     """
     import qsreg.objective
 
     seen = []
 
     def recording(states, paulis, shots, rngs):
-        seen.append([(id(rng), rng.bit_generator.state["state"]["state"]) for rng in rngs])
+        seen.append((states, paulis, shots, list(rngs)))
         return original(states, paulis, shots, rngs)
 
     original = qsreg.objective.sampled_expectation
     monkeypatch.setattr(qsreg.objective, "sampled_expectation", recording)
     ansatz, obs = deuteron2
     evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=100, seed=3), nyquist_lattice([1, 1]))
-    assert len(seen) == len(obs.measurement_groups) > 1
-    for row, calls in enumerate(zip(*seen)):
-        fresh = np.random.default_rng(child_seed(3, row)).bit_generator.state["state"]["state"]
-        assert calls[0][1] == fresh
-        assert len({generator for generator, _ in calls}) == 1
-        assert len({state for _, state in calls}) == len(calls)
+    assert len(seen) == 1 < len(obs.measurement_groups)
+    states, paulis, shots, generators = seen[0]
+    assert len({id(generator) for generator in generators}) == len(generators) == len(states)
+    passes = list(_measurement_passes(states, paulis))
+    table, totals = (np.concatenate([done[part] for done in passes], axis=1) for part in (0, 1))
+    for row, generator in enumerate(generators):
+        fresh = np.random.default_rng(child_seed(3, row))
+        positions = [fresh.bit_generator.state["state"]["state"]]
+        for g, group in enumerate(obs.measurement_groups):
+            fresh.multinomial(shots, table[row, g] / totals[row, g], size=len(group))
+            positions.append(fresh.bit_generator.state["state"]["state"])
+        assert len(set(positions)) == len(positions)
+        assert generator.bit_generator.state == fresh.bit_generator.state
 
 
 def test_measurement_accounting(deuteron1):
@@ -316,7 +329,7 @@ def test_builder_with_a_varying_gate_layout_is_rejected(deuteron1):
 
 
 def test_one_query_is_one_simulation_pass(monkeypatch):
-    """An 81-point lattice is simulated once and each measurement group is evaluated once."""
+    """An 81-point lattice is simulated once and all its measurement groups are measured in one call."""
     import qsreg.ansatz
     import qsreg.objective
 
@@ -335,8 +348,8 @@ def test_one_query_is_one_simulation_pass(monkeypatch):
                         counted("exact_expectation", qsreg.objective.exact_expectation))
     values = evaluate_batch(ObjectiveSpec(ansatz, obs), nyquist_lattice([1, 1, 1, 1]))
     assert values.shape == (81,)
-    assert len(obs.measurement_groups) < len(strings)
-    assert calls == {"apply_circuit": 1, "exact_expectation": len(obs.measurement_groups)}
+    assert 1 < len(obs.measurement_groups) < len(strings)
+    assert calls == {"apply_circuit": 1, "exact_expectation": 1}
 
 
 def test_observables_that_share_strings_keep_their_own_groups_and_weights():
@@ -396,3 +409,35 @@ def test_per_observable_data_does_not_grow_with_the_observables_seen():
         tracemalloc.stop()
     # a cache that kept every observable's groups grew by about 0.9 MB here
     assert grown < 256 * 1024
+
+
+def test_measurement_plans_stay_small():
+    """A full plan cache of 64 distinct 4-qubit, 8-term observables holds under 256 KB.
+
+    A plan keeps one code per (qubit, group) into three fixed 2x2 changes of
+    basis and expands them through the cached flip index at use; plans that
+    cached a (G, 2**n) complex table per rotated qubit held about 0.9 MB here.
+    """
+    ansatz = _ladder()[0]
+    rng = np.random.default_rng(64)
+    points = nyquist_lattice([1, 1, 1, 1])[:9]
+    tracemalloc.start()
+    try:
+        for _ in range(64):
+            strings = set()
+            while len(strings) < 8:
+                ops = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=4))
+                if ops != "IIII":
+                    strings.add(ops)
+            observable = ObservableSum(4, [(float(rng.normal()), ops) for ops in sorted(strings)])
+            evaluate_batch(ObjectiveSpec(ansatz, observable), points)
+        del observable
+        gc.collect()
+        assert _measurement_plan.cache_info().currsize == 64
+        full = tracemalloc.get_traced_memory()[0]
+        _measurement_plan.cache_clear()
+        gc.collect()
+        held = full - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 256 * 1024

@@ -14,7 +14,7 @@ from qsreg import (
     exact_spectrum,
     parse_observable,
 )
-from qsreg.observables import measurement_basis
+from qsreg.observables import qubit_wise_groups
 from qsreg.statevector import exact_expectation
 
 
@@ -122,6 +122,17 @@ def _pauli_sums(draw):
     return ObservableSum(n, [(1.0, ops) for ops in strings])
 
 
+def _shared_basis(paulis):
+    """The per-qubit basis that measures every string of ``paulis``, or None if two of them differ on a qubit."""
+    basis = []
+    for labels in zip(*(pauli.ops for pauli in paulis)):
+        used = set(labels) - {"I"}
+        if len(used) > 1:
+            return None
+        basis.append(used.pop() if used else "I")
+    return "".join(basis)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_pauli_sums())
 def test_measurement_groups_partition_the_terms_into_qubit_wise_commuting_sets(obs):
@@ -133,32 +144,34 @@ def test_measurement_groups_partition_the_terms_into_qubit_wise_commuting_sets(o
     assert [group[0] for group in groups] == sorted(group[0] for group in groups)
     assert all(list(group) == sorted(group) for group in groups)
     for group in groups:
-        for qubit in range(obs.num_qubits):
-            labels = {obs.terms[index][1].ops[qubit] for index in group} - {"I"}
-            assert len(labels) <= 1
-        basis = measurement_basis(obs.terms[index][1] for index in group).ops
+        basis = _shared_basis(obs.terms[index][1] for index in group)
+        assert basis is not None
         for index in group:
             assert all(p in ("I", b) for p, b in zip(obs.terms[index][1].ops, basis))
     # greedy: a group's first term commutes qubit-wise with no earlier group's basis at that point
     for later, group in enumerate(groups):
         for earlier in groups[:later]:
             opened_before = [index for index in earlier if index < group[0]]
-            with pytest.raises(ValueError, match="qubit-wise"):
-                measurement_basis(obs.terms[index][1] for index in (*opened_before, group[0]))
+            assert _shared_basis([obs.terms[index][1] for index in (*opened_before, group[0])]) is None
 
 
 def test_deuteron_3q_is_measured_in_three_bases(deuteron2):
     obs = deuteron2[1]
     groups = obs.measurement_groups
     assert len(groups) == 3
-    assert [measurement_basis(obs.terms[i][1] for i in group).ops for group in groups] == ["ZZZ", "XXX", "YYY"]
+    assert [_shared_basis(obs.terms[i][1] for i in group) for group in groups] == ["ZZZ", "XXX", "YYY"]
+    strings = [pauli for _, pauli in obs.terms if not pauli.is_identity]
+    assert qubit_wise_groups(strings)[0] == ("ZZZ", "XXX", "YYY")
 
 
-def test_measurement_basis_rejects_empty_and_non_commuting_input():
-    with pytest.raises(ValueError):
-        measurement_basis([])
-    with pytest.raises(ValueError, match="qubit-wise"):
-        measurement_basis([PauliString("XI"), PauliString("YI")])
+def test_qubit_wise_groups_reject_empty_and_mixed_length_input():
+    with pytest.raises(ValueError, match="at least one"):
+        qubit_wise_groups([])
+    with pytest.raises(ValueError, match="different qubit counts"):
+        qubit_wise_groups([PauliString("XI"), PauliString("X")])
+    # strings that do not commute qubit-wise open a group each
+    strings = [PauliString("XI"), PauliString("YI"), PauliString("IZ")]
+    assert qubit_wise_groups(strings) == (("XZ", "YI"), ((0, 2), (1,)))
 
 
 @pytest.mark.parametrize("ops", ["Z", "XI", "IY", "XYZ", "IIII", "ZIXY"])

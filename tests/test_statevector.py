@@ -209,13 +209,12 @@ def test_exact_expectation_textbook_values():
 
 def test_basis_rotation_equivalence():
     """<X> on psi equals <Z> on H psi, validating measurement rotations."""
-    from qsreg.statevector import _FIXED_ENTRIES, _apply_single
-
     rng = np.random.default_rng(17)
+    h_on_qubit_1 = _kron_all([np.eye(2), _TEXTBOOK_FIXED["H"]])
     for _ in range(10):
         state = rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4))
         state /= np.linalg.norm(state)
-        rotated = _apply_single(state, _FIXED_ENTRIES["H"], 1, 2)
+        rotated = state @ h_on_qubit_1.T
         x_val = exact_expectation(state, (PauliString("IX"),))[0, 0]
         z_val = exact_expectation(rotated, (PauliString("IZ"),))[0, 0]
         assert x_val == pytest.approx(z_val, abs=1e-12)
@@ -350,14 +349,31 @@ def test_exact_expectation_is_not_renormalised():
             assert exact_expectation(state, (pauli,))[0, 0] == pytest.approx(reference, rel=1e-13, abs=1e-13)
 
 
-def test_grouped_call_rejects_strings_that_do_not_commute_qubit_wise():
+def test_strings_that_do_not_commute_qubit_wise_are_split_into_groups():
+    """One call groups its strings greedily and answers in their order, as one call per group would.
+
+    ``XZ`` and ``ZZ`` do not commute qubit-wise, so ``(XZ, ZZ, XI, IZ)``
+    forms the groups ``(XZ, XI, IZ)`` and ``(ZZ,)``.  Shot mode draws the
+    groups in that order from each state's one generator.
+    """
     states = _random_states(np.random.default_rng(0), 2, 2)
-    with pytest.raises(ValueError, match="qubit-wise"):
-        sampled_expectation(states, (PauliString("XZ"), PauliString("ZZ")), 10, [1, 2])
-    with pytest.raises(ValueError, match="qubit-wise"):
-        exact_expectation(states, (PauliString("XZ"), PauliString("ZZ")))
+    paulis = tuple(map(PauliString, ("XZ", "ZZ", "XI", "IZ")))
+    groups = ((0, 2, 3), (1,))
+    exact = exact_expectation(states, paulis)
+    assert exact.shape == (2, 4)
+    for group in groups:
+        assert np.array_equal(exact[:, group], exact_expectation(states, tuple(paulis[i] for i in group)))
+    sampled = sampled_expectation(states, paulis, 10, [1, 2])
+    assert sampled.shape == (2, 4)
+    generators = [np.random.default_rng(seed) for seed in (1, 2)]
+    for group in groups:
+        assert np.array_equal(sampled[:, group],
+                              sampled_expectation(states, tuple(paulis[i] for i in group), 10, generators))
     with pytest.raises(ValueError, match="one generator per state"):
         sampled_expectation(states, (PauliString("XZ"), PauliString("XI")), 10, [1, 2, 3])
+    for bad in ((), (PauliString("XZ"), PauliString("Z"))):
+        with pytest.raises(ValueError, match="at least one|different qubit counts"):
+            exact_expectation(states, bad)
 
 
 def test_batched_expectations_equal_per_state_calls():
@@ -420,16 +436,22 @@ def test_non_finite_or_zero_norm_states_are_rejected(bad, measure):
 ])
 @pytest.mark.parametrize("ops", ["XX", "YI", "IY", "XY"])
 def test_rotated_bases_reject_the_rows_and_messages_of_the_z_basis(bad, ops):
-    """The check reads the rotated table's row sums; a rotation must not hide a bad row or change its message."""
+    """The check reads the rotated table's row sums; a rotation must not hide a bad row or change its message.
+
+    That holds for one string and for calls that rotate several groups at
+    once, whichever groups rotate and in whichever order they come.
+    """
     states = np.array([[0.5, 0.5, 0.5, 0.5], bad], dtype=complex)
     with pytest.raises(ValueError) as z_basis:
         exact_expectation(states, (PauliString("ZZ"),))
     assert "batch row 1" in str(z_basis.value)
-    for measure in (lambda: exact_expectation(states, (PauliString(ops),)),
-                    lambda: sampled_expectation(states, (PauliString(ops),), 10, [1, 2])):
-        with pytest.raises(ValueError) as rotated:
-            measure()
-        assert str(rotated.value) == str(z_basis.value)
+    for labels in ((ops,), (ops, "ZZ"), ("ZZ", ops), (ops, "XX", "YY", "ZZ"), ("YY", "XY", ops)):
+        paulis = tuple(map(PauliString, labels))
+        for measure in (lambda: exact_expectation(states, paulis),
+                        lambda: sampled_expectation(states, paulis, 10, [1, 2])):
+            with pytest.raises(ValueError) as rotated:
+                measure()
+            assert str(rotated.value) == str(z_basis.value)
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 4), (1, 1, 2)])
@@ -487,3 +509,31 @@ def test_child_seed_rejects_entries_that_are_not_integers(entries):
 def test_qubit_indices_and_counts_must_be_integers(build):
     with pytest.raises(ValueError, match="qubit"):
         build()
+
+
+def test_a_large_batch_is_measured_group_by_group_with_the_same_results(monkeypatch):
+    """Past ``_PASS_NUMBERS`` each group takes its own pass: the values are the same, the memory a group's.
+
+    One pass over all 16 groups holds (B, G, 2**n) complex amplitudes and a
+    (B, k, 2**n) product: its tracemalloc peak here is 18 MB, against 1.6 MB.
+    """
+    import tracemalloc
+
+    import qsreg.statevector
+
+    rng = np.random.default_rng(53)
+    strings = sorted({"".join(rng.choice(list("IXYZ"), size=6)) for _ in range(20)} - {"IIIIII"})
+    paulis = ObservableSum(6, [(1.0, ops) for ops in strings]).grouped_terms[1]
+    states = _random_states(rng, 400, 6)
+    tracemalloc.start()
+    try:
+        exact = exact_expectation(states, paulis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    seeds = [child_seed(5, row) for row in range(400)]
+    sampled = sampled_expectation(states, paulis, 100, seeds)
+    assert peak < 3 * 1024 * 1024
+    monkeypatch.setattr(qsreg.statevector, "_PASS_NUMBERS", 1 << 40)
+    assert np.array_equal(exact_expectation(states, paulis), exact)
+    assert np.array_equal(sampled_expectation(states, paulis, 100, seeds), sampled)
