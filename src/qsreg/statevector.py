@@ -30,7 +30,8 @@ _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
 # a 2x2 matrix as the kernel takes it, (m00, m11, m01, m10): its diagonal, then its off-diagonal, entry per bit
 _ENTRY_ORDER = [0, 3, 1, 2]
-_FIXED_ENTRIES = {kind: PAULI_MATRICES.get(kind, _H_MATRIX).ravel()[_ENTRY_ORDER] for kind in "HXYZ"}
+_FIXED_MATRICES = {"H": _H_MATRIX, **{kind: PAULI_MATRICES[kind] for kind in "XYZ"}}
+_FIXED_ENTRIES = {kind: matrix.ravel()[_ENTRY_ORDER] for kind, matrix in _FIXED_MATRICES.items()}
 # the change of basis onto Z per label of a measurement basis, by code: none, H for X, S^dagger then H for Y
 _TO_Z_CODES = {"I": 0, "Z": 0, "X": 1, "Y": 2}
 _TO_Z_ENTRIES = np.array([m.ravel()[_ENTRY_ORDER] for m in (np.eye(2), _H_MATRIX, _H_MATRIX @ np.diag([1, -1j]))])
@@ -71,7 +72,7 @@ class Gate:
             raise ValueError("qubit indices must be non-negative integers")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _flip_index(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(flip, pick, sign)``: each basis index with ``qubit``'s bit b flipped, b then 2 + b, and 1 - 2*b."""
     index = np.arange(2**n)
