@@ -3,11 +3,11 @@
 A *sample* is one objective evaluation at one parameter point; a *query* is
 one backend round trip (a batched request counts once).  Exact and shot mode
 share one measurement path: a query makes one expectation call with all the
-observable's non-identity terms in group order, and one pass of flip-index
-kernels rotates the batch into every qubit-wise-commuting group's basis at
-once, where |amplitude|^2 is taken.  Exact mode reads each term off its
-group's table; shot mode draws each term's histogram from it with the full
-shot budget.  Each sample owns one random stream ``(seed, sample_index)``,
+observable's non-identity terms in group order, which rotates the batch with
+flip-index kernels into each qubit-wise-commuting group's basis in turn and
+takes |amplitude|^2 there.  Exact mode reads each term off its group's
+table; shot mode draws each term's histogram from it with the full shot
+budget.  Each sample owns one random stream ``(seed, sample_index)``,
 consumed group by group in group order.  The identity weight is added
 classically and never consumes shots.
 """

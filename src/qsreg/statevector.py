@@ -2,9 +2,7 @@
 
 Amplitude indexing follows the observable convention: qubit 0 is the most
 significant bit of the basis-state index.  Rotations use
-R_A(theta) = exp(-i*theta*A/2).  A 2x2 matrix M maps amplitude i to
-M[b, b] psi[i] + M[b, 1-b] psi[i ^ mask], b being i's bit on the gate's
-qubit: every single-qubit gate is ``diag * state + off * state[:, flip]``.
+R_A(theta) = exp(-i*theta*A/2).
 """
 from __future__ import annotations
 
@@ -28,17 +26,13 @@ _ROTATIONS = {"RX", "RY", "RZ"}
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex)
-# a 2x2 matrix as the kernel takes it, (m00, m11, m01, m10): its diagonal, then its off-diagonal, entry per bit
-_ENTRY_ORDER = [0, 3, 1, 2]
 _FIXED_MATRICES = {"H": _H_MATRIX, **{kind: PAULI_MATRICES[kind] for kind in "XYZ"}}
-_FIXED_ENTRIES = {kind: matrix.ravel()[_ENTRY_ORDER] for kind, matrix in _FIXED_MATRICES.items()}
-# the change of basis onto Z per label of a measurement basis, by code: none, H for X, S^dagger then H for Y
-_TO_Z_CODES = {"I": 0, "Z": 0, "X": 1, "Y": 2}
-_TO_Z_ENTRIES = np.array([m.ravel()[_ENTRY_ORDER] for m in (np.eye(2), _H_MATRIX, _H_MATRIX @ np.diag([1, -1j]))])
+# the change of basis onto Z of a qubit measured in X (H) or in Y (S^dagger, then H)
+_TO_Z_KINDS = {"X": "H", "Y": "SdgH"}
+_KERNEL_MATRICES = {**_FIXED_MATRICES, "SdgH": _H_MATRIX @ np.diag([1, -1j])}
 
 _NORM_TOLERANCE = 1e-10
-# numbers in the (B, k, 2**n) arrays of a measurement over all groups at once, above which each group takes a pass
-_PASS_NUMBERS = 1 << 14
+_BIT_SIGNS = np.array([1.0, -1.0])  # 1 - 2*b for a qubit's bit b
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class Gate:
     angle: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _FIXED_ENTRIES:
+        if self.kind in _FIXED_MATRICES:
             if len(self.qubits) != 1 or self.angle is not None:
                 raise ValueError(f"{self.kind} takes one qubit and no angle")
         elif self.kind in _ROTATIONS:
@@ -73,30 +67,30 @@ class Gate:
 
 
 @lru_cache(maxsize=64)
-def _flip_index(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(flip, pick, sign)``: each basis index with ``qubit``'s bit b flipped, b then 2 + b, and 1 - 2*b."""
+def _flip_index(qubit: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(flip, bit)``: each basis index with ``qubit``'s bit flipped, and that bit."""
     index = np.arange(2**n)
-    shift = n - 1 - qubit
-    bit = (index >> shift) & 1
-    arrays = (index ^ (1 << shift), np.concatenate([bit, 2 + bit]), 1.0 - 2.0 * bit)
-    for array in arrays:
-        array.flags.writeable = False
-    return arrays
+    flip, bit = index ^ (1 << (n - 1 - qubit)), (index >> (n - 1 - qubit)) & 1
+    flip.flags.writeable = bit.flags.writeable = False
+    return flip, bit
 
 
-def _kernel(state: np.ndarray, flip: np.ndarray, diag, off) -> np.ndarray:
-    """``diag * state + off * state[..., flip]``, with one temporary array fewer than that expression."""
-    # coefficients first: numpy's complex product need not round the same with its factors swapped
-    out = diag * state
-    out += off * state.take(flip, axis=-1)
+def _kernel(state: np.ndarray, flip: np.ndarray, diag, off, out=None) -> np.ndarray:
+    """``diag * state + off * state[..., flip]``, written into ``out`` if given, which may be ``state`` itself."""
+    # coefficients first: with its factors swapped, a complex product may round apart
+    flipped = state.take(flip, axis=-1)
+    out = np.multiply(diag, state, out)
+    out += np.multiply(off, flipped, flipped)
     return out
 
 
-def _apply_entries(state: np.ndarray, entries: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    """``state`` after the matrices whose entries are ``entries``, shape (..., 4), act on ``qubit``."""
-    flip, pick, _ = _flip_index(qubit, n)
-    expanded = entries.take(pick, axis=-1)
-    return _kernel(state, flip, expanded[..., : 2**n], expanded[..., 2**n :])
+@lru_cache(maxsize=64)
+def _fixed_kernel(kind: str, qubit: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(flip, diag, off)`` of a fixed matrix M on ``qubit``: M[b, b] and M[b, 1 - b] where its bit is b."""
+    flip, bit = _flip_index(qubit, n)
+    diag, off = _KERNEL_MATRICES[kind][bit, bit], _KERNEL_MATRICES[kind][bit, 1 - bit]
+    diag.flags.writeable = off.flags.writeable = False
+    return flip, diag, off
 
 
 @lru_cache(maxsize=64)
@@ -111,12 +105,11 @@ def _cnot_permutation(control: int, target: int, n: int) -> np.ndarray:
 def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
     """Apply ``gates`` in order to ``batch`` copies of |0...0>; shape (B, 2**num_qubits).
 
-    The B circuits are simulated together, each single-qubit gate as one
-    flip-index kernel ``diag * state + off * state[:, flip]``.  A rotation's
-    angle is a float, shared by all B circuits, or a length-B array; an array
-    of another length raises ``ValueError``.  Every final state must be
-    finite with unit norm (within 1e-10), so a NaN or infinite angle in any
-    row raises ``RuntimeError``.
+    The B circuits are simulated together, a single-qubit gate as one kernel
+    ``diag * state + off * state[:, flip]``.  A rotation's angle is a float,
+    shared by all B circuits, or a length-B array; others raise ``ValueError``.
+    Every final state must be finite with unit norm (within 1e-10), so a NaN
+    or infinite angle in any row raises ``RuntimeError``.
     """
     num_qubits = _check_integer(num_qubits, "num_qubits", minimum=1)
     if num_qubits > MAX_DENSE_QUBITS:
@@ -136,17 +129,18 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
                 if angle.ndim and angle.shape != (batch,):
                     raise ValueError(f"{gate.kind} angle must be a float or a length-{batch} array, "
                                      f"got shape {angle.shape}")
-                flip, _, sign = _flip_index(gate.qubits[0], num_qubits)
+                flip, bit = _flip_index(gate.qubits[0], num_qubits)
                 half = 0.5 * angle.reshape(-1, 1)  # (1, 1) for a float angle, (B, 1) for a length-B one
                 if gate.kind == "RZ":
-                    state = np.exp(-1j * (sign * half)) * state
+                    # exp(-i*sign*theta/2) for each value of the bit, then spread over the basis
+                    state = np.multiply(np.exp(-1j * (_BIT_SIGNS * half)).take(bit, axis=1), state, state)
                 elif gate.kind == "RX":
-                    state = _kernel(state, flip, np.cos(half), -1j * np.sin(half))
+                    state = _kernel(state, flip, np.cos(half), -1j * np.sin(half), state)
                 else:
                     # RY's off-diagonal entry is -s where the bit is 0 and s where it is 1
-                    state = _kernel(state, flip, np.cos(half), -np.sin(half) * sign)
+                    state = _kernel(state, flip, np.cos(half), (-np.sin(half) * _BIT_SIGNS).take(bit, axis=1), state)
             else:
-                state = _apply_entries(state, _FIXED_ENTRIES[gate.kind], gate.qubits[0], num_qubits)
+                state = _kernel(state, *_fixed_kernel(gate.kind, gate.qubits[0], num_qubits), state)
     norms = np.linalg.norm(state, axis=1)
     # written so that a NaN norm fails the test too
     within = np.abs(norms - 1.0) <= _NORM_TOLERANCE
@@ -157,93 +151,81 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, tuple, tuple, tuple, np.ndarray, np.ndarray]:
-    """What measuring strings with these ``ops`` needs: ``(n, sizes, starts, rotations, signs, order)``.
+def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, np.ndarray, tuple]:
+    """What measuring strings with these ``ops`` needs: ``(n, signs, groups)``.
 
-    Taken group by group (:func:`qubit_wise_groups`), group g holds the
-    ``sizes[g]`` strings from ``starts[g]`` on, with parity ``signs`` and
-    positions ``order`` in ``labels``.  ``rotations`` holds
-    ``(qubit, codes)`` per qubit that a group measures in X or Y: each group's
-    row of ``_TO_Z_ENTRIES``.  Keyed by labels, so it keeps no caller's objects.
+    ``signs`` holds the strings' parity signs, (k, 2**n), and ``groups`` each
+    greedy group's basis and the positions of its strings
+    (:func:`qubit_wise_groups`).  Bounded and keyed by labels, the cache
+    neither grows with the observables seen nor keeps them.
     """
     paulis = tuple(map(PauliString, labels))
-    bases, groups = qubit_wise_groups(paulis)
-    codes = np.array([[_TO_Z_CODES[label] for label in basis] for basis in bases], dtype=np.int8).T
-    rotations = tuple((qubit, to_z) for qubit, to_z in enumerate(codes) if to_z.any())
-    order = np.concatenate(groups)
-    signs = np.stack([paulis[index].parity_signs for index in order])
-    codes.flags.writeable = order.flags.writeable = signs.flags.writeable = False
-    sizes = tuple(map(len, groups))
-    return len(labels[0]), sizes, tuple(np.cumsum([0, *sizes]).tolist()), rotations, signs, order
+    groups = tuple(zip(*qubit_wise_groups(paulis)))
+    signs = np.stack([pauli.parity_signs for pauli in paulis])
+    signs.flags.writeable = False
+    return len(labels[0]), signs, groups
 
 
 def _measurement_passes(states: np.ndarray, paulis):
-    """Check the batch's shape; return a generator of ``(table, totals, sizes, signs, columns)`` per pass.
+    """Check the batch's shape; return an iterator of ``(table, totals, signs, columns)``, one per group.
 
-    A pass rotates the batch into all G group bases at once with the flip-index
-    kernel, or into one if (B, k, 2**n) arrays would pass ``_PASS_NUMBERS``
-    numbers.  ``table`` is |amplitude|^2, shape (B, groups, 2**n), not
-    normalised; a row sum that is not finite and positive raises ``ValueError``.
+    A pass rotates the batch into its group's basis with flip-index kernels:
+    ``table`` is |amplitude|^2, (B, 2**n), not normalised, and ``totals`` its
+    row sums; the first row whose sum is not finite and positive raises
+    ``ValueError``.
     """
-    n, sizes, starts, rotations, signs, order = _measurement_plan(tuple(pauli.ops for pauli in paulis))
+    n, signs, groups = _measurement_plan(tuple(pauli.ops for pauli in paulis))
     if states.ndim != 2 or states.shape[1] != 2**n:
         raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {n}")
 
     def passes():
-        step = len(sizes) if len(states) * signs.size <= _PASS_NUMBERS else 1
-        for first in range(0, len(sizes), step):
-            last = first + step
+        for basis, columns in groups:
             # an infinite amplitude must reach the check as a non-finite total, not as a warning
             with np.errstate(invalid="ignore", over="ignore"):
-                rotated = states[:, None, :]
-                for qubit, to_z in rotations:
-                    if step > 1 or to_z[first]:
-                        rotated = _apply_entries(rotated, _TO_Z_ENTRIES.take(to_z[first:last], axis=0), qubit, n)
+                rotated = states
+                for qubit, label in enumerate(basis):
+                    if label in _TO_Z_KINDS:
+                        kernel = _fixed_kernel(_TO_Z_KINDS[label], qubit, n)
+                        rotated = _kernel(rotated, *kernel, None if rotated is states else rotated)
                 # C order, so that each row's sums run in one order whatever the batch size and layout
                 table = np.ascontiguousarray(rotated.real**2 + rotated.imag**2)
-                totals = table.sum(axis=-1)
-            valid = np.isfinite(totals) & (totals > 0.0)
-            if not valid.all():
-                # the first bad row of the first group that has one, as a group-by-group pass would find it
-                row = int(np.argmin(valid[:, np.argmin(valid.all(axis=0))]))
+                totals = table.sum(axis=1)
+            # min and max propagate NaN, so this passes only finite positive totals
+            if not (totals.min() > 0.0 and totals.max() < np.inf):
+                row = int(np.argmin(np.isfinite(totals) & (totals > 0.0)))
                 # the message quotes the state's own squared norm, which a rotation may turn from inf to NaN
-                squared_norm = np.einsum("j,j->", states[row].conj(), states[row]).real
-                raise ValueError(
-                    f"states must be finite with nonzero norm; batch row {row} has squared norm {squared_norm!r}"
-                )
-            strings = slice(starts[first], starts[last])
-            yield table, totals, sizes[first:last], signs[strings], order[strings]
-
+                norm = np.einsum("j,j->", states[row].conj(), states[row]).real
+                raise ValueError(f"states must be finite with nonzero norm; batch row {row} has squared norm {norm!r}")
+            yield table, totals, signs.take(columns, axis=0), columns
     return passes()
 
 
 def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
-    """<psi|P|psi> with no shot noise: P's parity signs dotted with its group's row of the outcome table.
+    """<psi|P|psi> with no shot noise: P's parity signs dotted with its group's outcome table.
 
     ``states`` is a batch of shape (B, 2**n) and ``paulis`` a tuple of k
-    n-qubit ``PauliString``s, split into greedy qubit-wise-commuting groups
-    that one pass of flip-index kernels rotates the batch into (a pass per
-    group for large batches); the result, (B, k), follows ``paulis``.  Any
-    finite nonzero state works, as the table is not renormalised; others
-    raise ``ValueError``.
+    n-qubit ``PauliString``s, measured group by group in one call; the
+    result, (B, k), follows ``paulis``.  The table is not renormalised, so
+    any finite nonzero state works; others raise ``ValueError``.
     """
     passes = _measurement_passes(states, paulis)
     values = np.empty((len(states), len(paulis)))
-    for table, _, sizes, signs, columns in passes:
-        values[:, columns] = (table.repeat(sizes, axis=1) * signs).sum(axis=-1)
+    for table, _, signs, columns in passes:
+        # one (B, 2**n) product per string, not a (B, k_g, 2**n) one
+        for column, sign in zip(columns, signs):
+            values[:, column] = (table * sign).sum(axis=-1)
     return values
 
 
 def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndarray:
     """Empirical means of ``shots`` simulated +/-1 measurements per Pauli string.
 
-    Shapes, groups and passes are as in :func:`exact_expectation`.  ``rngs``
-    holds one generator or seed per state, passed through ``default_rng``, so
-    a ``Generator``'s stream continues across calls.  Each state draws, group
-    by group in order, one ``multinomial(shots, p, size=k_g)`` from the
-    group's normalised table row: every string gets the full budget, and its
-    value is its parity signs dotted with its counts over ``shots`` (exactly
-    1.0 for an identity string).
+    Shapes and groups are as in :func:`exact_expectation`.  ``rngs`` holds
+    one generator or seed per state, passed through ``default_rng``, so a
+    ``Generator``'s stream continues across calls.  Each state draws one
+    ``multinomial(shots, p, size=k_g)`` per group, in group order, from the
+    group's normalised table row; a string's value is its parity signs dotted
+    with its counts over ``shots`` (exactly 1.0 for the identity).
     """
     shots = _check_integer(shots, "shots", minimum=1)
     passes = _measurement_passes(states, paulis)
@@ -252,13 +234,9 @@ def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndar
         raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {(len(states),)}")
     generators = list(map(np.random.default_rng, generators))
     values = np.empty((len(states), len(paulis)))
-    for table, totals, sizes, signs, columns in passes:
-        probs = table / totals[..., None]
-        # group by group, so that each state's generator draws its groups in order
-        counts = np.concatenate([
-            np.array([generator.multinomial(shots, p, size=size) for generator, p in zip(generators, probs[:, g])])
-            for g, size in enumerate(sizes)
-        ], axis=1)
+    for table, totals, signs, columns in passes:
+        probs = table / totals[:, None]
+        counts = np.array([rng.multinomial(shots, p, size=len(signs)) for rng, p in zip(generators, probs)])
         # the signs are +/-1 and the counts integers, so the sums are exact in any order
         values[:, columns] = (counts * signs).sum(axis=-1) / shots
     return values

@@ -222,8 +222,8 @@ def test_shot_streams_are_one_generator_per_sample(deuteron2):
     identity = sum(weight for weight, pauli in obs.terms if pauli.is_identity)
     for row, state in enumerate(states):
         rng = np.random.default_rng(child_seed(seed, row))
-        # the sampler's table in every group's basis, shape (G, 2**n)
-        tables = np.concatenate([table[0] for table, *_ in _measurement_passes(state[None], strings)])
+        # the sampler's table in every group's basis, one (2**n,) row per group
+        tables = [table[0] for table, *_ in _measurement_passes(state[None], strings)]
         expected = 0.0
         for group, table in zip(obs.measurement_groups, tables):
             paulis = tuple(obs.terms[i][1] for i in group)
@@ -267,7 +267,7 @@ def test_groups_of_one_sample_continue_its_stream(deuteron2, monkeypatch):
     states, paulis, shots, generators = seen[0]
     assert len({id(generator) for generator in generators}) == len(generators) == len(states)
     passes = list(_measurement_passes(states, paulis))
-    table, totals = (np.concatenate([done[part] for done in passes], axis=1) for part in (0, 1))
+    table, totals = (np.stack([done[part] for done in passes], axis=1) for part in (0, 1))
     for row, generator in enumerate(generators):
         fresh = np.random.default_rng(child_seed(3, row))
         positions = [fresh.bit_generator.state["state"]["state"]]
@@ -414,9 +414,10 @@ def test_per_observable_data_does_not_grow_with_the_observables_seen():
 def test_measurement_plans_stay_small():
     """A full plan cache of 64 distinct 4-qubit, 8-term observables holds under 256 KB.
 
-    A plan keeps one code per (qubit, group) into three fixed 2x2 changes of
-    basis and expands them through the cached flip index at use; plans that
-    cached a (G, 2**n) complex table per rotated qubit held about 0.9 MB here.
+    A plan keeps each group's basis as a string and the strings' parity
+    signs; the change-of-basis vectors are cached per qubit, not per
+    observable.  Plans that cached a (G, 2**n) complex table per rotated
+    qubit held about 0.9 MB here.
     """
     ansatz = _ladder()[0]
     rng = np.random.default_rng(64)
