@@ -171,18 +171,18 @@ def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     """Deterministic global minimization of a fitted model.
 
     A lexicographic grid scan over ]-pi, pi]^n with M_j = 8*(2*S_j+1) points
-    per axis is streamed one leading-axis slab at a time: the coefficients are
-    contracted once over axes 1..n-1, so memory is that (2*S_0+1) x
-    prod_{j>0} M_j partial plus one slab, and only the 8 best cells are kept
-    (ties break to the lexicographically smallest point).  Newton's method
-    then runs from those 8 cells at once, with the model's exact gradient and
-    Hessian.  Each step is saddle-free (Hessian eigenvalues replaced by
-    max(|lambda|, 1e-8 * sum|c|)) and is halved until the value does not
-    rise.  A start retires once its full or halved step is under 1e-10
-    radians or a step leaves its value unchanged, and all stop after a fixed
-    number of steps.  The lowest Newton end replaces the best cell if it is
-    not higher.  All of this is invariant under positive rescaling of the
-    model: bit-exact for binary scales.
+    per axis is streamed in blocks of whole leading-axis rows, about 2**14
+    values each: the coefficients are contracted once over axes 1..n-1, so
+    memory is that (2*S_0+1) x prod_{j>0} M_j partial plus one block, and only
+    the 8 best cells are kept (ties break to the lexicographically smallest
+    point).  Newton's method then runs from those 8 cells at once, with the
+    model's exact gradient and Hessian.  Each step is saddle-free (Hessian
+    eigenvalues replaced by max(|lambda|, 1e-8 * sum|c|)) and is halved until
+    the value does not rise.  A start retires once its full or halved step is
+    under 1e-10 radians or a step leaves its value unchanged, and all stop
+    after a fixed number of steps.  The lowest Newton end replaces the best
+    cell if it is not higher.  All of this is invariant under positive
+    rescaling of the model: bit-exact for binary scales.
 
     The scan bounds values, not basins: Bernstein's inequality puts the best
     grid value within sigma^2 * (max - min) / 4 of the model minimum,
@@ -247,18 +247,23 @@ def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]
     best_values = np.empty(0)
     best_index = np.empty(0, dtype=np.int64)
     stride = math.prod(shape[1:])
-    for i, slab in enumerate(model._grid_slabs(axes)):
+    for first_row, block in model._grid_slabs(axes):
+        block = block.reshape(-1)
         if best_values.size < keep:
-            # no k-th best yet: the slab's own k-th value bounds which of its cells can enter
-            rank = min(keep, slab.size) - 1
-            pool = np.flatnonzero(slab <= np.partition(slab, rank)[rank])
-        else:
+            # no k-th best yet: the block's own k-th value bounds which of its cells can enter
+            rank = min(keep, block.size) - 1
+            pool = np.flatnonzero(block <= np.partition(block, rank)[rank])
+        elif block.min() < best_values[-1]:
             # a later cell tying the k-th best has a larger flat index and loses the tie
-            pool = np.flatnonzero(slab < best_values[-1])
-        if pool.size == 0:
-            continue
-        values = np.concatenate([best_values, slab[pool]])
-        index = np.concatenate([best_index, i * stride + pool])
+            pool = np.flatnonzero(block < best_values[-1])
+            if pool.size > keep:
+                # of these only the block's own k best, ties included, can enter
+                candidates = block[pool]
+                pool = pool[candidates <= np.partition(candidates, keep - 1)[keep - 1]]
+        else:
+            continue  # the one pass most blocks take: none of their cells can enter
+        values = np.concatenate([best_values, block[pool]])
+        index = np.concatenate([best_index, first_row * stride + pool])
         order = np.lexsort((index, values))[:keep]
         best_values, best_index = values[order], index[order]
     cells = np.unravel_index(best_index, shape)

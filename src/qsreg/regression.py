@@ -13,6 +13,7 @@ products, each dimension ordered [1, cos(1t), sin(1t), cos(2t), sin(2t), ...].
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -32,6 +33,8 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9
+# values per block of the model's grid scan: the block's numpy calls, not its cells, dominate below this
+_GRID_BLOCK_CELLS = 2**14
 
 
 def _check_points(x, ndim: int | None = None) -> np.ndarray:
@@ -104,16 +107,42 @@ def uniform_lattice(counts) -> np.ndarray:
     Enumeration is dimension-major (axis 0 slowest), matching the basis
     enumeration order.
     """
-    axes = lattice_axes(counts)
-    # row-major cell indices, one row per axis; cheaper than meshgrid at lattice sizes
-    cells = np.indices([len(coords) for coords in axes]).reshape(len(axes), -1)
-    return np.stack([coords[i] for coords, i in zip(axes, cells)], axis=-1)
+    return _grid_points(lattice_axes(counts))
+
+
+def _grid_points(axes) -> np.ndarray:
+    """Every point of the grid with per-axis coordinates ``axes``, one per row, axis 0 slowest."""
+    points = np.empty([len(coords) for coords in axes] + [len(axes)])
+    for axis, coords in enumerate(axes):
+        # broadcast axis j's coordinates along its own index of the grid
+        points[..., axis] = coords.reshape([-1] + [1] * (len(axes) - 1 - axis))
+    return points.reshape(-1, len(axes))
 
 
 def nyquist_lattice(bandwidths) -> np.ndarray:
     """The minimal uniform lattice for exact reconstruction: 2*S_j+1 per axis."""
     bw = _check_bandwidths(bandwidths)
     return uniform_lattice([2 * s + 1 for s in bw])
+
+
+def _lattice_axes_of(points: np.ndarray) -> list[np.ndarray] | None:
+    """``lattice_axes(M)`` if ``points`` are exactly ``uniform_lattice(M)``, else None."""
+    # distinct values per column; their product bounds the lattice before any is built
+    counts = (1 + np.count_nonzero(np.diff(np.sort(points, axis=0), axis=0), axis=0)).tolist()
+    if math.prod(counts) != len(points):
+        return None
+    axes = lattice_axes(counts)
+    return axes if np.array_equal(points, _grid_points(axes)) else None
+
+
+def _kron_apply(matrices, vector: np.ndarray) -> np.ndarray:
+    """``(matrices[0] kron matrices[1] kron ...) @ vector``, one axis at a time,
+    without forming the Kronecker product."""
+    result = vector
+    for matrix in matrices:
+        # contracts the leading axis's input index and appends its output index last
+        result = result.reshape(matrix.shape[1], -1).T @ matrix.T
+    return result.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -136,21 +165,31 @@ class FourierBasis:
 
     def _axis_table(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Columns [1, cos(k t), sin(k t), ..., sin(S_j t)] of one axis at ``values``."""
-        cols = [np.ones_like(values)]
-        for k in range(1, self.bandwidths[axis] + 1):
-            cols += [np.cos(k * values), np.sin(k * values)]
-        return np.stack(cols, axis=-1)
+        angles = np.multiply.outer(values, np.arange(1, self.bandwidths[axis] + 1))
+        table = np.empty((len(values), 2 * self.bandwidths[axis] + 1))
+        table[:, 0] = 1.0
+        np.cos(angles, out=table[:, 1::2])
+        np.sin(angles, out=table[:, 2::2])
+        return table
 
-    def _axis_jet(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """The :meth:`_axis_table` columns and their first and second derivatives
-        at ``values``, stacked last: shape ``(len(values), 2*S_j+1, 3)``."""
-        table = self._axis_table(values, axis)
-        k = np.repeat(np.arange(self.bandwidths[axis] + 1), 2)[1:]  # 0, 1, 1, 2, 2, ...
-        # (cos kt)' = -k sin kt and (sin kt)' = k cos kt; both second derivatives are -k^2 times
-        first = np.zeros_like(table)
-        first[:, 1::2] = -k[1::2] * table[:, 2::2]
-        first[:, 2::2] = k[2::2] * table[:, 1::2]
-        return np.stack([table, first, -(k * k) * table], axis=-1)
+    @functools.cached_property
+    def _jet_layout(self) -> tuple[np.ndarray, ...]:
+        """Index arrays for :meth:`FourierModel._value_derivatives`.
+
+        For every basis column of every axis in turn (the :meth:`_axis_table`
+        columns, concatenated): its axis, its frequency k, whether it is a sine,
+        and its first derivative's factor, -k for a cosine (times sin kt) and k
+        for a sine (times cos kt).  Then, in the contracted jet, the index of
+        each gradient entry and of each Hessian entry.
+        """
+        sizes = [2 * s + 1 for s in self.bandwidths]
+        axis = np.repeat(np.arange(self.ndim), sizes)
+        local = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        frequency = (local + 1) // 2
+        is_sine = (local > 0) & (local % 2 == 0)
+        # the jet index is sum_j d_j * 3^(n-1-j), d_j = the derivative order along axis j
+        unit = 3 ** np.arange(self.ndim - 1, -1, -1)
+        return axis, frequency, is_sine, np.where(is_sine, frequency, -frequency), unit, unit[:, None] + unit
 
     def design_matrix(self, points) -> np.ndarray:
         """Rows = points, columns = basis functions in enumeration order."""
@@ -177,6 +216,9 @@ class SampleSet:
             raise ValueError("points and values lengths differ")
         if self.points.shape[0] < 1:
             raise ValueError("need at least one sample")
+        if not np.isfinite(self.values).all():
+            row = int(np.flatnonzero(~np.isfinite(self.values))[0])
+            raise ValueError(f"sample values must be finite: row {row} is {self.values[row]}")
         lo, hi = self.points.min(initial=0.0), self.points.max(initial=0.0)
         if lo <= -np.pi - _DOMAIN_SLACK or hi > np.pi + _DOMAIN_SLACK:
             raise ValueError("sample points must lie in ]-pi, pi]")
@@ -219,38 +261,45 @@ class FourierModel:
 
     def _grid_slabs(self, axes):
         """Model values on the Cartesian product of per-axis coordinates ``axes``,
-        one leading-axis coordinate at a time.
+        in blocks of whole leading-axis rows.
 
-        Yields, for each coordinate of axis 0 in order, the flat array of values
-        over the remaining axes in lexicographic order.  The coefficients are
-        contracted once over axes 1..n-1 into a ``(2*S_0+1) x prod_{j>0} M_j``
-        partial, so memory is that partial plus one slab, never the whole grid.
+        Yields ``(first_row, values)`` in order: ``values`` has one row per axis-0
+        coordinate from ``first_row`` on, each over the remaining axes in
+        lexicographic order.  A block holds about ``_GRID_BLOCK_CELLS`` values,
+        and at least one row.  The coefficients are contracted once over axes
+        1..n-1 into a ``(2*S_0+1) x prod_{j>0} M_j`` partial, so memory is that
+        partial plus one block, never the whole grid.
         """
-        # move axis 0's coefficient index last so the contraction of axes 1..n-1 leaves it first
-        sizes = [2 * s + 1 for s in self.bandwidths]
-        partial = np.moveaxis(self.coefficients.reshape(sizes), 0, -1)
-        for axis in range(1, self.ndim):
-            # contracts axis j's leading coefficient index and appends its points last
-            table = self.basis._axis_table(axes[axis], axis)
-            partial = partial.reshape(table.shape[1], -1).T @ table.T
-        partial = partial.reshape(sizes[0], -1)
-        for row in self.basis._axis_table(axes[0], 0):
-            yield row @ partial
+        tables = [self.basis._axis_table(coords, axis) for axis, coords in enumerate(axes)]
+        leading = tables[0].shape[1]
+        # the identity keeps axis 0's coefficient index, which the contraction leaves first
+        partial = _kron_apply([np.eye(leading)] + tables[1:], self.coefficients).reshape(leading, -1)
+        rows = max(1, _GRID_BLOCK_CELLS // partial.shape[1])
+        for first in range(0, len(tables[0]), rows):
+            yield first, tables[0][first:first + rows] @ partial
 
     def _value_derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` of the
         model at ``P`` points, from one batched separable contraction with the
-        per-axis derivative tables of :meth:`FourierBasis._axis_jet`."""
+        per-axis tables of the basis columns and their first and second derivatives."""
         points = np.asarray(points, dtype=float)
-        count, n = points.shape
-        values = np.broadcast_to(self.coefficients, (count, self.coefficients.size))
-        for axis in range(n):
-            jet = self.basis._axis_jet(points[:, axis], axis)
+        axis, k, is_sine, slope, gradient, hessian = self.basis._jet_layout
+        angles = points[:, axis] * k
+        cosine, sine = np.cos(angles), np.sin(angles)
+        # (cos kt)' = -k sin kt and (sin kt)' = k cos kt; both second derivatives are -k^2 times
+        jet = np.empty(angles.shape + (3,))
+        jet[..., 0] = np.where(is_sine, sine, cosine)
+        np.multiply(slope, np.where(is_sine, cosine, sine), out=jet[..., 1])
+        np.multiply(-(k * k), jet[..., 0], out=jet[..., 2])
+        values = self.coefficients[None]  # one row, broadcast over the points by the first product
+        start = 0
+        for s in self.bandwidths:
             # contracts axis j's coefficient index and appends its derivative order last
-            values = values.reshape(count, jet.shape[1], -1).transpose(0, 2, 1) @ jet
-        values = values.reshape(count, -1)  # index sum_j d_j * 3^(n-1-j), d_j = derivative order
-        unit = 3 ** np.arange(n - 1, -1, -1)
-        return values[:, 0], values[:, unit], values[:, unit[:, None] + unit[None, :]]
+            size = 2 * s + 1
+            values = values.reshape(len(values), size, -1).swapaxes(1, 2) @ jet[:, start:start + size]
+            start += size
+        values = values.reshape(len(points), -1)
+        return values[:, 0], values[:, gradient], values[:, hessian]
 
     def evaluate(self, theta) -> float:
         """The model at one point: the one row of :meth:`evaluate_many`."""
@@ -300,18 +349,42 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
 
     Among all least-squares minimizers the minimum-norm one is returned, so
     rank deficiency (undersampled lattices, duplicated points) is handled
-    without special cases.  The residual norm is recorded in the metadata.
+    without special cases.  When the points are exactly a full
+    :func:`uniform_lattice`, the design matrix is the Kronecker product of the
+    per-axis tables A_j, and the fit contracts the values with one
+    pseudo-inverse pinv A_j per axis (Nakanishi et al. 2020): the same
+    minimum-norm solution, of rank prod_j rank A_j, without the design matrix.
+    Any other point set is solved by ``lstsq`` on the design matrix.  The
+    residual norm and the rank are recorded in the metadata.
     """
     if samples.ndim != basis.ndim:
         raise ValueError("sample dimension does not match basis dimension")
-    design = basis.design_matrix(samples.points)
-    # rcond=None applies the cutoff max(rows, cols) * eps * largest_singular_value,
-    # which also selects the minimum-norm (kernel-orthogonal) solution.
-    coeffs, _, rank, _ = np.linalg.lstsq(design, samples.values, rcond=None)
+    axes = _lattice_axes_of(samples.points)
+    if axes is None:
+        design = basis.design_matrix(samples.points)
+        # rcond=None applies the cutoff max(rows, cols) * eps * largest_singular_value,
+        # which also selects the minimum-norm (kernel-orthogonal) solution.
+        coeffs, _, rank, _ = np.linalg.lstsq(design, samples.values, rcond=None)
+        fitted = design @ coeffs
+    else:
+        # axes with equal counts and bandwidths share one table, pseudo-inverse and rank
+        keys = [(len(coords), s) for coords, s in zip(axes, basis.bandwidths)]
+        factors = {}
+        for axis, key in enumerate(keys):
+            if key not in factors:
+                table = basis._axis_table(axes[axis], axis)
+                u, singular, vt = np.linalg.svd(table, full_matrices=False)
+                # lstsq's cutoff per axis (singular values come sorted, the largest >= 1)
+                r = int(np.count_nonzero(singular > max(table.shape) * np.finfo(float).eps * singular[0]))
+                factors[key] = table, (vt[:r].T / singular[:r]) @ u[:, :r].T, r
+        tables, pinvs, ranks = zip(*(factors[key] for key in keys))
+        coeffs = _kron_apply(pinvs, samples.values)
+        fitted = _kron_apply(tables, coeffs)
+        rank = math.prod(ranks)
     metadata = dict(samples.metadata)
     metadata.update(
         sample_count=len(samples),
-        residual_norm=float(np.linalg.norm(design @ coeffs - samples.values)),
+        residual_norm=float(np.linalg.norm(fitted - samples.values)),
         rank=int(rank),
         undersampled=bool(metadata.get("undersampled", False)),
     )

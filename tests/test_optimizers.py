@@ -20,8 +20,9 @@ from qsreg import (
     vqe_run,
     wrap_angles,
 )
+from qsreg import optimizers, regression
 from qsreg.ansatz import exact_objective
-from qsreg.regression import lattice_axes
+from qsreg.regression import lattice_axes, uniform_lattice
 
 from conftest import scan_polish_min
 
@@ -178,6 +179,25 @@ def test_global_minimize_streamed_scan_holds_no_full_grid():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("block_cells", [1, 64, 2**14])
+def test_grid_best_cells_are_the_first_of_a_full_sort(monkeypatch, block_cells):
+    """The streamed scan keeps exactly the 8 lowest of the values it streams, ties to
+    the smaller flat index, however the grid is cut into blocks; rounded
+    coefficients make ties."""
+    monkeypatch.setattr(regression, "_GRID_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells)
+    for trial in range(60):
+        bandwidths = tuple(int(s) for s in rng.integers(0, 3, size=rng.integers(1, 4)))
+        coefficients = rng.normal(size=math.prod(2 * s + 1 for s in bandwidths))
+        model = FourierModel(bandwidths, np.round(coefficients) if trial % 2 else coefficients)
+        counts = [int(m) for m in rng.integers(1, 20, size=model.ndim)]
+        points, values = optimizers._grid_best_cells(model, lattice_axes(counts))
+        grid = np.concatenate([block for _, block in model._grid_slabs(lattice_axes(counts))]).reshape(-1)
+        first = np.lexsort((np.arange(grid.size), grid))[:8]
+        assert np.array_equal(points, uniform_lattice(counts)[first])
+        assert np.array_equal(values, grid[first])
+
+
 def test_global_minimize_counts_grid_and_derivative_evaluations():
     model = FourierModel((1, 2), np.random.default_rng(3).normal(size=15))
     calls = []
@@ -199,7 +219,7 @@ def _dense_grid_min(model, polishes=16):
     alone is not enough: two basin floors closer than the grid resolves can put it
     in the shallower basin, as on both benchmark ladders below."""
     axes = lattice_axes([48] * model.ndim)
-    values = np.stack(list(model._grid_slabs(axes))).reshape([48] * model.ndim)
+    values = np.concatenate([block for _, block in model._grid_slabs(axes)]).reshape([48] * model.ndim)
     local = np.ones(values.shape, dtype=bool)
     for axis in range(values.ndim):
         for shift in (1, -1):

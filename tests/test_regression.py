@@ -1,4 +1,6 @@
 """Lattices, design matrices, least-squares fitting, model persistence."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from qsreg import (
     uniform_lattice,
 )
 from qsreg.objective import ObjectiveSpec, evaluate_batch
-from qsreg.regression import lattice_axes
+from qsreg.regression import _GRID_BLOCK_CELLS, _lattice_axes_of, lattice_axes
 
 
 # --- lattices ---
@@ -160,7 +162,7 @@ def test_model_is_periodic():
 
 
 def test_grid_evaluation_matches_design_matrix():
-    """The minimiser's separable scan, stacked slab by slab, equals the design-matrix
+    """The minimiser's separable scan, stacked block by block, equals the design-matrix
     product on the lattice, and a point evaluation equals its row."""
     rng = np.random.default_rng(2012)
     for ndim in (1, 2, 3, 4):
@@ -169,12 +171,100 @@ def test_grid_evaluation_matches_design_matrix():
         model = FourierModel(bandwidths, rng.normal(size=basis.size))
         counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
         reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
-        separable = np.stack(list(model._grid_slabs(lattice_axes(counts))))
+        blocks = list(model._grid_slabs(lattice_axes(counts)))
+        assert [first for first, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+        separable = np.concatenate([block for _, block in blocks])
         assert separable.shape == (counts[0], int(np.prod(counts[1:])))
+        assert all(len(block) == 1 or block.size <= _GRID_BLOCK_CELLS for _, block in blocks)
         tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
         assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
         point = uniform_lattice(counts)[-1]
         assert abs(model.evaluate(point) - reference[-1]) <= tolerance
+
+
+@pytest.mark.parametrize("bandwidths", [(2,), (0,), (0, 2), (2, 0, 1), (1, 2, 0, 2), (0, 2, 2, 0)])
+def test_value_derivatives_match_evaluation_and_central_differences(bandwidths):
+    """Values equal evaluate_many; gradients match central differences of the
+    values, and Hessians central differences of the gradients."""
+    rng = np.random.default_rng(list(bandwidths))
+    model = FourierModel(bandwidths, rng.normal(size=FourierBasis(bandwidths).size))
+    points = rng.uniform(-np.pi, np.pi, size=(6, model.ndim))
+    value, gradient, hessian = model._value_derivatives(points)
+    assert value.shape == (6,) and gradient.shape == (6, model.ndim) and hessian.shape == (6, model.ndim, model.ndim)
+    scale = np.sum(np.abs(model.coefficients))
+    assert np.max(np.abs(value - model.evaluate_many(points))) <= 1e-13 * scale
+    h = 1e-5
+    for axis in range(model.ndim):
+        step = np.zeros(model.ndim)
+        step[axis] = h
+        slope = (model.evaluate_many(points + step) - model.evaluate_many(points - step)) / (2 * h)
+        assert np.max(np.abs(gradient[:, axis] - slope)) <= 1e-8 * scale
+        curvature = (model._value_derivatives(points + step)[1] - model._value_derivatives(points - step)[1]) / (2 * h)
+        assert np.max(np.abs(hessian[:, axis] - curvature)) <= 1e-8 * scale
+    assert np.array_equal(hessian, hessian.transpose(0, 2, 1))
+
+
+def _assert_matches_lstsq(model, points, values, basis):
+    """The fit against one dense least-squares solve on the design matrix."""
+    design = basis.design_matrix(points)
+    coefficients, _, rank, _ = np.linalg.lstsq(design, values, rcond=None)
+    assert np.max(np.abs(model.coefficients - coefficients)) <= 1e-13 * np.max(np.abs(values))
+    assert model.metadata["rank"] == rank
+    residual = np.linalg.norm(design @ coefficients - values)
+    assert abs(model.metadata["residual_norm"] - residual) <= 1e-12 * np.linalg.norm(values)
+
+
+@pytest.mark.parametrize("ndim", range(1, 7))
+@pytest.mark.parametrize("factor", [1, 2, 3, "under"])
+def test_lattice_fit_matches_the_lstsq_oracle(ndim, factor, monkeypatch):
+    """A full lattice, Nyquist, oversampled or undersampled, is fitted axis by
+    axis, never through the design matrix, with lstsq's minimum-norm
+    coefficients, rank and residual."""
+    rng = np.random.default_rng([ndim, 0 if factor == "under" else factor])
+    cases = 0
+    while cases < 3:
+        bandwidths = [int(s) for s in rng.integers(0, 3, size=ndim)]
+        if factor == "under":
+            counts = [int(rng.integers(1, 2 * s + 1)) if s else 1 for s in bandwidths]
+        else:
+            counts = [factor * (2 * s + 1) for s in bandwidths]
+        basis = FourierBasis(bandwidths)
+        if np.prod(counts) * basis.size > 2**18:  # keeps the oracle's design matrix small
+            continue
+        cases += 1
+        points = uniform_lattice(counts)
+        values = rng.normal(size=len(points))
+        with monkeypatch.context() as patch:
+            patch.setattr(FourierBasis, "design_matrix", None)
+            model = fit_fourier_model(SampleSet(points, values), basis)
+        _assert_matches_lstsq(model, points, values, basis)
+
+
+def test_point_sets_other_than_a_full_lattice_take_lstsq():
+    rng = np.random.default_rng(1903)
+    for bandwidths in [(1,), (2, 1), (1, 0, 2)]:
+        basis = FourierBasis(bandwidths)
+        lattice = uniform_lattice([2 * s + 2 for s in bandwidths])
+        permuted = lattice[rng.permutation(len(lattice))]
+        for points in (permuted, lattice[:-1], lattice[1:]):
+            assert _lattice_axes_of(points) is None
+            values = rng.normal(size=len(points))
+            _assert_matches_lstsq(fit_fourier_model(SampleSet(points, values), basis), points, values, basis)
+
+
+def test_lattice_fit_of_eight_parameters_needs_no_design_matrix():
+    """6,561 points and as many basis functions: the design matrix alone would be 344 MB."""
+    points = nyquist_lattice([1] * 8)
+    samples = SampleSet(points, np.random.default_rng(8).normal(size=len(points)))
+    tracemalloc.start()
+    try:
+        model = fit_fourier_model(samples, FourierBasis([1] * 8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.metadata["rank"] == 6561
+    assert model.metadata["residual_norm"] <= 1e-10 * np.linalg.norm(samples.values)
+    assert peak < 4 * 2**20
 
 
 def _random_band_limited(rng, max_dims=3, max_s=4):
@@ -286,4 +376,7 @@ def test_sampleset_validation():
         SampleSet(np.array([[0.0], [0.1]]), np.array([1.0]))
     with pytest.raises(ValueError):
         SampleSet(np.array([[4.0]]), np.array([1.0]))  # outside ]-pi, pi]
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="row 1 is"):
+            SampleSet(nyquist_lattice((1,)), [1.0, bad, np.nan])
 
