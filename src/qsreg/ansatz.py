@@ -57,32 +57,39 @@ class Ansatz:
             raise ValueError("need one name per parameter")
 
     def build(self, theta) -> list[Gate]:
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        if theta.shape != (self.num_params,):
-            raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
-        return self.builder(theta)
+        """The circuit at ``theta``: one point, shape (num_params,), or B points, shape (B, num_params).
 
-    def states(self, points) -> np.ndarray:
-        """Amplitudes at each row of ``points`` (shape (B, num_params)), shape (B, 2**num_qubits).
-
-        ``builder`` runs once per point; each rotation's B angles are then
-        stacked into one array (one point's circuit goes as built), so the B
-        circuits are simulated in one :func:`apply_circuit` pass.
+        The point array is checked once and ``builder`` runs on each row.  One
+        point's circuit is returned as built; for B > 1 the gates are the first
+        row's with each rotation's B angles stacked into one array, so that
+        :func:`apply_circuit` simulates the B circuits in one pass.  A row
+        whose gate layout differs from the first row's raises ``ValueError``.
         """
-        circuits = [self.build(theta) for theta in np.asarray(points, dtype=float)]
-        if not circuits:
+        theta = np.asarray(theta, dtype=float)
+        points = theta.reshape(1, -1) if theta.ndim < 2 else theta
+        if points.ndim != 2 or points.shape[1] != self.num_params:
+            raise ValueError(f"expected {self.num_params} parameters, got shape {theta.shape}")
+        if len(points) == 0:
             raise ValueError("need at least one parameter point")
+        circuits = [self.builder(row) for row in points]
         if len(circuits) == 1:
-            return apply_circuit(circuits[0], self.num_qubits, 1)
+            return circuits[0]
         layout = [(gate.kind, gate.qubits) for gate in circuits[0]]
         for gates in circuits[1:]:
             if [(gate.kind, gate.qubits) for gate in gates] != layout:
                 raise ValueError(f"ansatz {self.name!r}: builder emitted a different gate layout at another point")
-        batch = [
+        return [
             gate if gate.angle is None else Gate(gate.kind, gate.qubits, np.array([c[i].angle for c in circuits]))
             for i, gate in enumerate(circuits[0])
         ]
-        return apply_circuit(batch, self.num_qubits, len(circuits))
+
+    def states(self, points) -> np.ndarray:
+        """Amplitudes at each row of ``points`` (shape (B, num_params)), shape (B, 2**num_qubits):
+        the B circuits of :meth:`build`, simulated in one :func:`apply_circuit` pass."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2:
+            raise ValueError(f"points must have shape (B, {self.num_params}), got {points.shape}")
+        return apply_circuit(self.build(points), self.num_qubits, len(points))
 
 
 def deuteron_ansatz_1() -> Ansatz:

@@ -87,14 +87,22 @@ class PauliString:
         is rotated onto Z, so the sign is the parity of ``i``'s bits on P's
         support.  Computed once per instance and read-only.
         """
-        n = self.num_qubits
-        indices = np.arange(2**n)
-        signs = np.ones(2**n)
-        for qubit, label in enumerate(self.ops):
-            if label != "I":
-                signs *= 1.0 - 2.0 * ((indices >> (n - 1 - qubit)) & 1)
+        signs = _parity_sign_table((self.ops,))[0]
         signs.flags.writeable = False
         return signs
+
+
+def _parity_sign_table(labels) -> np.ndarray:
+    """The parity signs of valid Pauli labels of one length n, one row per label, (k, 2**n), in one pass.
+
+    Row i is ``PauliString(labels[i]).parity_signs``: (-1) to the number of
+    set bits of each outcome index on the string's support.
+    """
+    n = len(labels[0])
+    # 1 on each qubit a string acts on, read straight off the ASCII labels
+    support = (np.frombuffer("".join(labels).encode(), dtype=np.uint8) != ord("I")).reshape(len(labels), n)
+    bits = (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1
+    return 1.0 - 2.0 * ((support.astype(np.int64) @ bits) & 1)
 
 
 def _merge_bases(basis: str, ops: str) -> str | None:

@@ -17,7 +17,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,6 +35,8 @@ __all__ = [
 _DOMAIN_SLACK = 1e-9
 # values per block of the model's grid scan: the block's numpy calls, not its cells, dominate below this
 _GRID_BLOCK_CELLS = 2**14
+# entries of each per-axis table cache: a problem needs a few, so this only bounds what a long-running process keeps
+_TABLE_CACHE_SIZE = 64
 
 
 def _check_points(x, ndim: int | None = None) -> np.ndarray:
@@ -80,6 +82,25 @@ def _check_bandwidths(bandwidths) -> tuple[int, ...]:
     if not entries:
         raise ValueError("need at least one bandwidth")
     return tuple(_check_integer(s, "bandwidths", minimum=0) for s in entries)
+
+
+def _same_values(a, b) -> bool:
+    """Equality by value, with arrays compared by ``np.array_equal``, also inside lists, tuples and dicts."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_values, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same_values(a[key], b[key]) for key in a)
+    return bool(a == b)
+
+
+def _fields_equal(self, other) -> bool:
+    """A dataclass ``__eq__`` over its compared fields by :func:`_same_values`, where the generated
+    one would raise on an array field."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return all(_same_values(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -145,6 +166,79 @@ def _kron_apply(matrices, vector: np.ndarray) -> np.ndarray:
     return result.reshape(-1)
 
 
+def _axis_table(values: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Columns [1, cos(k t), sin(k t), ..., sin(S t)] of one axis of bandwidth S at ``values``."""
+    angles = np.multiply.outer(values, np.arange(1, bandwidth + 1))
+    table = np.empty((len(values), 2 * bandwidth + 1))
+    table[:, 0] = 1.0
+    np.cos(angles, out=table[:, 1::2])
+    np.sin(angles, out=table[:, 2::2])
+    return table
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _coordinate_table(coordinates: bytes, bandwidth: int) -> np.ndarray:
+    """Read-only :func:`_axis_table` at the float coordinates packed in ``coordinates``:
+    built once for each set of coordinates and bandwidth, which axes and scans share."""
+    table = _axis_table(np.frombuffer(coordinates), bandwidth)
+    table.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _lattice_factor(count: int, bandwidth: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """``(table, pinv, rank)`` of one axis with ``count`` lattice points and this bandwidth, read-only.
+
+    ``pinv`` is the table's pseudo-inverse with lstsq's cutoff, of rank ``rank``.
+    """
+    table = _coordinate_table(lattice_axes([count])[0].tobytes(), bandwidth)
+    u, singular, vt = np.linalg.svd(table, full_matrices=False)
+    # lstsq's cutoff per axis (singular values come sorted, the largest >= 1)
+    rank = int(np.count_nonzero(singular > max(table.shape) * np.finfo(float).eps * singular[0]))
+    pinv = (vt[:rank].T / singular[:rank]) @ u[:, :rank].T
+    pinv.flags.writeable = False
+    return table, pinv, rank
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _jet_layout(bandwidths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index arrays for :meth:`FourierModel._value_derivatives`, read-only.
+
+    For every basis column of every axis in turn (the :func:`_axis_table`
+    columns, concatenated): its axis, its frequency k, whether it is a sine,
+    and its first derivative's factor, -k for a cosine (times sin kt) and k
+    for a sine (times cos kt).  Then, in the contracted jet, the index of
+    each gradient entry and of each Hessian entry.
+    """
+    ndim = len(bandwidths)
+    sizes = [2 * s + 1 for s in bandwidths]
+    axis = np.repeat(np.arange(ndim), sizes)
+    local = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    frequency = (local + 1) // 2
+    is_sine = (local > 0) & (local % 2 == 0)
+    # the jet index is sum_j d_j * 3^(n-1-j), d_j = the derivative order along axis j
+    unit = 3 ** np.arange(ndim - 1, -1, -1)
+    layout = axis, frequency, is_sine, np.where(is_sine, frequency, -frequency), unit, unit[:, None] + unit
+    for array in layout:
+        array.flags.writeable = False
+    return layout
+
+
+def _leading_axis_values(table: np.ndarray, partial: np.ndarray) -> np.ndarray:
+    """``table @ partial`` summed over the leading index in order, one product and one sum at a time.
+
+    Each value's rounding then depends on its own row and column only, not on
+    which others are computed with it, so any subset of a grid's columns gives
+    the values of the whole grid bit for bit.  A BLAS product promises no such
+    thing across shapes.
+    """
+    values = np.multiply(table[:, :1], partial[0])
+    term = np.empty_like(values)
+    for index in range(1, table.shape[1]):
+        values += np.multiply(table[:, index:index + 1], partial[index], out=term)
+    return values
+
+
 @dataclass(frozen=True)
 class FourierBasis:
     """Tensor-product sinusoid basis with per-axis bandwidths."""
@@ -163,40 +257,12 @@ class FourierBasis:
         """Total number of basis functions, prod(2*S_j+1)."""
         return int(np.prod([2 * s + 1 for s in self.bandwidths]))
 
-    def _axis_table(self, values: np.ndarray, axis: int) -> np.ndarray:
-        """Columns [1, cos(k t), sin(k t), ..., sin(S_j t)] of one axis at ``values``."""
-        angles = np.multiply.outer(values, np.arange(1, self.bandwidths[axis] + 1))
-        table = np.empty((len(values), 2 * self.bandwidths[axis] + 1))
-        table[:, 0] = 1.0
-        np.cos(angles, out=table[:, 1::2])
-        np.sin(angles, out=table[:, 2::2])
-        return table
-
-    @functools.cached_property
-    def _jet_layout(self) -> tuple[np.ndarray, ...]:
-        """Index arrays for :meth:`FourierModel._value_derivatives`.
-
-        For every basis column of every axis in turn (the :meth:`_axis_table`
-        columns, concatenated): its axis, its frequency k, whether it is a sine,
-        and its first derivative's factor, -k for a cosine (times sin kt) and k
-        for a sine (times cos kt).  Then, in the contracted jet, the index of
-        each gradient entry and of each Hessian entry.
-        """
-        sizes = [2 * s + 1 for s in self.bandwidths]
-        axis = np.repeat(np.arange(self.ndim), sizes)
-        local = np.arange(sum(sizes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        frequency = (local + 1) // 2
-        is_sine = (local > 0) & (local % 2 == 0)
-        # the jet index is sum_j d_j * 3^(n-1-j), d_j = the derivative order along axis j
-        unit = 3 ** np.arange(self.ndim - 1, -1, -1)
-        return axis, frequency, is_sine, np.where(is_sine, frequency, -frequency), unit, unit[:, None] + unit
-
     def design_matrix(self, points) -> np.ndarray:
         """Rows = points, columns = basis functions in enumeration order."""
         points = _check_points(points, self.ndim)
         design = np.ones((points.shape[0], 1))
         for axis in range(self.ndim):
-            table = self._axis_table(points[:, axis], axis)
+            table = _axis_table(points[:, axis], self.bandwidths[axis])
             design = np.einsum("pi,pj->pij", design, table).reshape(points.shape[0], -1)
         return design
 
@@ -208,6 +274,8 @@ class SampleSet:
     points: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
+
+    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         self.points = _check_points(self.points)
@@ -244,6 +312,8 @@ class FourierModel:
     metadata: dict = field(default_factory=dict)
     basis: FourierBasis = field(init=False, repr=False, compare=False)
 
+    __eq__ = _fields_equal
+
     def __post_init__(self) -> None:
         self.bandwidths = _check_bandwidths(self.bandwidths)
         self.basis = FourierBasis(self.bandwidths)
@@ -259,31 +329,44 @@ class FourierModel:
     def ndim(self) -> int:
         return len(self.bandwidths)
 
+    def _grid_partial(self, axes) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, partial)`` of the grid with per-axis coordinates ``axes``:
+        its values are ``table @ partial``, one row per axis-0 coordinate and one
+        column per cell of axes 1..n-1 in lexicographic order.
+
+        ``table`` is axis 0's basis table, ``(M_0, 2*S_0+1)``, and ``partial``
+        the coefficients contracted once over axes 1..n-1, ``(2*S_0+1,
+        prod_{j>0} M_j)``.  Axes with equal coordinates and bandwidths share one
+        cached table.
+        """
+        tables = [_coordinate_table(np.asarray(coords, dtype=float).tobytes(), s)
+                  for coords, s in zip(axes, self.bandwidths)]
+        leading = tables[0].shape[1]
+        # the identity keeps axis 0's coefficient index, which the contraction leaves first
+        partial = _kron_apply([np.eye(leading)] + tables[1:], self.coefficients).reshape(leading, -1)
+        return tables[0], partial
+
     def _grid_slabs(self, axes):
-        """Model values on the Cartesian product of per-axis coordinates ``axes``,
-        in blocks of whole leading-axis rows.
+        """Every model value on the grid of :meth:`_grid_partial`, in blocks of whole leading-axis rows.
 
         Yields ``(first_row, values)`` in order: ``values`` has one row per axis-0
         coordinate from ``first_row`` on, each over the remaining axes in
         lexicographic order.  A block holds about ``_GRID_BLOCK_CELLS`` values,
-        and at least one row.  The coefficients are contracted once over axes
-        1..n-1 into a ``(2*S_0+1) x prod_{j>0} M_j`` partial, so memory is that
-        partial plus one block, never the whole grid.
+        and at least one row, so memory is the partial plus one block, never
+        the whole grid.  The values are those of :func:`_leading_axis_values`,
+        which the minimiser's scan computes for the columns it cannot rule out.
         """
-        tables = [self.basis._axis_table(coords, axis) for axis, coords in enumerate(axes)]
-        leading = tables[0].shape[1]
-        # the identity keeps axis 0's coefficient index, which the contraction leaves first
-        partial = _kron_apply([np.eye(leading)] + tables[1:], self.coefficients).reshape(leading, -1)
+        table, partial = self._grid_partial(axes)
         rows = max(1, _GRID_BLOCK_CELLS // partial.shape[1])
-        for first in range(0, len(tables[0]), rows):
-            yield first, tables[0][first:first + rows] @ partial
+        for first in range(0, len(table), rows):
+            yield first, _leading_axis_values(table[first:first + rows], partial)
 
     def _value_derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` of the
         model at ``P`` points, from one batched separable contraction with the
         per-axis tables of the basis columns and their first and second derivatives."""
         points = np.asarray(points, dtype=float)
-        axis, k, is_sine, slope, gradient, hessian = self.basis._jet_layout
+        axis, k, is_sine, slope, gradient, hessian = _jet_layout(self.bandwidths)
         angles = points[:, axis] * k
         cosine, sine = np.cos(angles), np.sin(angles)
         # (cos kt)' = -k sin kt and (sin kt)' = k cos kt; both second derivatives are -k^2 times
@@ -367,17 +450,8 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
         coeffs, _, rank, _ = np.linalg.lstsq(design, samples.values, rcond=None)
         fitted = design @ coeffs
     else:
-        # axes with equal counts and bandwidths share one table, pseudo-inverse and rank
-        keys = [(len(coords), s) for coords, s in zip(axes, basis.bandwidths)]
-        factors = {}
-        for axis, key in enumerate(keys):
-            if key not in factors:
-                table = basis._axis_table(axes[axis], axis)
-                u, singular, vt = np.linalg.svd(table, full_matrices=False)
-                # lstsq's cutoff per axis (singular values come sorted, the largest >= 1)
-                r = int(np.count_nonzero(singular > max(table.shape) * np.finfo(float).eps * singular[0]))
-                factors[key] = table, (vt[:r].T / singular[:r]) @ u[:, :r].T, r
-        tables, pinvs, ranks = zip(*(factors[key] for key in keys))
+        # axes with equal counts and bandwidths share one cached table, pseudo-inverse and rank
+        tables, pinvs, ranks = zip(*(_lattice_factor(len(coords), s) for coords, s in zip(axes, basis.bandwidths)))
         coeffs = _kron_apply(pinvs, samples.values)
         fitted = _kron_apply(tables, coeffs)
         rank = math.prod(ranks)

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, qubit_wise_groups
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, _parity_sign_table, qubit_wise_groups
 from .regression import _check_integer
 
 __all__ = [
@@ -31,6 +31,13 @@ _FIXED_MATRICES = {"H": _H_MATRIX, **{kind: PAULI_MATRICES[kind] for kind in "XY
 _TO_Z_KINDS = {"X": "H", "Y": "SdgH"}
 _KERNEL_MATRICES = {**_FIXED_MATRICES, "SdgH": _H_MATRIX @ np.diag([1, -1j])}
 
+# kind -> (number of qubits, whether it takes an angle, the message when a gate breaks either)
+_GATE_RULES = {
+    **{kind: (1, False, f"{kind} takes one qubit and no angle") for kind in _FIXED_MATRICES},
+    **{kind: (1, True, f"{kind} takes one qubit and an angle") for kind in _ROTATIONS},
+    "CNOT": (2, False, "CNOT takes (control, target) and no angle"),
+}
+
 _NORM_TOLERANCE = 1e-10
 _BIT_SIGNS = np.array([1.0, -1.0])  # 1 - 2*b for a qubit's bit b
 
@@ -48,22 +55,18 @@ class Gate:
     angle: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.kind in _FIXED_MATRICES:
-            if len(self.qubits) != 1 or self.angle is not None:
-                raise ValueError(f"{self.kind} takes one qubit and no angle")
-        elif self.kind in _ROTATIONS:
-            if len(self.qubits) != 1 or self.angle is None:
-                raise ValueError(f"{self.kind} takes one qubit and an angle")
-        elif self.kind == "CNOT":
-            if len(self.qubits) != 2 or self.angle is not None:
-                raise ValueError("CNOT takes (control, target) and no angle")
-            if self.qubits[0] == self.qubits[1]:
-                raise ValueError("CNOT control and target must differ")
-        else:
+        rule = _GATE_RULES.get(self.kind)
+        if rule is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        # not isinstance(q, int): a boolean is an int too
-        if any(type(q) is not int or q < 0 for q in self.qubits):
-            raise ValueError("qubit indices must be non-negative integers")
+        arity, takes_angle, message = rule
+        if len(self.qubits) != arity or (self.angle is not None) != takes_angle:
+            raise ValueError(message)
+        if arity == 2 and self.qubits[0] == self.qubits[1]:
+            raise ValueError("CNOT control and target must differ")
+        for q in self.qubits:
+            # not isinstance(q, int): a boolean is an int too
+            if type(q) is not int or q < 0:
+                raise ValueError("qubit indices must be non-negative integers")
 
 
 @lru_cache(maxsize=64)
@@ -161,7 +164,7 @@ def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, np.ndarray, tuple]:
     """
     paulis = tuple(map(PauliString, labels))
     groups = tuple(zip(*qubit_wise_groups(paulis)))
-    signs = np.stack([pauli.parity_signs for pauli in paulis])
+    signs = _parity_sign_table(labels)
     signs.flags.writeable = False
     return len(labels[0]), signs, groups
 

@@ -97,6 +97,31 @@ def test_builder_rejects_wrong_arity():
         deuteron_ansatz_1().build([0.1, 0.2])
 
 
+def test_build_of_a_point_array_stacks_each_rotations_angles():
+    ansatz = deuteron_ansatz_2()
+    points = np.array([[0.1, 0.2], [0.3, -0.4], [1.5, 2.5]])
+    batch = ansatz.build(points)
+    single = [ansatz.build(point) for point in points]
+    assert [(g.kind, g.qubits) for g in batch] == [(g.kind, g.qubits) for g in single[0]]
+    for i, gate in enumerate(batch):
+        if gate.angle is not None:
+            assert np.array_equal(gate.angle, [gates[i].angle for gates in single])
+    assert ansatz.build(points[:1]) == single[0]
+    with pytest.raises(ValueError, match="need at least one parameter point"):
+        ansatz.build(np.empty((0, 2)))
+    with pytest.raises(ValueError, match="points must have shape"):
+        ansatz.states([0.1, 0.2])
+
+
+def test_states_reject_a_builder_whose_layout_depends_on_theta():
+    def builder(theta):
+        return [Gate("RY", (0,), float(theta[0]))] + ([Gate("X", (1,))] if theta[0] > 0 else [])
+
+    ansatz = Ansatz("shifty", 2, 1, (1,), ("t",), builder)
+    with pytest.raises(ValueError, match="different gate layout"):
+        ansatz.states([[-0.5], [0.5]])
+
+
 def test_objective_is_two_pi_periodic(deuteron2):
     ansatz, obs = deuteron2
     rng = np.random.default_rng(12)

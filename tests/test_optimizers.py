@@ -13,6 +13,7 @@ from qsreg import (
     Gate,
     ObjectiveSpec,
     ObservableSum,
+    OptimizationResult,
     exact_spectrum,
     nelder_mead_minimize,
     qsr_run,
@@ -198,6 +199,56 @@ def test_grid_best_cells_are_the_first_of_a_full_sort(monkeypatch, block_cells):
         assert np.array_equal(values, grid[first])
 
 
+def _first_of_a_full_sort(model, counts):
+    grid = np.concatenate([block for _, block in model._grid_slabs(lattice_axes(counts))]).reshape(-1)
+    first = np.lexsort((np.arange(grid.size), grid))[:8]
+    return uniform_lattice(counts)[first], grid[first]
+
+
+@pytest.mark.parametrize("block_cells", [1, 64, 2**14])
+def test_pruned_scan_matches_a_full_sort_on_degenerate_models(monkeypatch, block_cells):
+    """Models where the column bound rules out few columns or none: constant along
+    axis 0 (the bound is then every column's exact value), constant, all zero, and
+    leading bandwidths 0, 2 and 3, with rounded coefficients for ties."""
+    monkeypatch.setattr(regression, "_GRID_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(block_cells + 1)
+    models = [FourierModel((1, 1), np.zeros(9)), FourierModel((0, 0), [2.5]), FourierModel((2, 1), np.full(15, 0.0))]
+    constant_overall = np.zeros(9)
+    constant_overall[0] = -1.5
+    models.append(FourierModel((1, 1), constant_overall))
+    for bandwidths in [(1, 1), (2, 1, 1), (1, 2)]:
+        # only axis 0's constant column is nonzero: no value changes along axis 0
+        coefficients = np.zeros((2 * bandwidths[0] + 1, math.prod(2 * s + 1 for s in bandwidths[1:])))
+        coefficients[0] = np.round(rng.normal(size=coefficients.shape[1]))
+        models.append(FourierModel(bandwidths, coefficients))
+    for leading in (0, 2, 3):
+        bandwidths = (leading,) + tuple(int(s) for s in rng.integers(0, 3, size=2))
+        coefficients = rng.normal(size=math.prod(2 * s + 1 for s in bandwidths))
+        models += [FourierModel(bandwidths, coefficients), FourierModel(bandwidths, np.round(coefficients))]
+    for model in models:
+        for counts in ([8 * (2 * s + 1) for s in model.bandwidths], [int(m) for m in rng.integers(1, 12, size=model.ndim)]):
+            points, values = optimizers._grid_best_cells(model, lattice_axes(counts))
+            expected_points, expected_values = _first_of_a_full_sort(model, counts)
+            assert np.array_equal(points, expected_points), (model.bandwidths, counts)
+            assert np.array_equal(values, expected_values), (model.bandwidths, counts)
+
+
+def test_pruned_scan_computes_few_columns_of_a_generic_model(monkeypatch):
+    """On a seeded 4-axis S_j = 1 model the bound leaves at most 5% of the 24^3
+    columns to compute; the count is taken from the value kernel's calls."""
+    computed = []
+    leading_axis_values = optimizers._leading_axis_values
+
+    def counted(table, partial):
+        computed.append(partial.shape[1])
+        return leading_axis_values(table, partial)
+
+    monkeypatch.setattr(optimizers, "_leading_axis_values", counted)
+    model = FourierModel((1, 1, 1, 1), np.random.default_rng(44).normal(size=81))
+    optimizers._grid_best_cells(model, lattice_axes([24] * 4))
+    assert 0 < sum(computed) <= 0.05 * 24**3
+
+
 def test_global_minimize_counts_grid_and_derivative_evaluations():
     model = FourierModel((1, 2), np.random.default_rng(3).normal(size=15))
     calls = []
@@ -254,6 +305,19 @@ def test_global_minimize_is_no_worse_than_a_dense_grid_oracle():
         result = regression_global_minimize(model)
         tolerance = 1e-12 * np.abs(model.coefficients).sum()
         assert result.value_min <= _dense_grid_min(model) + tolerance, bandwidths
+
+
+def test_optimization_results_compare_by_value():
+    result = regression_global_minimize(FourierModel((1, 2), np.random.default_rng(5).normal(size=15)))
+    copy = OptimizationResult(result.theta_min.copy(), result.value_min, result.evaluations, result.converged)
+    assert copy == result and result in [copy]
+    assert result in [result]
+    moved = OptimizationResult(result.theta_min + 1e-3, result.value_min, result.evaluations, result.converged)
+    assert moved != result and moved not in [result]
+    traced = nelder_mead_minimize(lambda x: float(np.sum(x**2)), [0.5, 0.5], max_evals=20, record_trace=True)
+    retraced = nelder_mead_minimize(lambda x: float(np.sum(x**2)), [0.5, 0.5], max_evals=20, record_trace=True)
+    assert traced == retraced
+    assert traced != OptimizationResult(traced.theta_min, traced.value_min, traced.evaluations, traced.converged)
 
 
 # --- vqe_run ---
