@@ -19,14 +19,11 @@ from .ansatz import (
 )
 from .complexity import (
     ComplexityParams,
-    EmptyWindowError,
     ModelReport,
     SubcriticalError,
     advantage_threshold,
     crossover_points,
-    discrete_window_efficiency,
     efficiency,
-    efficiency_integral,
     efficiency_sweep,
     fit_cost_heuristic,
     is_supercritical,
@@ -70,7 +67,6 @@ __all__ = [
     "BandwidthAxisCheck",
     "BandwidthReport",
     "ComplexityParams",
-    "EmptyWindowError",
     "EvalLedger",
     "FourierBasis",
     "FourierModel",
@@ -88,9 +84,7 @@ __all__ = [
     "crossover_points",
     "deuteron_ansatz_1",
     "deuteron_ansatz_2",
-    "discrete_window_efficiency",
     "efficiency",
-    "efficiency_integral",
     "efficiency_sweep",
     "evaluate",
     "evaluate_batch",

@@ -93,6 +93,8 @@ class RunConfig:
             raise ConfigError("algorithm must be 'vqe' or 'qsr'")
         if self.mode not in ("exact", "shots"):
             raise ConfigError("mode must be 'exact' or 'shots'")
+        if self.mode == "exact" and self.shots is not None:
+            raise ConfigError("shots is read in shots mode only; set the mode to shots or leave shots out")
         if self.mode == "shots" and self.shots is None:
             self.shots = DEFAULT_SHOTS
         try:
@@ -219,7 +221,7 @@ def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
     return result_doc, model
 
 
-def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
+def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
     rows = []
     for n, problem in ((1, "deuteron-1"), (2, "deuteron-2")):
         for algorithm in ("vqe", "qsr"):
@@ -230,7 +232,7 @@ def _table_rows(mode: str, shots: int, seed: int) -> list[dict]:
                 problem=problem,
                 algorithm=algorithm,
                 mode=mode,
-                shots=shots,  # checked in exact mode too, where no shot is taken
+                shots=shots,
                 seed=seed,
                 bandwidths=TABLE_BANDWIDTHS[problem] if algorithm == "qsr" else None,
                 ftol=1e-12 if tight else None,
@@ -289,8 +291,6 @@ def cmd_run(args) -> int:
         values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
         values["theta0"] = _parse_list(args.theta0, float, "floats")
         config = RunConfig(**values)
-    if config.mode == "exact" and config.shots is not None:
-        raise ConfigError("shots is read in shots mode only; set the mode to shots or leave shots out")
     _check_out(config.out)
     if config.algorithm == "qsr":
         _check_out(config.model_out)
@@ -448,7 +448,7 @@ def cmd_landscape(args) -> int:
         problem=args.problem,
         algorithm="qsr",
         mode=args.mode,
-        shots=args.shots,  # checked in exact mode too
+        shots=args.shots,
         seed=args.seed,
         bandwidths=_parse_list(args.bandwidths, int, "integers"),
     )
@@ -533,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     table = sub.add_parser("table1", help="four-row solver comparison table")
     table.add_argument("--mode", choices=["exact", "shots"], default="shots")
-    table.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    table.add_argument("--shots", type=int, default=None)
     table.add_argument("--seed", type=int, default=0)
     table.add_argument("--out", help="also write rows as CSV")
     table.set_defaults(func=cmd_table1)
@@ -556,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     land.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
     land.add_argument("--resolution", type=int, default=41)
     land.add_argument("--mode", choices=["exact", "shots"], default="exact")
-    land.add_argument("--shots", type=int, default=DEFAULT_SHOTS)
+    land.add_argument("--shots", type=int, default=None)
     land.add_argument("--seed", type=int, default=0)
     land.add_argument("--bandwidths", help="comma-separated override for the model")
     land.add_argument("--out")

@@ -25,7 +25,6 @@ from .specfun import _real, gen_upper_incomplete_gamma, lambert_w0, lambert_wm1
 
 __all__ = [
     "SubcriticalError",
-    "EmptyWindowError",
     "ComplexityParams",
     "ModelReport",
     "resource_ratio",
@@ -34,8 +33,6 @@ __all__ = [
     "crossover_points",
     "advantage_threshold",
     "efficiency",
-    "efficiency_integral",
-    "discrete_window_efficiency",
     "fit_cost_heuristic",
     "model_report",
     "threshold_sweep",
@@ -43,16 +40,10 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
-# an odd count, as composite Simpson needs
-_INTEGRAL_POINTS = 200_001
 
 
 class SubcriticalError(ValueError):
     """The peak ratio never exceeds one: the sampler never beats the baseline."""
-
-
-class EmptyWindowError(ValueError):
-    """The advantage window contains no usable integer span (floor(width) = 0)."""
 
 
 @dataclass(frozen=True)
@@ -139,46 +130,6 @@ def efficiency(params: ComplexityParams) -> float:
     scale = params.s * _LN2
     gamma = gen_upper_incomplete_gamma(params.p + 1.0, scale, a * scale)
     return (params.m / scale) ** params.p * gamma / (a * scale)
-
-
-def efficiency_integral(params: ComplexityParams) -> float:
-    """The defining average (1/a) * integral_1^a resource_ratio dn, by quadrature.
-
-    Exposed alongside :func:`efficiency` so the closed form can be
-    cross-checked; uses composite Simpson on 200,001 uniform points.
-    """
-    a = advantage_threshold(params)
-    if a <= 1:
-        return 0.0
-    grid = np.linspace(1.0, float(a), _INTEGRAL_POINTS)
-    values = resource_ratio(params, grid)
-    h = (grid[-1] - grid[0]) / (_INTEGRAL_POINTS - 1)
-    integral = h / 3.0 * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
-    )
-    return float(integral) / a
-
-
-def discrete_window_efficiency(params: ComplexityParams) -> float:
-    """Literal discrete window average: sum of ratios over the integers inside
-    [n_lower, n_upper], divided by floor(window width).
-
-    Raises :class:`SubcriticalError` at or below criticality and, distinctly,
-    :class:`EmptyWindowError` when the window holds no integers or its floored
-    width degenerates to zero.
-    """
-    if not is_supercritical(params):
-        raise SubcriticalError("no advantage window at or below criticality")
-    n_lower, n_upper = crossover_points(params)
-    first = math.ceil(_snap_integer(n_lower))
-    last = math.floor(_snap_integer(n_upper))
-    width = math.floor(_snap_integer(n_upper - n_lower))
-    if last < first or width < 1:
-        raise EmptyWindowError(
-            f"window [{n_lower:.6g}, {n_upper:.6g}] has no usable integer span"
-        )
-    total = float(np.sum(resource_ratio(params, np.arange(first, last + 1, dtype=float))))
-    return total / width
 
 
 def fit_cost_heuristic(samples_by_n) -> tuple[float, float]:

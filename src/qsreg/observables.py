@@ -79,24 +79,14 @@ class PauliString:
             m = np.kron(m, PAULI_MATRICES[label])
         return m
 
-    @cached_property
-    def parity_signs(self) -> np.ndarray:
-        """The +/-1 eigenvalue of P on each outcome of a measurement in a basis that contains P.
-
-        Outcome ``i`` is the basis-state index after each non-identity qubit
-        is rotated onto Z, so the sign is the parity of ``i``'s bits on P's
-        support.  Computed once per instance and read-only.
-        """
-        signs = _parity_sign_table((self.ops,))[0]
-        signs.flags.writeable = False
-        return signs
-
 
 def _parity_sign_table(labels) -> np.ndarray:
     """The parity signs of valid Pauli labels of one length n, one row per label, (k, 2**n), in one pass.
 
-    Row i is ``PauliString(labels[i]).parity_signs``: (-1) to the number of
-    set bits of each outcome index on the string's support.
+    Row i holds the +/-1 eigenvalue of ``labels[i]`` on each outcome of a
+    measurement in a basis that contains it.  Outcome ``o`` is the
+    basis-state index after each non-identity qubit is rotated onto Z, so the
+    sign is (-1) to the number of set bits of ``o`` on the string's support.
     """
     n = len(labels[0])
     # 1 on each qubit a string acts on, read straight off the ASCII labels

@@ -3,8 +3,11 @@
 Two consumers: the baseline eigensolver loop, a simplex descent on the
 (possibly stochastic) quantum objective, and deterministic global
 minimization of a fitted trigonometric model by a grid scan plus Newton
-steps.  Parameters live on a torus, so simplex vertices and Newton steps are
-wrapped into ]-pi, pi] before every evaluation instead of being clamped.
+steps.  The scan names its grid by the per-axis counts M, takes the model's
+per-axis tables from the fit's cache, and computes values in blocks of
+``_GRID_BLOCK_CELLS``, the one setting that sizes every block.  Parameters
+live on a torus, so simplex vertices and Newton steps are wrapped into
+]-pi, pi] before every evaluation instead of being clamped.
 """
 from __future__ import annotations
 
@@ -14,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the scan reads regression._GRID_BLOCK_CELLS at call time, so that one setting sizes every block
-from . import regression
 from .objective import EvalLedger, ObjectiveSpec, evaluate, evaluate_batch
 from .regression import (
     FourierBasis,
@@ -25,7 +26,6 @@ from .regression import (
     _check_integer,
     _check_real,
     _fields_equal,
-    _leading_axis_values,
     fit_fourier_model,
     lattice_axes,
     uniform_lattice,
@@ -54,6 +54,8 @@ _MIN_STEP = 1e-10
 _NEWTON_MAX_STEPS = 100
 # the scan's bound is lowered by this times sum|c|: far above the rounding of a bound or a grid value
 _BOUND_MARGIN = 1e-12
+# values per block of the grid scan: the block's numpy calls, not its cells, dominate below this
+_GRID_BLOCK_CELLS = 2**14
 
 
 @dataclass
@@ -185,12 +187,10 @@ def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     below b[x] = P[0, x] - sum_k hypot(P[2k-1, x], P[2k, x]).  Only columns
     with b[x] - 1e-12 * sum|c| at most the 8th-best value of the 8
     lowest-bound columns are computed and ranked (:func:`_grid_best_cells`),
-    so memory is P plus one bound per column.  At six S_j = 1 parameters this
-    takes 120-160 ms where computing every grid value took 600-720 ms (2-CPU
-    x86-64 host).  Newton's method then runs from those 8 cells at once, with
-    the model's exact gradient and Hessian.  Each step is saddle-free (Hessian
-    eigenvalues replaced by max(|lambda|, 1e-8 * sum|c|)) and is halved until
-    the value does not rise.  A start retires once its full or halved step is
+    so memory is P plus one bound per column.  Newton's method then runs from
+    those 8 cells at once, with the model's exact gradient and Hessian.  Each
+    step is saddle-free (Hessian eigenvalues replaced by max(|lambda|, 1e-8 *
+    sum|c|)) and is halved until the value does not rise.  A start retires once its full or halved step is
     under 1e-10 radians or a step leaves its value unchanged, and all stop
     after a fixed number of steps.  The lowest Newton end replaces the best
     cell if it is not higher.  All of this is invariant under positive
@@ -207,9 +207,9 @@ def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     point at which the values, gradients and Hessians were evaluated (the 8
     starts and each trial step).
     """
-    axes = lattice_axes([8 * (2 * s + 1) for s in model.bandwidths])
-    starts, start_values = _grid_best_cells(model, axes)
-    evaluations = math.prod(len(coords) for coords in axes)
+    counts = [8 * (2 * s + 1) for s in model.bandwidths]
+    starts, start_values = _grid_best_cells(model, counts)
+    evaluations = math.prod(counts)
 
     # the smallest normal float keeps the all-zero model (zero gradient, zero floor) off 0/0
     floor = max(_EIGENVALUE_FLOOR * float(np.sum(np.abs(model.coefficients))), np.finfo(float).tiny)
@@ -251,9 +251,9 @@ def regression_global_minimize(model: FourierModel) -> OptimizationResult:
     return OptimizationResult(wrap_angles(theta_min), float(value_min), evaluations, True)
 
 
-def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]:
-    """The ``_NEWTON_STARTS`` lowest grid cells as points and values, ordered by
-    value and then by flat (lexicographic) index.
+def _grid_best_cells(model: FourierModel, counts) -> tuple[np.ndarray, np.ndarray]:
+    """The ``_NEWTON_STARTS`` lowest cells of ``uniform_lattice(counts)`` as points
+    and values, ordered by value and then by flat (lexicographic) index.
 
     The grid's values are ``table @ partial`` (:meth:`FourierModel._grid_partial`),
     one column x per cell of axes 1..n-1.  Column x's values are a trigonometric
@@ -265,7 +265,7 @@ def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]
     values are computed, in blocks of about ``_GRID_BLOCK_CELLS``, and ranked.
     A model whose columns all pass, such as a constant one, is ranked whole.
     """
-    table, partial = model._grid_partial(axes)
+    table, partial = model._grid_partial(counts)
     rows, columns = len(table), partial.shape[1]
     keep = min(_NEWTON_STARTS, rows * columns)
     lower, threshold = _column_lower_bounds(partial, float(np.sum(np.abs(model.coefficients))), keep)
@@ -275,7 +275,7 @@ def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]
 
     best_values = np.empty(0)
     best_index = np.empty(0, dtype=np.int64)
-    width = max(1, regression._GRID_BLOCK_CELLS // rows)
+    width = max(1, _GRID_BLOCK_CELLS // rows)
     for first in range(0, len(candidates), width):
         chosen = candidates[first:first + width]
         block = _leading_axis_values(table, partial[:, chosen]).reshape(-1)
@@ -294,8 +294,8 @@ def _grid_best_cells(model: FourierModel, axes) -> tuple[np.ndarray, np.ndarray]
         index = np.concatenate([best_index, row * columns + chosen[column]])
         order = np.lexsort((index, values))[:keep]
         best_values, best_index = values[order], index[order]
-    cells = np.unravel_index(best_index, [len(coords) for coords in axes])
-    points = np.stack([coords[c] for coords, c in zip(axes, cells)], axis=-1)
+    cells = np.unravel_index(best_index, counts)
+    points = np.stack([coords[c] for coords, c in zip(lattice_axes(counts), cells)], axis=-1)
     return points, best_values
 
 
@@ -314,7 +314,7 @@ def _column_lower_bounds(partial: np.ndarray, scale: float, keep: int) -> tuple[
     lowest = np.empty(0)
     # the all-zero model has all bounds zero; the unit scale keeps it off 0/0
     unit = 1.0 / scale if scale > 0 else 1.0
-    step = regression._GRID_BLOCK_CELLS
+    step = _GRID_BLOCK_CELLS
     for first in range(0, columns, step):
         part = partial[:, first:first + step]
         squares = np.multiply(part[1:], unit)
@@ -332,6 +332,21 @@ def _column_lower_bounds(partial: np.ndarray, scale: float, keep: int) -> tuple[
 def _smallest(values: np.ndarray, count: int) -> np.ndarray:
     """The ``count`` smallest entries of a 1-D array, in no order (all of them if it has no more)."""
     return values if values.size <= count else np.partition(values, count - 1)[:count]
+
+
+def _leading_axis_values(table: np.ndarray, partial: np.ndarray) -> np.ndarray:
+    """``table @ partial`` summed over the leading index in order, one product and one sum at a time.
+
+    Each value's rounding then depends on its own row and column only, not on
+    which others are computed with it, so any subset of a grid's columns gives
+    the values of the whole grid bit for bit.  A BLAS product promises no such
+    thing across shapes.
+    """
+    values = np.multiply(table[:, :1], partial[0])
+    term = np.empty_like(values)
+    for index in range(1, table.shape[1]):
+        values += np.multiply(table[:, index:index + 1], partial[index], out=term)
+    return values
 
 
 def _shots_ftol(spec: ObjectiveSpec) -> float:

@@ -8,6 +8,10 @@ axis than the strict lower bound 2*S_j.  With noisy samples the least-squares
 solve averages the noise, and oversampling the lattice buys precision at the
 cost of extra samples.
 
+Inside the package a lattice is named by its per-axis counts M: the fit and
+the minimiser's scan share one read-only table per axis count and bandwidth
+(M_j, S_j), built once by :func:`_lattice_factor`.
+
 Basis enumeration order (normative for persistence): dimension-major tensor
 products, each dimension ordered [1, cos(1t), sin(1t), cos(2t), sin(2t), ...].
 """
@@ -33,8 +37,6 @@ __all__ = [
 ]
 
 _DOMAIN_SLACK = 1e-9
-# values per block of the model's grid scan: the block's numpy calls, not its cells, dominate below this
-_GRID_BLOCK_CELLS = 2**14
 # entries of each per-axis table cache: a problem needs a few, so this only bounds what a long-running process keeps
 _TABLE_CACHE_SIZE = 64
 
@@ -128,11 +130,7 @@ def uniform_lattice(counts) -> np.ndarray:
     Enumeration is dimension-major (axis 0 slowest), matching the basis
     enumeration order.
     """
-    return _grid_points(lattice_axes(counts))
-
-
-def _grid_points(axes) -> np.ndarray:
-    """Every point of the grid with per-axis coordinates ``axes``, one per row, axis 0 slowest."""
+    axes = lattice_axes(counts)
     points = np.empty([len(coords) for coords in axes] + [len(axes)])
     for axis, coords in enumerate(axes):
         # broadcast axis j's coordinates along its own index of the grid
@@ -146,14 +144,13 @@ def nyquist_lattice(bandwidths) -> np.ndarray:
     return uniform_lattice([2 * s + 1 for s in bw])
 
 
-def _lattice_axes_of(points: np.ndarray) -> list[np.ndarray] | None:
-    """``lattice_axes(M)`` if ``points`` are exactly ``uniform_lattice(M)``, else None."""
+def _lattice_counts_of(points: np.ndarray) -> list[int] | None:
+    """The counts M if ``points`` are exactly ``uniform_lattice(M)``, else None."""
     # distinct values per column; their product bounds the lattice before any is built
     counts = (1 + np.count_nonzero(np.diff(np.sort(points, axis=0), axis=0), axis=0)).tolist()
     if math.prod(counts) != len(points):
         return None
-    axes = lattice_axes(counts)
-    return axes if np.array_equal(points, _grid_points(axes)) else None
+    return counts if np.array_equal(points, uniform_lattice(counts)) else None
 
 
 def _kron_apply(matrices, vector: np.ndarray) -> np.ndarray:
@@ -177,21 +174,14 @@ def _axis_table(values: np.ndarray, bandwidth: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _coordinate_table(coordinates: bytes, bandwidth: int) -> np.ndarray:
-    """Read-only :func:`_axis_table` at the float coordinates packed in ``coordinates``:
-    built once for each set of coordinates and bandwidth, which axes and scans share."""
-    table = _axis_table(np.frombuffer(coordinates), bandwidth)
-    table.flags.writeable = False
-    return table
-
-
-@functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _lattice_factor(count: int, bandwidth: int) -> tuple[np.ndarray, np.ndarray, int]:
     """``(table, pinv, rank)`` of one axis with ``count`` lattice points and this bandwidth, read-only.
 
-    ``pinv`` is the table's pseudo-inverse with lstsq's cutoff, of rank ``rank``.
+    ``table`` is the axis's :func:`_axis_table` on :func:`lattice_axes`, and
+    ``pinv`` its pseudo-inverse with lstsq's cutoff, of rank ``rank``.
     """
-    table = _coordinate_table(lattice_axes([count])[0].tobytes(), bandwidth)
+    table = _axis_table(lattice_axes([count])[0], bandwidth)
+    table.flags.writeable = False
     u, singular, vt = np.linalg.svd(table, full_matrices=False)
     # lstsq's cutoff per axis (singular values come sorted, the largest >= 1)
     rank = int(np.count_nonzero(singular > max(table.shape) * np.finfo(float).eps * singular[0]))
@@ -222,21 +212,6 @@ def _jet_layout(bandwidths: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     for array in layout:
         array.flags.writeable = False
     return layout
-
-
-def _leading_axis_values(table: np.ndarray, partial: np.ndarray) -> np.ndarray:
-    """``table @ partial`` summed over the leading index in order, one product and one sum at a time.
-
-    Each value's rounding then depends on its own row and column only, not on
-    which others are computed with it, so any subset of a grid's columns gives
-    the values of the whole grid bit for bit.  A BLAS product promises no such
-    thing across shapes.
-    """
-    values = np.multiply(table[:, :1], partial[0])
-    term = np.empty_like(values)
-    for index in range(1, table.shape[1]):
-        values += np.multiply(table[:, index:index + 1], partial[index], out=term)
-    return values
 
 
 @dataclass(frozen=True)
@@ -329,37 +304,21 @@ class FourierModel:
     def ndim(self) -> int:
         return len(self.bandwidths)
 
-    def _grid_partial(self, axes) -> tuple[np.ndarray, np.ndarray]:
-        """``(table, partial)`` of the grid with per-axis coordinates ``axes``:
-        its values are ``table @ partial``, one row per axis-0 coordinate and one
-        column per cell of axes 1..n-1 in lexicographic order.
+    def _grid_partial(self, counts) -> tuple[np.ndarray, np.ndarray]:
+        """``(table, partial)`` of ``uniform_lattice(counts)``: its values are
+        ``table @ partial``, one row per axis-0 coordinate and one column per
+        cell of axes 1..n-1 in lexicographic order.
 
         ``table`` is axis 0's basis table, ``(M_0, 2*S_0+1)``, and ``partial``
         the coefficients contracted once over axes 1..n-1, ``(2*S_0+1,
-        prod_{j>0} M_j)``.  Axes with equal coordinates and bandwidths share one
-        cached table.
+        prod_{j>0} M_j)``.  The tables are those of :func:`_lattice_factor`,
+        cached per (M_j, S_j) and shared with the fit.
         """
-        tables = [_coordinate_table(np.asarray(coords, dtype=float).tobytes(), s)
-                  for coords, s in zip(axes, self.bandwidths)]
+        tables = [_lattice_factor(m, s)[0] for m, s in zip(counts, self.bandwidths)]
         leading = tables[0].shape[1]
         # the identity keeps axis 0's coefficient index, which the contraction leaves first
         partial = _kron_apply([np.eye(leading)] + tables[1:], self.coefficients).reshape(leading, -1)
         return tables[0], partial
-
-    def _grid_slabs(self, axes):
-        """Every model value on the grid of :meth:`_grid_partial`, in blocks of whole leading-axis rows.
-
-        Yields ``(first_row, values)`` in order: ``values`` has one row per axis-0
-        coordinate from ``first_row`` on, each over the remaining axes in
-        lexicographic order.  A block holds about ``_GRID_BLOCK_CELLS`` values,
-        and at least one row, so memory is the partial plus one block, never
-        the whole grid.  The values are those of :func:`_leading_axis_values`,
-        which the minimiser's scan computes for the columns it cannot rule out.
-        """
-        table, partial = self._grid_partial(axes)
-        rows = max(1, _GRID_BLOCK_CELLS // partial.shape[1])
-        for first in range(0, len(table), rows):
-            yield first, _leading_axis_values(table[first:first + rows], partial)
 
     def _value_derivatives(self, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Values ``(P,)``, gradients ``(P, n)`` and Hessians ``(P, n, n)`` of the
@@ -442,8 +401,8 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
     """
     if samples.ndim != basis.ndim:
         raise ValueError("sample dimension does not match basis dimension")
-    axes = _lattice_axes_of(samples.points)
-    if axes is None:
+    counts = _lattice_counts_of(samples.points)
+    if counts is None:
         design = basis.design_matrix(samples.points)
         # rcond=None applies the cutoff max(rows, cols) * eps * largest_singular_value,
         # which also selects the minimum-norm (kernel-orthogonal) solution.
@@ -451,7 +410,7 @@ def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:
         fitted = design @ coeffs
     else:
         # axes with equal counts and bandwidths share one cached table, pseudo-inverse and rank
-        tables, pinvs, ranks = zip(*(_lattice_factor(len(coords), s) for coords, s in zip(axes, basis.bandwidths)))
+        tables, pinvs, ranks = zip(*(_lattice_factor(m, s) for m, s in zip(counts, basis.bandwidths)))
         coeffs = _kron_apply(pinvs, samples.values)
         fitted = _kron_apply(tables, coeffs)
         rank = math.prod(ranks)

@@ -325,6 +325,14 @@ def test_table1_rejects_zero_shots_in_either_mode(capsys, mode):
     assert json.loads(out)["error"]["type"] == "config"
 
 
+def test_table1_rejects_shots_in_exact_mode(capsys):
+    """The same rule as `run`: a shot count is read in shots mode only."""
+    code, out = _run(capsys, ["table1", "--mode", "exact", "--shots", "5"])
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "config"
+    assert "shots mode only" in json.loads(out)["error"]["message"]
+
+
 # --- complexity ---
 
 def test_complexity_threshold_against_bisection(capsys):
@@ -557,7 +565,7 @@ def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2
 
 
 @pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"],
-                                   ["--shots", "0"]])
+                                   ["--shots", "0"], ["--shots", "5"]])
 def test_landscape_config_errors_exit_2(capsys, tmp_path, monkeypatch, flags):
     """One RunConfig checks both commands, so `run` prints the same error document."""
     monkeypatch.chdir(tmp_path)

@@ -6,13 +6,10 @@ import pytest
 
 from qsreg import (
     ComplexityParams,
-    EmptyWindowError,
     SubcriticalError,
     advantage_threshold,
     crossover_points,
-    discrete_window_efficiency,
     efficiency,
-    efficiency_integral,
     efficiency_sweep,
     fit_cost_heuristic,
     is_supercritical,
@@ -21,13 +18,59 @@ from qsreg import (
     resource_ratio,
     threshold_sweep,
 )
+from qsreg.complexity import _snap_integer
 
 LN2 = math.log(2.0)
+# an odd count, as composite Simpson needs
+_INTEGRAL_POINTS = 200_001
 
 # the model's typical parameter ranges used for grid checks
 M_GRID = (2.0, 4.0, 6.0, 8.0, 10.0)
 P_GRID = (2.0, 6.5, 11.0, 15.5, 20.0)
 S_GRID = (2.0, 2.75, 3.5, 4.25, 5.0)
+
+
+class EmptyWindowError(ValueError):
+    """The advantage window contains no usable integer span (floor(width) = 0)."""
+
+
+def efficiency_integral(params: ComplexityParams) -> float:
+    """The defining average (1/a) * integral_1^a resource_ratio dn, by quadrature:
+    the oracle for the closed form of :func:`efficiency`, composite Simpson on
+    200,001 uniform points.
+    """
+    a = advantage_threshold(params)
+    if a <= 1:
+        return 0.0
+    grid = np.linspace(1.0, float(a), _INTEGRAL_POINTS)
+    values = resource_ratio(params, grid)
+    h = (grid[-1] - grid[0]) / (_INTEGRAL_POINTS - 1)
+    integral = h / 3.0 * (
+        values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()
+    )
+    return float(integral) / a
+
+
+def discrete_window_efficiency(params: ComplexityParams) -> float:
+    """Literal discrete window average: sum of ratios over the integers inside
+    [n_lower, n_upper], divided by floor(window width).
+
+    Raises :class:`SubcriticalError` at or below criticality and, distinctly,
+    :class:`EmptyWindowError` when the window holds no integers or its floored
+    width degenerates to zero.
+    """
+    if not is_supercritical(params):
+        raise SubcriticalError("no advantage window at or below criticality")
+    n_lower, n_upper = crossover_points(params)
+    first = math.ceil(_snap_integer(n_lower))
+    last = math.floor(_snap_integer(n_upper))
+    width = math.floor(_snap_integer(n_upper - n_lower))
+    if last < first or width < 1:
+        raise EmptyWindowError(
+            f"window [{n_lower:.6g}, {n_upper:.6g}] has no usable integer span"
+        )
+    total = float(np.sum(resource_ratio(params, np.arange(first, last + 1, dtype=float))))
+    return total / width
 
 
 def _bisect(f, lo, hi, iters=200):

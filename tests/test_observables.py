@@ -14,7 +14,7 @@ from qsreg import (
     exact_spectrum,
     parse_observable,
 )
-from qsreg.observables import qubit_wise_groups
+from qsreg.observables import _parity_sign_table, qubit_wise_groups
 from qsreg.statevector import exact_expectation
 
 
@@ -177,9 +177,8 @@ def test_qubit_wise_groups_reject_empty_and_mixed_length_input():
 @pytest.mark.parametrize("ops", ["Z", "XI", "IY", "XYZ", "IIII", "ZIXY"])
 def test_parity_signs_are_the_eigenvalues_of_the_rotated_string(ops):
     """Outcome i's sign is P's eigenvalue on the i-th product eigenvector of P's own basis."""
-    pauli = PauliString(ops)
     rotated = PauliString(ops.replace("X", "Z").replace("Y", "Z"))
-    assert np.array_equal(pauli.parity_signs, np.diag(rotated.matrix()).real)
+    assert np.array_equal(_parity_sign_table((ops,))[0], np.diag(rotated.matrix()).real)
 
 
 def _random_observable(rng, num_qubits, num_terms):

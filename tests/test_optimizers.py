@@ -21,7 +21,7 @@ from qsreg import (
     vqe_run,
     wrap_angles,
 )
-from qsreg import optimizers, regression
+from qsreg import optimizers
 from qsreg.ansatz import exact_objective
 from qsreg.regression import lattice_axes, uniform_lattice
 
@@ -180,29 +180,33 @@ def test_global_minimize_streamed_scan_holds_no_full_grid():
     assert peak < 2**20
 
 
+def _full_grid(model, counts):
+    """Every value of ``uniform_lattice(counts)``, flat, from one call of the scan's kernel."""
+    return optimizers._leading_axis_values(*model._grid_partial(counts)).reshape(-1)
+
+
+def _first_of_a_full_sort(model, counts):
+    grid = _full_grid(model, counts)
+    first = np.lexsort((np.arange(grid.size), grid))[:8]
+    return uniform_lattice(counts)[first], grid[first]
+
+
 @pytest.mark.parametrize("block_cells", [1, 64, 2**14])
 def test_grid_best_cells_are_the_first_of_a_full_sort(monkeypatch, block_cells):
     """The streamed scan keeps exactly the 8 lowest of the values it streams, ties to
     the smaller flat index, however the grid is cut into blocks; rounded
     coefficients make ties."""
-    monkeypatch.setattr(regression, "_GRID_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(optimizers, "_GRID_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(block_cells)
     for trial in range(60):
         bandwidths = tuple(int(s) for s in rng.integers(0, 3, size=rng.integers(1, 4)))
         coefficients = rng.normal(size=math.prod(2 * s + 1 for s in bandwidths))
         model = FourierModel(bandwidths, np.round(coefficients) if trial % 2 else coefficients)
         counts = [int(m) for m in rng.integers(1, 20, size=model.ndim)]
-        points, values = optimizers._grid_best_cells(model, lattice_axes(counts))
-        grid = np.concatenate([block for _, block in model._grid_slabs(lattice_axes(counts))]).reshape(-1)
-        first = np.lexsort((np.arange(grid.size), grid))[:8]
-        assert np.array_equal(points, uniform_lattice(counts)[first])
-        assert np.array_equal(values, grid[first])
-
-
-def _first_of_a_full_sort(model, counts):
-    grid = np.concatenate([block for _, block in model._grid_slabs(lattice_axes(counts))]).reshape(-1)
-    first = np.lexsort((np.arange(grid.size), grid))[:8]
-    return uniform_lattice(counts)[first], grid[first]
+        points, values = optimizers._grid_best_cells(model, counts)
+        expected_points, expected_values = _first_of_a_full_sort(model, counts)
+        assert np.array_equal(points, expected_points)
+        assert np.array_equal(values, expected_values)
 
 
 @pytest.mark.parametrize("block_cells", [1, 64, 2**14])
@@ -210,7 +214,7 @@ def test_pruned_scan_matches_a_full_sort_on_degenerate_models(monkeypatch, block
     """Models where the column bound rules out few columns or none: constant along
     axis 0 (the bound is then every column's exact value), constant, all zero, and
     leading bandwidths 0, 2 and 3, with rounded coefficients for ties."""
-    monkeypatch.setattr(regression, "_GRID_BLOCK_CELLS", block_cells)
+    monkeypatch.setattr(optimizers, "_GRID_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(block_cells + 1)
     models = [FourierModel((1, 1), np.zeros(9)), FourierModel((0, 0), [2.5]), FourierModel((2, 1), np.full(15, 0.0))]
     constant_overall = np.zeros(9)
@@ -227,7 +231,7 @@ def test_pruned_scan_matches_a_full_sort_on_degenerate_models(monkeypatch, block
         models += [FourierModel(bandwidths, coefficients), FourierModel(bandwidths, np.round(coefficients))]
     for model in models:
         for counts in ([8 * (2 * s + 1) for s in model.bandwidths], [int(m) for m in rng.integers(1, 12, size=model.ndim)]):
-            points, values = optimizers._grid_best_cells(model, lattice_axes(counts))
+            points, values = optimizers._grid_best_cells(model, counts)
             expected_points, expected_values = _first_of_a_full_sort(model, counts)
             assert np.array_equal(points, expected_points), (model.bandwidths, counts)
             assert np.array_equal(values, expected_values), (model.bandwidths, counts)
@@ -245,7 +249,7 @@ def test_pruned_scan_computes_few_columns_of_a_generic_model(monkeypatch):
 
     monkeypatch.setattr(optimizers, "_leading_axis_values", counted)
     model = FourierModel((1, 1, 1, 1), np.random.default_rng(44).normal(size=81))
-    optimizers._grid_best_cells(model, lattice_axes([24] * 4))
+    optimizers._grid_best_cells(model, [24] * 4)
     assert 0 < sum(computed) <= 0.05 * 24**3
 
 
@@ -270,7 +274,7 @@ def _dense_grid_min(model, polishes=16):
     alone is not enough: two basin floors closer than the grid resolves can put it
     in the shallower basin, as on both benchmark ladders below."""
     axes = lattice_axes([48] * model.ndim)
-    values = np.concatenate([block for _, block in model._grid_slabs(axes)]).reshape([48] * model.ndim)
+    values = _full_grid(model, [48] * model.ndim).reshape([48] * model.ndim)
     local = np.ones(values.shape, dtype=bool)
     for axis in range(values.ndim):
         for shift in (1, -1):

@@ -15,7 +15,8 @@ from qsreg import (
     uniform_lattice,
 )
 from qsreg.objective import ObjectiveSpec, evaluate_batch
-from qsreg.regression import _GRID_BLOCK_CELLS, _lattice_axes_of, lattice_axes
+from qsreg.optimizers import _leading_axis_values
+from qsreg.regression import _lattice_counts_of
 
 
 # --- lattices ---
@@ -162,8 +163,8 @@ def test_model_is_periodic():
 
 
 def test_grid_evaluation_matches_design_matrix():
-    """The minimiser's separable scan, stacked block by block, equals the design-matrix
-    product on the lattice, and a point evaluation equals its row."""
+    """The minimiser's separable scan kernel on the whole lattice equals the
+    design-matrix product, and a point evaluation equals its row."""
     rng = np.random.default_rng(2012)
     for ndim in (1, 2, 3, 4):
         bandwidths = tuple(int(s) for s in rng.integers(0, 4 if ndim < 4 else 3, size=ndim))
@@ -171,11 +172,8 @@ def test_grid_evaluation_matches_design_matrix():
         model = FourierModel(bandwidths, rng.normal(size=basis.size))
         counts = [int(m) for m in rng.integers(1, 9, size=ndim)]
         reference = basis.design_matrix(uniform_lattice(counts)) @ model.coefficients
-        blocks = list(model._grid_slabs(lattice_axes(counts)))
-        assert [first for first, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
-        separable = np.concatenate([block for _, block in blocks])
+        separable = _leading_axis_values(*model._grid_partial(counts))
         assert separable.shape == (counts[0], int(np.prod(counts[1:])))
-        assert all(len(block) == 1 or block.size <= _GRID_BLOCK_CELLS for _, block in blocks)
         tolerance = 1e-12 * np.sum(np.abs(model.coefficients))
         assert np.max(np.abs(separable.reshape(-1) - reference)) <= tolerance
         point = uniform_lattice(counts)[-1]
@@ -247,7 +245,7 @@ def test_point_sets_other_than_a_full_lattice_take_lstsq():
         lattice = uniform_lattice([2 * s + 2 for s in bandwidths])
         permuted = lattice[rng.permutation(len(lattice))]
         for points in (permuted, lattice[:-1], lattice[1:]):
-            assert _lattice_axes_of(points) is None
+            assert _lattice_counts_of(points) is None
             values = rng.normal(size=len(points))
             _assert_matches_lstsq(fit_fourier_model(SampleSet(points, values), basis), points, values, basis)
 
