@@ -12,8 +12,6 @@ from .ansatz import (
     Ansatz,
     BandwidthAxisCheck,
     BandwidthReport,
-    deuteron_ansatz_1,
-    deuteron_ansatz_2,
     exact_objective,
     verify_bandwidth,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "SubcriticalError",
     "advantage_threshold",
     "crossover_points",
-    "deuteron_ansatz_1",
-    "deuteron_ansatz_2",
     "efficiency",
     "efficiency_sweep",
     "evaluate",

@@ -1,13 +1,15 @@
 """Parametrized state-preparation circuits with declared frequency bounds.
 
-Each ansatz carries one bandwidth annotation per rotation parameter: an upper
-bound on the harmonic content that any expectation-value objective built on it
-can show along that axis.  The bound is a property of the circuit topology
-(how rotations re-interfere through entangling gates), so it is annotated by
-hand and checked empirically by :func:`verify_bandwidth`.
+Each ansatz carries one bandwidth per rotation parameter: an upper bound on
+the harmonic content that any expectation-value objective built on it can show
+along that axis.  A circuit read from data by :func:`_parse_circuit` derives
+it as the sum of |scale| over the rotations of that parameter, the spectrum
+bound of Pauli-rotation encodings (Schuld, Sweke & Meyer 2021,
+arXiv:2008.08605), and :func:`verify_bandwidth` checks it empirically.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -20,8 +22,6 @@ from .statevector import Gate, apply_circuit
 
 __all__ = [
     "Ansatz",
-    "deuteron_ansatz_1",
-    "deuteron_ansatz_2",
     "exact_objective",
     "BandwidthAxisCheck",
     "BandwidthReport",
@@ -92,59 +92,46 @@ class Ansatz:
         return apply_circuit(self.build(points), self.num_qubits, len(points))
 
 
-def deuteron_ansatz_1() -> Ansatz:
-    """Two-qubit, one-parameter circuit for the 2-qubit deuteron benchmark.
+def _parse_circuit(name: str, text: str) -> Ansatz:
+    """The ansatz of a circuit document ``{"num_qubits", "params", "gates"}``.
 
-    X on qubit 0 prepares the reference state |10>; RY(theta) on qubit 1
-    followed by CNOT(1 -> 0) sweeps cos(theta/2)|10> + sin(theta/2)|01>.
-    The single rotation never re-interferes with itself, so the objective
-    carries the fundamental frequency only: S = 1.
+    ``params`` names the parameters.  A gate is ``[kind, qubits]``, or
+    ``[kind, qubits, param, scale]`` for a rotation by the nonzero integer
+    ``scale`` times theta[param].  Parameter j's bandwidth is the sum of |scale|
+    over its rotations.  The fixed gates are built once and shared by every
+    point, and the circuit is simulated once at theta = 0, so a bad kind,
+    qubit or index raises ``ValueError`` here.
     """
+    doc = json.loads(text)
+    names = tuple(doc["params"])
+    bandwidths = [0] * len(names)
+    steps = []  # (shared fixed gate or None, kind, qubits, param, scale)
+    for entry in doc["gates"]:
+        if len(entry) not in (2, 4):
+            raise ValueError(f"circuit {name!r}: a gate is [kind, qubits] or [kind, qubits, param, scale], "
+                             f"got {entry!r}")
+        kind, qubits, *rotation = entry
+        qubits = tuple(qubits)
+        if not rotation:
+            steps.append((Gate(kind, qubits), kind, qubits, None, 0))
+            continue
+        param, scale = rotation
+        # type() is int, not isinstance: a boolean is an int too
+        if type(param) is not int or not 0 <= param < len(names):
+            raise ValueError(f"circuit {name!r}: parameter index must be an integer in [0, {len(names)}), "
+                             f"got {param!r}")
+        if type(scale) is not int or scale == 0:
+            raise ValueError(f"circuit {name!r}: scale must be a nonzero integer, got {scale!r}")
+        bandwidths[param] += abs(scale)
+        steps.append((None, kind, qubits, param, scale))
 
     def builder(theta: np.ndarray) -> list[Gate]:
-        return [Gate("X", (0,)), Gate("RY", (1,), float(theta[0])), Gate("CNOT", (1, 0))]
+        return [gate if param is None else Gate(kind, qubits, float(scale * theta[param]))
+                for gate, kind, qubits, param, scale in steps]
 
-    return Ansatz(
-        name="deuteron-1",
-        num_qubits=2,
-        num_params=1,
-        bandwidths=(1,),
-        param_names=("theta",),
-        builder=builder,
-    )
-
-
-def deuteron_ansatz_2() -> Ansatz:
-    """Three-qubit, two-parameter circuit for the 3-qubit deuteron benchmark.
-
-    The theta rotation on qubit 2 propagates to qubit 1 through qubit 0 via
-    two CNOTs; the independent eta rotation on qubit 1 is partially reversed
-    after that influence arrives, which doubles its frequency bound.  Final
-    state: cos(eta)cos(theta/2)|100> + sin(eta)cos(theta/2)|010>
-    + sin(theta/2)|001>, hence bandwidths S_theta = 1, S_eta = 2.
-    """
-
-    def builder(theta: np.ndarray) -> list[Gate]:
-        th, eta = float(theta[0]), float(theta[1])
-        return [
-            Gate("X", (0,)),
-            Gate("RY", (1,), eta),
-            Gate("RY", (2,), th),
-            Gate("CNOT", (2, 0)),
-            Gate("CNOT", (0, 1)),
-            Gate("RY", (1,), -eta),
-            Gate("CNOT", (0, 1)),
-            Gate("CNOT", (1, 0)),
-        ]
-
-    return Ansatz(
-        name="deuteron-2",
-        num_qubits=3,
-        num_params=2,
-        bandwidths=(1, 2),
-        param_names=("theta", "eta"),
-        builder=builder,
-    )
+    ansatz = Ansatz(name, doc["num_qubits"], len(names), tuple(bandwidths), names, builder)
+    ansatz.states(np.zeros((1, ansatz.num_params)))
+    return ansatz
 
 
 def exact_objective(ansatz: Ansatz, observable: ObservableSum, theta) -> float:

@@ -12,7 +12,6 @@ solver, sweep or grid runs.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
@@ -23,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import Ansatz, deuteron_ansatz_1, deuteron_ansatz_2, exact_objective, verify_bandwidth
+from .ansatz import Ansatz, _parse_circuit, exact_objective, verify_bandwidth
 from .complexity import (
     ComplexityParams,
     advantage_threshold,
@@ -45,10 +44,16 @@ DEFAULT_SHOTS = 10_000
 DEFAULT_M = 2.0
 OUTPUT_DIR_ENV = "QSREG_OUTPUT_DIR"
 
-# problem name -> (ansatz factory, bundled Hamiltonian file)
+# problem name -> (bundled circuit file, bundled Hamiltonian file)
 PROBLEMS = {
-    "deuteron-1": (deuteron_ansatz_1, "deuteron-2q.json"),
-    "deuteron-2": (deuteron_ansatz_2, "deuteron-3q.json"),
+    "deuteron-1": ("deuteron-1-circuit.json", "deuteron-2q.json"),
+    "deuteron-2": ("deuteron-2-circuit.json", "deuteron-3q.json"),
+}
+
+# the solver settings that the other algorithm reads; giving one is a configuration error
+_FOREIGN_SETTINGS = {
+    "qsr": ("theta0", "max_evals", "xtol", "ftol"),
+    "vqe": ("bandwidths", "oversample", "model_out"),
 }
 
 # Table-style comparison rows pin the lattice the benchmark historically used:
@@ -63,9 +68,8 @@ class ConfigError(ValueError):
 def load_problem(name: str) -> tuple[Ansatz, ObservableSum]:
     if name not in PROBLEMS:
         raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
-    factory, filename = PROBLEMS[name]
-    text = resources.files("qsreg").joinpath("data", filename).read_text()
-    return factory(), parse_observable(text)
+    circuit, hamiltonian = (resources.files("qsreg").joinpath("data", f).read_text() for f in PROBLEMS[name])
+    return _parse_circuit(name, circuit), parse_observable(hamiltonian)
 
 
 @dataclass
@@ -78,7 +82,7 @@ class RunConfig:
     shots: int | None = None
     seed: int = 0
     bandwidths: list[int] | None = None
-    oversample: float = 1.0
+    oversample: float | None = None
     theta0: list[float] | None = None
     max_evals: int | None = None
     xtol: float | None = None
@@ -103,7 +107,8 @@ class RunConfig:
             self.seed = _check_integer(self.seed, "seed", minimum=0)
             if self.bandwidths is not None:
                 self.bandwidths = list(_check_bandwidths(self.bandwidths))
-            self.oversample = _check_real(self.oversample, "oversample", minimum=1.0)
+            if self.oversample is not None:
+                self.oversample = _check_real(self.oversample, "oversample", minimum=1.0)
             if self.theta0 is not None:
                 if np.ndim(self.theta0) != 1:
                     raise ValueError(f"theta0 must be a list of finite real numbers, got {self.theta0!r}")
@@ -116,7 +121,12 @@ class RunConfig:
                 self.ftol = _check_real(self.ftol, "ftol", minimum=0.0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        num_params = PROBLEMS[self.problem][0]().num_params
+        foreign = [name for name in _FOREIGN_SETTINGS[self.algorithm] if getattr(self, name) is not None]
+        if foreign:
+            raise ConfigError(f"the {self.algorithm} algorithm does not read {', '.join(foreign)}")
+        if self.algorithm == "qsr" and self.oversample is None:
+            self.oversample = 1.0
+        num_params = load_problem(self.problem)[0].num_params
         if self.bandwidths is not None and len(self.bandwidths) != num_params:
             raise ConfigError(f"bandwidths needs {num_params} entries, got {len(self.bandwidths)}")
         if self.theta0 is not None and len(self.theta0) != num_params:
@@ -264,14 +274,8 @@ def cmd_table1(args) -> int:
             f"{row['queries']:>8}  {row['error_percent']:>12.6g}"
         )
     if args.out:
-        path = _resolve_out(args.out)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["n", "algorithm", "samples", "queries", "error_percent"]
-            )
-            writer.writeheader()
-            writer.writerows(rows)
-        print(f"wrote {path}")
+        lines = [",".join(rows[0])] + [",".join(str(value) for value in row.values()) for row in rows]
+        _emit_csv("\n".join(lines), args.out)
     return 0
 
 
@@ -292,8 +296,7 @@ def cmd_run(args) -> int:
         values["theta0"] = _parse_list(args.theta0, float, "floats")
         config = RunConfig(**values)
     _check_out(config.out)
-    if config.algorithm == "qsr":
-        _check_out(config.model_out)
+    _check_out(config.model_out)
     doc, model = execute_run(config)
     if model is not None:
         doc["model_path"] = _resolve_out(doc["model_path"])
@@ -522,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--shots", type=int, default=None)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--bandwidths", help="comma-separated override, e.g. 2,2")
-    run.add_argument("--oversample", type=float, default=1.0)
+    run.add_argument("--oversample", type=float, default=None, help="qsr; default 1")
     run.add_argument("--theta0", help="comma-separated start point (vqe)")
     run.add_argument("--max-evals", type=int, default=None)
     run.add_argument("--xtol", type=float, default=None)
@@ -562,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     land.add_argument("--out")
     land.set_defaults(func=cmd_landscape)
 
-    verify = sub.add_parser("verify-bandwidth", help="check declared bandwidth annotations")
+    verify = sub.add_parser("verify-bandwidth", help="check the derived bandwidths by an FFT scan")
     verify.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
     verify.add_argument("--grid", type=int, default=64)
     verify.add_argument("--tolerance", type=float, default=1e-8)

@@ -7,8 +7,6 @@ from qsreg import (
     Gate,
     ObjectiveSpec,
     ObservableSum,
-    deuteron_ansatz_1,
-    deuteron_ansatz_2,
     evaluate_batch,
     verify_bandwidth,
 )
@@ -30,20 +28,20 @@ def test_registry():
 
 
 def test_ansatz_1_metadata():
-    ansatz = deuteron_ansatz_1()
+    ansatz = load_problem("deuteron-1")[0]
     assert (ansatz.num_qubits, ansatz.num_params) == (2, 1)
     assert ansatz.bandwidths == (1,)
 
 
 def test_ansatz_2_metadata():
-    ansatz = deuteron_ansatz_2()
+    ansatz = load_problem("deuteron-2")[0]
     assert (ansatz.num_qubits, ansatz.num_params) == (3, 2)
     assert ansatz.bandwidths == (1, 2)
     assert ansatz.param_names == ("theta", "eta")
 
 
 def test_ansatz_1_reference_state_at_zero():
-    ansatz = deuteron_ansatz_1()
+    ansatz = load_problem("deuteron-1")[0]
     gates = ansatz.build([0.0])
     assert any(g.kind == "RY" and g.angle == 0.0 for g in gates)
     state = ansatz.states([[0.0]])
@@ -53,7 +51,7 @@ def test_ansatz_1_reference_state_at_zero():
 
 
 def test_ansatz_2_reference_state_at_zero():
-    ansatz = deuteron_ansatz_2()
+    ansatz = load_problem("deuteron-2")[0]
     state = ansatz.states([[0.0, 0.0]])
     expected = np.zeros((1, 8))
     expected[0, 0b100] = 1.0
@@ -69,7 +67,7 @@ def test_states_of_a_circuit_without_rotations_has_one_row_per_point():
 
 
 def test_ansatz_bandwidths_use_the_regression_check():
-    honest = deuteron_ansatz_2()
+    honest = load_problem("deuteron-2")[0]
 
     def with_bandwidths(bandwidths):
         return Ansatz("check", 3, 2, bandwidths, honest.param_names, honest.builder)
@@ -85,7 +83,7 @@ def test_ansatz_bandwidths_use_the_regression_check():
 @pytest.mark.parametrize("field, value", [("num_qubits", 2.5), ("num_qubits", True), ("num_qubits", 0),
                                           ("num_params", True), ("num_params", 2.0 + 1e-9)])
 def test_ansatz_counts_must_be_positive_integers(field, value):
-    honest = deuteron_ansatz_2()
+    honest = load_problem("deuteron-2")[0]
     fields = dict(name="check", num_qubits=3, num_params=2, bandwidths=honest.bandwidths,
                   param_names=honest.param_names, builder=honest.builder)
     with pytest.raises(ValueError, match=field):
@@ -94,11 +92,11 @@ def test_ansatz_counts_must_be_positive_integers(field, value):
 
 def test_builder_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        deuteron_ansatz_1().build([0.1, 0.2])
+        load_problem("deuteron-1")[0].build([0.1, 0.2])
 
 
 def test_build_of_a_point_array_stacks_each_rotations_angles():
-    ansatz = deuteron_ansatz_2()
+    ansatz = load_problem("deuteron-2")[0]
     points = np.array([[0.1, 0.2], [0.3, -0.4], [1.5, 2.5]])
     batch = ansatz.build(points)
     single = [ansatz.build(point) for point in points]
@@ -198,7 +196,7 @@ def test_verify_bandwidth_is_one_query_equal_to_the_per_slice_scan(monkeypatch, 
 
 
 def test_verify_bandwidth_constant_observable():
-    ansatz = deuteron_ansatz_2()
+    ansatz = load_problem("deuteron-2")[0]
     constant = ObservableSum(3, [(1.0, "III")])
     report = verify_bandwidth(ansatz, constant, grid_points_per_axis=32)
     assert report.passed
@@ -208,7 +206,7 @@ def test_verify_bandwidth_constant_observable():
 def test_verify_bandwidth_flags_underdeclared_axis(deuteron2):
     """Annotating the doubled-frequency axis with S=1 must fail, naming it."""
     _, obs = deuteron2
-    honest = deuteron_ansatz_2()
+    honest = load_problem("deuteron-2")[0]
     lying = Ansatz(
         name="underdeclared",
         num_qubits=honest.num_qubits,

@@ -219,9 +219,33 @@ def test_config_rejects_bad_solver_settings(capsys, tmp_path, field, value):
 
 def test_config_keeps_null_tolerances_and_normalises_numbers():
     config = RunConfig(problem="deuteron-1", algorithm="vqe", max_evals=np.int64(7), xtol=np.float32(0.5),
-                       ftol=None, theta0=[np.float64(0.25)], oversample=2)
-    assert (config.max_evals, config.xtol, config.ftol, config.theta0, config.oversample) == (7, 0.5, None, [0.25], 2.0)
+                       ftol=None, theta0=[np.float64(0.25)])
+    assert (config.max_evals, config.xtol, config.ftol, config.theta0) == (7, 0.5, None, [0.25])
+    assert config.oversample is None
     assert type(config.max_evals) is int and type(config.xtol) is float
+    config = RunConfig(problem="deuteron-1", algorithm="qsr", oversample=2)
+    assert config.oversample == 2.0 and type(config.oversample) is float
+
+
+@pytest.mark.parametrize("algorithm, flag, value, config_value", [
+    ("qsr", "--theta0", "0.1,0.2", [0.1, 0.2]), ("qsr", "--max-evals", "5", 5), ("qsr", "--xtol", "0.1", 0.1),
+    ("qsr", "--ftol", "0.1", 0.1), ("vqe", "--bandwidths", "2,2", [2, 2]), ("vqe", "--oversample", "2", 2),
+    ("vqe", "--model-out", "m.json", "m.json"),
+])
+def test_run_rejects_a_setting_its_algorithm_does_not_read(capsys, tmp_path, monkeypatch, algorithm, flag, value,
+                                                           config_value):
+    """These ran with the setting silently dropped and exited 0."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSREG_OUTPUT_DIR", raising=False)
+    field = flag[2:].replace("-", "_")
+    code, out = _run(capsys, ["run", "--problem", "deuteron-2", "--algorithm", algorithm, flag, value])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "config",
+                                        "message": f"the {algorithm} algorithm does not read {field}"}
+    (tmp_path / "config.json").write_text(json.dumps({"problem": "deuteron-2", "algorithm": algorithm,
+                                                      field: config_value}))
+    assert _run(capsys, ["run", "--config", "config.json"]) == (code, out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_config_accepts_numpy_integers():
@@ -316,6 +340,10 @@ def test_table1_exact_mode(capsys, tmp_path, monkeypatch):
     for row in rows:
         assert float(row["error_percent"]) < 1e-6
         assert int(row["samples"]) >= int(row["queries"])
+    # the same line ending as every other CSV the CLI writes
+    text = out_csv.read_bytes().decode()
+    assert "\r" not in text and text.endswith("\n")
+    assert text.splitlines()[0] == "n,algorithm,samples,queries,error_percent"
 
 
 @pytest.mark.parametrize("mode", ["exact", "shots"])
@@ -577,9 +605,9 @@ def test_landscape_config_errors_exit_2(capsys, tmp_path, monkeypatch, flags):
 
 def test_landscape_rejects_too_many_parameters(capsys, monkeypatch):
     import qsreg.cli as cli_mod
-    from qsreg.ansatz import Ansatz, deuteron_ansatz_2
+    from qsreg.ansatz import Ansatz
 
-    honest = deuteron_ansatz_2()
+    honest = load_problem("deuteron-2")[0]
     wide = Ansatz("wide", 3, 3, (1, 1, 1), ("a", "b", "c"),
                   lambda t: honest.builder(t[:2]))
     observable = load_problem("deuteron-2")[1]

@@ -12,7 +12,6 @@ from qsreg import (
     ObjectiveSpec,
     ObservableSum,
     PauliString,
-    deuteron_ansatz_1,
     evaluate,
     evaluate_batch,
     nyquist_lattice,
@@ -75,7 +74,7 @@ def test_exact_objective_is_evaluate(request, problem):
 
 
 def test_identity_only_observable_is_exactly_one():
-    ansatz = deuteron_ansatz_1()
+    ansatz = load_problem("deuteron-1")[0]
     obs = ObservableSum(2, [(1.0, "II")])
     ledger = EvalLedger()
     spec = ObjectiveSpec(ansatz, obs, "shots", shots=50, seed=1)
@@ -366,7 +365,7 @@ def test_observables_that_share_strings_keep_their_own_groups_and_weights():
 
     def spec(name, mode):
         num_qubits, weighted = terms[name]
-        ansatz = deuteron_ansatz_1() if num_qubits == 2 else load_problem("deuteron-2")[0]
+        ansatz = load_problem("deuteron-1")[0] if num_qubits == 2 else load_problem("deuteron-2")[0]
         return ObjectiveSpec(ansatz, ObservableSum(num_qubits, weighted), mode=mode,
                              shots=1000 if mode == "shots" else None, seed=5)
 
