@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ import numpy as np
 from .ansatz import Ansatz, _parse_circuit, exact_objective, verify_bandwidth
 from .complexity import (
     ComplexityParams,
+    _LN2,
     advantage_threshold,
     crossover_points,
     efficiency,
@@ -66,8 +68,15 @@ class ConfigError(ValueError):
 
 
 def load_problem(name: str) -> tuple[Ansatz, ObservableSum]:
-    if name not in PROBLEMS:
+    """The bundled problem's (ansatz, observable) pair, parsed once per process."""
+    if not isinstance(name, str) or name not in PROBLEMS:
         raise ConfigError(f"unknown problem {name!r}; available: {sorted(PROBLEMS)}")
+    return _parse_problem(name)
+
+
+@functools.cache
+def _parse_problem(name: str) -> tuple[Ansatz, ObservableSum]:
+    # both objects are frozen, so every caller can share them
     circuit, hamiltonian = (resources.files("qsreg").joinpath("data", f).read_text() for f in PROBLEMS[name])
     return _parse_circuit(name, circuit), parse_observable(hamiltonian)
 
@@ -343,10 +352,12 @@ def _params_from_args(args) -> tuple[ComplexityParams, bool]:
 
 
 def _model_document(params: ComplexityParams, full: bool) -> dict:
-    """The cost-model report; ``full`` (p and s given) adds p, s and the efficiency."""
-    n_star, peak_value = peak(params)
-    doc = {"m": params.m, "r": params.r, "peak_location": n_star, "peak_ratio": peak_value,
-           "advantage": is_supercritical(params)}
+    """The cost-model report.  The (m, r) form holds what m and r determine; ``full``
+    (p and s given) adds the peak ratio, p, s and the efficiency."""
+    doc = {"m": params.m, "r": params.r, "peak_location": params.r / _LN2}
+    if full:
+        doc["peak_ratio"] = peak(params)[1]
+    doc["advantage"] = is_supercritical(params)
     if doc["advantage"]:
         n_lower, n_upper = crossover_points(params)
         doc.update(
@@ -365,7 +376,6 @@ def _model_document(params: ComplexityParams, full: bool) -> dict:
 # the flags each complexity action reads; any other model flag given is a configuration error
 _COMPLEXITY_FLAGS = {
     ("threshold", None): ("m", "p", "s", "r"),
-    ("efficiency", None): ("m", "p", "s", "r"),
     ("sweep", "threshold"): ("what", "m_range", "r_range"),
     ("sweep", "efficiency"): ("what", "m", "p_range", "s_range"),
 }
@@ -388,11 +398,8 @@ def cmd_complexity(args) -> int:
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigError(f"--{flag} must be a positive finite real, got {value!r}")
     _check_out(args.out)
-    if args.action in ("threshold", "efficiency"):
-        params, full = _params_from_args(args)
-        if args.action == "efficiency" and not full:
-            raise ConfigError("efficiency needs --m, --p and --s")
-        _emit_json(_model_document(params, full), args.out)
+    if args.action == "threshold":
+        _emit_json(_model_document(*_params_from_args(args)), args.out)
         return 0
     if what == "threshold":
         if args.m_range is None or args.r_range is None:
@@ -476,19 +483,7 @@ def cmd_landscape(args) -> int:
 
 
 def cmd_verify_bandwidth(args) -> int:
-    ansatz, observable = load_problem(args.problem)
-    try:
-        report = verify_bandwidth(
-            ansatz,
-            observable,
-            grid_points_per_axis=args.grid,
-            tolerance=args.tolerance,
-            slices_per_axis=args.slices,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        # on a bundled problem verify_bandwidth only rejects its arguments
-        raise ConfigError(str(exc)) from exc
+    report = verify_bandwidth(*load_problem(args.problem))
     if args.json:
         doc = {
             "problem": args.problem,
@@ -542,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(func=cmd_table1)
 
     comp = sub.add_parser("complexity", help="cost-model reports and sweeps")
-    comp.add_argument("action", choices=["threshold", "efficiency", "sweep"])
+    comp.add_argument("action", choices=["threshold", "sweep"])
     comp.add_argument("--m", type=float, help=f"default {DEFAULT_M}")
     comp.add_argument("--p", type=float, default=None)
     comp.add_argument("--s", type=float, default=None)
@@ -567,10 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify-bandwidth", help="check the derived bandwidths by an FFT scan")
     verify.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
-    verify.add_argument("--grid", type=int, default=64)
-    verify.add_argument("--tolerance", type=float, default=1e-8)
-    verify.add_argument("--slices", type=int, default=5)
-    verify.add_argument("--seed", type=int, default=202)
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify_bandwidth)
 

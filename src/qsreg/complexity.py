@@ -87,8 +87,7 @@ def peak(params: ComplexityParams) -> tuple[float, float]:
 
 def is_supercritical(params: ComplexityParams) -> bool:
     """True iff the peak exceeds one, i.e. m * n_star > e."""
-    n_star, _ = peak(params)
-    return params.m * n_star > math.e
+    return params.m * (params.r / _LN2) > math.e
 
 
 def crossover_points(params: ComplexityParams) -> tuple[float, float] | None:
@@ -98,7 +97,7 @@ def crossover_points(params: ComplexityParams) -> tuple[float, float] | None:
     criticality (m*n_star = e) the branches coincide and both roots equal
     n_star.
     """
-    n_star, _ = peak(params)
+    n_star = params.r / _LN2
     arg = -1.0 / (params.m * n_star)
     if arg < -1.0 / math.e:
         return None

@@ -288,6 +288,32 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "outputs" / "r.json").exists()
 
 
+def test_run_parses_its_problem_once(capsys, tmp_path, monkeypatch):
+    """Checking the config and running it each parsed the circuit again."""
+    import qsreg.cli as cli_mod
+
+    calls = []
+    parse = cli_mod._parse_circuit
+
+    def counted(name, text):
+        calls.append(name)
+        return parse(name, text)
+
+    monkeypatch.setattr(cli_mod, "_parse_circuit", counted)
+    cli_mod._parse_problem.cache_clear()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QSREG_OUTPUT_DIR", raising=False)
+    code, _ = _run(capsys, ["run", "--problem", "deuteron-2", "--algorithm", "qsr"])
+    assert code == 0
+    assert calls == ["deuteron-2"]
+
+
+def test_load_problem_rejects_an_unhashable_name():
+    """A list name raised TypeError from the name check; the cache must not see it either."""
+    with pytest.raises(ConfigError, match="unknown problem"):
+        load_problem(["deuteron-1"])
+
+
 @pytest.mark.parametrize("argv, config", [
     (["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--out", "missing/r.json"], None),
     (["run", "--problem", "deuteron-2", "--algorithm", "qsr", "--model-out", "missing/m.json"], None),
@@ -397,7 +423,6 @@ def test_complexity_threshold_in_m_r_form_prints_exactly_the_window(capsys):
   "m": 2.0,
   "r": 4.0,
   "peak_location": 5.7707801635558535,
-  "peak_ratio": 324.9976166915245,
   "advantage": true,
   "n_lower": 0.5499985151188046,
   "n_upper": 21.779630218440825,
@@ -405,6 +430,16 @@ def test_complexity_threshold_in_m_r_form_prints_exactly_the_window(capsys):
   "threshold": 22
 }
 """
+
+
+def test_complexity_threshold_in_m_r_form_prints_no_peak_ratio(capsys):
+    """The (m, r) form printed the peak ratio of s = 1, and at r = 150 that ratio
+    overflowed and the command exited 1, although the threshold is 1769."""
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", "--r", "150"])
+    assert code == 0, out
+    doc = json.loads(out)
+    assert "peak_ratio" not in doc
+    assert doc["threshold"] == 1769
 
 
 def test_complexity_threshold_in_m_r_form_computes_no_efficiency(capsys):
@@ -423,30 +458,28 @@ def test_complexity_subcritical_point(capsys):
 
 
 def test_complexity_efficiency_report(capsys):
-    code, out = _run(capsys, ["complexity", "efficiency", "--m", "2", "--p", "8", "--s", "2"])
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", "--p", "8", "--s", "2"])
     assert code == 0
     doc = json.loads(out)
     assert doc["advantage"] is True
     assert doc["efficiency"] > 1.0
 
 
-@pytest.mark.parametrize("model", [["--m", "2", "--p", "8", "--s", "2"], ["--m", "0.1", "--p", "1", "--s", "1"]])
-def test_complexity_efficiency_prints_the_threshold_report(capsys, model):
-    """One document for (m, p, s), super- or subcritical, with every key either action printed before."""
-    code, efficiency_out = _run(capsys, ["complexity", "efficiency", *model])
+@pytest.mark.parametrize("model, keys", [
+    (["--m", "2", "--p", "8", "--s", "2"], ["m", "r", "peak_location", "peak_ratio", "advantage", "n_lower",
+                                            "n_upper", "window_width", "threshold", "p", "s", "efficiency"]),
+    (["--m", "0.1", "--p", "1", "--s", "1"], ["m", "r", "peak_location", "peak_ratio", "advantage", "p", "s"]),
+])
+def test_complexity_threshold_in_m_p_s_form_prints_the_full_report(capsys, model, keys):
+    """One document for (m, p, s), super- or subcritical: the efficiency only inside the window."""
+    code, out = _run(capsys, ["complexity", "threshold", *model])
     assert code == 0
-    code, threshold_out = _run(capsys, ["complexity", "threshold", *model])
-    assert code == 0
-    assert efficiency_out == threshold_out
-    doc = json.loads(efficiency_out)
-    keys = {"m", "p", "s", "r", "advantage"} | ({"efficiency"} if doc["advantage"] else set())
-    assert keys <= set(doc)
+    assert list(json.loads(out)) == keys
 
 
-@pytest.mark.parametrize("action", ["threshold", "efficiency"])
-def test_complexity_efficiency_of_a_large_power_is_finite(capsys, action):
+def test_complexity_efficiency_of_a_large_power_is_finite(capsys):
     """At p = 110 the value is 7.7e225; the gamma integrand overflowed and the command exited 1."""
-    code, out = _run(capsys, ["complexity", action, "--m", "2", "--p", "110", "--s", "1"])
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", "--p", "110", "--s", "1"])
     assert code == 0, out
     assert math.isfinite(json.loads(out)["efficiency"])
 
@@ -509,10 +542,9 @@ def test_complexity_requires_parameters(capsys):
     ["--s", "1", "--r", "4"],
     ["--s", "1"],
 ])
-@pytest.mark.parametrize("action", ["threshold", "efficiency"])
-def test_complexity_takes_exactly_m_r_or_m_p_s(capsys, action, model):
+def test_complexity_takes_exactly_m_r_or_m_p_s(capsys, model):
     """A model value outside the (m, r) or (m, p, s) form was dropped without a word."""
-    code, out = _run(capsys, ["complexity", action, "--m", "2", *model])
+    code, out = _run(capsys, ["complexity", "threshold", "--m", "2", *model])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "config"
 
@@ -522,7 +554,7 @@ def test_complexity_takes_exactly_m_r_or_m_p_s(capsys, action, model):
     ["threshold", "--m", "2", "--p", "nan", "--s", "1"],
     ["threshold", "--m", "2", "--r", "inf"],
     ["threshold", "--m", "nan", "--r", "2"],
-    ["efficiency", "--m", "2", "--p", "8", "--s", "0"],
+    ["threshold", "--m", "2", "--p", "8", "--s", "0"],
     ["sweep", "--what", "threshold", "--m-range", "nan:5:3", "--r-range", "1:8:3"],
     ["sweep", "--what", "threshold", "--m-range", "0:5:3", "--r-range", "1:inf:3"],
     ["sweep", "--what", "efficiency", "--m", "-2", "--p-range", "2:20:3", "--s-range", "2:5:3"],
@@ -634,10 +666,19 @@ def test_verify_bandwidth_text_output(capsys):
     assert "eta" in out
 
 
-@pytest.mark.parametrize("flags", [["--tolerance", "nan"], ["--tolerance", "inf"], ["--slices", "0"]])
-def test_verify_bandwidth_rejects_bad_settings_with_exit_2(capsys, flags):
-    code, out = _run(capsys, ["verify-bandwidth", "--problem", "deuteron-2", *flags])
+@pytest.mark.parametrize("argv", [
+    ["complexity", "efficiency", "--m", "2", "--p", "8", "--s", "2"],
+    ["verify-bandwidth", "--problem", "deuteron-2", "--grid", "64"],
+    ["verify-bandwidth", "--problem", "deuteron-2", "--tolerance", "1e-8"],
+    ["verify-bandwidth", "--problem", "deuteron-2", "--slices", "5"],
+    ["verify-bandwidth", "--problem", "deuteron-2", "--seed", "202"],
+])
+def test_inputs_without_a_caller_are_usage_errors(capsys, argv):
+    """The efficiency action printed the threshold report, and the verify-bandwidth
+    flags only restated the defaults; each exited 0."""
+    code, out = _run(capsys, argv)
     assert code == 2
+    assert len(out.splitlines()) == 1
     assert json.loads(out)["error"]["type"] == "config"
 
 

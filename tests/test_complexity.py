@@ -271,6 +271,21 @@ def test_threshold_independent_of_p_at_fixed_r():
         assert advantage_threshold(params) == advantage_threshold(ComplexityParams(3.0, 4.0, 2.0))
 
 
+@pytest.mark.parametrize("r", [150.0, 200.0])
+def test_threshold_at_large_r_matches_bisection_oracle(r):
+    """At m = 2 the threshold path also computed the peak ratio (m*n_star/e)^r,
+    which overflows from r = 142, and raised although a is finite."""
+    params = ComplexityParams(2.0, r, 1.0)
+    g = lambda n: params.m * n * 2.0 ** (-n / params.r) - 1.0
+    n_star = r / LN2
+    hi = n_star
+    while g(hi) > 0:
+        hi *= 2.0
+    expected = math.ceil(_bisect(g, n_star, hi))
+    assert advantage_threshold(params) == expected
+    assert threshold_sweep([2.0], [r])[0, 0] == expected
+
+
 def test_efficiency_closed_form_matches_quadrature_grid():
     worst = 0.0
     for m in M_GRID:
