@@ -58,11 +58,6 @@ _FOREIGN_SETTINGS = {
     "vqe": ("bandwidths", "oversample", "model_out"),
 }
 
-# Table-style comparison rows pin the lattice the benchmark historically used:
-# the two-parameter problem is sampled at the uniform bound S=2 per axis.
-TABLE_BANDWIDTHS = {"deuteron-1": None, "deuteron-2": (2, 2)}
-
-
 class ConfigError(ValueError):
     """Invalid run configuration (unknown keys, bad values)."""
 
@@ -100,8 +95,7 @@ class RunConfig:
     model_out: str | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.problem, str) or self.problem not in PROBLEMS:
-            raise ConfigError(f"unknown problem {self.problem!r}")
+        num_params = load_problem(self.problem)[0].num_params
         if self.algorithm not in ("vqe", "qsr"):
             raise ConfigError("algorithm must be 'vqe' or 'qsr'")
         if self.mode not in ("exact", "shots"):
@@ -135,7 +129,6 @@ class RunConfig:
             raise ConfigError(f"the {self.algorithm} algorithm does not read {', '.join(foreign)}")
         if self.algorithm == "qsr" and self.oversample is None:
             self.oversample = 1.0
-        num_params = load_problem(self.problem)[0].num_params
         if self.bandwidths is not None and len(self.bandwidths) != num_params:
             raise ConfigError(f"bandwidths needs {num_params} entries, got {len(self.bandwidths)}")
         if self.theta0 is not None and len(self.theta0) != num_params:
@@ -242,7 +235,10 @@ def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
 
 def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
     rows = []
-    for n, problem in ((1, "deuteron-1"), (2, "deuteron-2")):
+    for problem in PROBLEMS:
+        ansatz = load_problem(problem)[0]
+        # QSR samples each problem at the uniform bound: its largest S_j on every axis
+        uniform = (max(ansatz.bandwidths),) * ansatz.num_params
         for algorithm in ("vqe", "qsr"):
             # exact-mode baseline rows get tight stopping so the table's
             # noiseless errors sit at numerical precision
@@ -253,7 +249,7 @@ def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
                 mode=mode,
                 shots=shots,
                 seed=seed,
-                bandwidths=TABLE_BANDWIDTHS[problem] if algorithm == "qsr" else None,
+                bandwidths=uniform if algorithm == "qsr" else None,
                 ftol=1e-12 if tight else None,
                 xtol=1e-8 if tight else None,
                 max_evals=4000 if tight else None,
@@ -261,7 +257,7 @@ def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
             doc, _ = execute_run(config)
             rows.append(
                 {
-                    "n": n,
+                    "n": ansatz.num_params,
                     "algorithm": algorithm.upper(),
                     "samples": doc["ledger"]["samples"],
                     "queries": doc["ledger"]["queries"],

@@ -2,12 +2,12 @@
 
 A *sample* is one objective evaluation at one parameter point; a *query* is
 one backend round trip (a batched request counts once).  Exact and shot mode
-share one measurement path: a query makes one expectation call with all the
-observable's non-identity terms in group order, which rotates the batch with
-flip-index kernels into each qubit-wise-commuting group's basis in turn and
-takes |amplitude|^2 there.  Exact mode reads each term off its group's
-table; shot mode draws each term's histogram from it with the full shot
-budget.  Each sample owns one random stream ``(seed, sample_index)``,
+share one measurement path: a query makes one expectation call with the
+observable's plan of all its non-identity terms, which rotates the batch
+with flip-index kernels into each qubit-wise-commuting group's basis in
+turn and takes |amplitude|^2 there.  Exact mode reads each term off its
+group's table; shot mode draws each term's histogram from it with the full
+shot budget.  Each sample owns one random stream ``(seed, sample_index)``,
 consumed group by group in group order.  The identity weight is added
 classically and never consumes shots.
 """
@@ -90,23 +90,22 @@ def _evaluate_points(
     if not np.isfinite(points).all():
         raise ValueError("parameter points must be finite")
     states = spec.ansatz.states(points)
-    observable = spec.observable
-    weights, strings = observable.grouped_terms
+    measurement = spec.observable.measurement
     shots = spec.shots if spec.mode == "shots" else 0
     values = np.zeros(len(points))
-    if strings:
+    if measurement.plan is not None:
         if shots:
             rngs = [np.random.default_rng(child_seed(spec.seed, first_index + row)) for row in range(len(points))]
-            measured = sampled_expectation(states, strings, shots, rngs)
+            measured = sampled_expectation(states, measurement.plan, shots, rngs)
         else:
-            measured = exact_expectation(states, strings)
+            measured = exact_expectation(states, measurement.plan)
         # cumsum adds the terms one by one in group order; sum() would pair them up from 8 terms on
-        values += np.cumsum(measured * weights, axis=1)[:, -1]
-    values += observable.identity_weight
+        values += np.cumsum(measured[:, measurement.order] * measurement.weights, axis=1)[:, -1]
+    values += measurement.identity_weight
     if ledger is not None:
         ledger.samples += points.shape[0]
         ledger.queries += 1
-        ledger.measurements += points.shape[0] * len(strings) * shots
+        ledger.measurements += points.shape[0] * len(measurement.weights) * shots
     return values
 
 

@@ -25,6 +25,9 @@ __all__ = [
     "parse_observable",
     "exact_spectrum",
     "qubit_wise_groups",
+    "Measurement",
+    "MeasurementPlan",
+    "measurement_plan",
     "MERGE_PRUNE_TOLERANCE",
     "MAX_DENSE_QUBITS",
 ]
@@ -130,6 +133,43 @@ def qubit_wise_groups(paulis) -> tuple[tuple[str, ...], tuple[tuple[int, ...], .
 
 
 @dataclass(frozen=True)
+class MeasurementPlan:
+    """How one call measures k Pauli strings of n qubits: one pass per qubit-wise-commuting group.
+
+    ``groups`` holds each group's per-qubit basis and the positions of its
+    strings; ``signs``, (k, 2**n), the strings' parity signs in string order.
+    """
+
+    num_qubits: int
+    groups: tuple[tuple[str, tuple[int, ...]], ...]
+    signs: np.ndarray
+
+
+def measurement_plan(paulis) -> MeasurementPlan:
+    """The plan of ``paulis``, grouped by :func:`qubit_wise_groups`; its errors pass through."""
+    paulis = tuple(paulis)
+    bases, groups = qubit_wise_groups(paulis)
+    signs = _parity_sign_table([pauli.ops for pauli in paulis])
+    signs.flags.writeable = False
+    return MeasurementPlan(paulis[0].num_qubits, tuple(zip(bases, groups)), signs)
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """What a query reads off an observable, whose terms it sums group by group, in ``order``.
+
+    ``plan`` measures the non-identity strings in term order (None if there
+    are none), ``order`` lists its positions in group order and ``weights``
+    their weights; the identity terms' summed weight is added classically.
+    """
+
+    plan: MeasurementPlan | None
+    order: np.ndarray
+    weights: np.ndarray
+    identity_weight: float
+
+
+@dataclass(frozen=True)
 class ObservableSum:
     """Weighted sum of Pauli strings sharing one register size.
 
@@ -165,28 +205,15 @@ class ObservableSum:
         object.__setattr__(self, "terms", kept)
 
     @cached_property
-    def measurement_groups(self) -> tuple[tuple[int, ...], ...]:
-        """Qubit-wise-commuting groups of the non-identity terms, as indices into ``terms``.
-
-        The groups of :func:`qubit_wise_groups` over the non-identity terms in
-        term order; identity terms belong to no group.
-        """
-        measured = [index for index, (_, pauli) in enumerate(self.terms) if not pauli.is_identity]
-        groups = qubit_wise_groups([self.terms[index][1] for index in measured])[1] if measured else ()
-        return tuple(tuple(measured[member] for member in group) for group in groups)
-
-    @cached_property
-    def grouped_terms(self) -> tuple[np.ndarray, tuple[PauliString, ...]]:
-        """``(weights, strings)`` of the non-identity terms in group order: what one expectation call measures."""
-        order = [index for group in self.measurement_groups for index in group]
-        weights = np.array([self.terms[i][0] for i in order], dtype=float)
-        weights.flags.writeable = False
-        return weights, tuple(self.terms[i][1] for i in order)
-
-    @cached_property
-    def identity_weight(self) -> float:
-        """The summed weight of the identity terms, added classically (0 if there are none)."""
-        return sum(weight for weight, pauli in self.terms if pauli.is_identity)
+    def measurement(self) -> Measurement:
+        """What a query reads off this observable, grouped once: see :class:`Measurement`."""
+        measured = [(weight, pauli) for weight, pauli in self.terms if not pauli.is_identity]
+        plan = measurement_plan([pauli for _, pauli in measured]) if measured else None
+        groups = plan.groups if plan is not None else ()
+        order = np.array([k for _, positions in groups for k in positions], dtype=int)
+        weights = np.array([measured[k][0] for k in order], dtype=float)
+        order.flags.writeable = weights.flags.writeable = False
+        return Measurement(plan, order, weights, sum(weight for weight, pauli in self.terms if pauli.is_identity))
 
     @property
     def one_norm(self) -> float:

@@ -361,7 +361,6 @@ def vqe_run(
     max_evals: int | None = None,
     xtol: float | None = None,
     ftol: float | None = None,
-    record_trace: bool = False,
 ) -> OptimizationResult:
     """Baseline eigensolver loop: simplex descent on the live objective.
 
@@ -385,14 +384,7 @@ def vqe_run(
     def live_objective(theta: np.ndarray) -> float:
         return evaluate(spec, theta, ledger, sample_index=next(counter))
 
-    return nelder_mead_minimize(
-        live_objective,
-        theta0,
-        max_evals=max_evals,
-        xtol=xtol,
-        ftol=ftol,
-        record_trace=record_trace,
-    )
+    return nelder_mead_minimize(live_objective, theta0, max_evals=max_evals, xtol=xtol, ftol=ftol)
 
 
 def qsr_run(

@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, PauliString, _parity_sign_table, qubit_wise_groups
+from .observables import MAX_DENSE_QUBITS, PAULI_MATRICES, MeasurementPlan, measurement_plan
 from .regression import _check_integer
 
 __all__ = [
@@ -153,36 +153,22 @@ def apply_circuit(gates, num_qubits: int, batch: int) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=64)
-def _measurement_plan(labels: tuple[str, ...]) -> tuple[int, np.ndarray, tuple]:
-    """What measuring strings with these ``ops`` needs: ``(n, signs, groups)``.
-
-    ``signs`` holds the strings' parity signs, (k, 2**n), and ``groups`` each
-    greedy group's basis and the positions of its strings
-    (:func:`qubit_wise_groups`).  Bounded and keyed by labels, the cache
-    neither grows with the observables seen nor keeps them.
-    """
-    paulis = tuple(map(PauliString, labels))
-    groups = tuple(zip(*qubit_wise_groups(paulis)))
-    signs = _parity_sign_table(labels)
-    signs.flags.writeable = False
-    return len(labels[0]), signs, groups
-
-
 def _measurement_passes(states: np.ndarray, paulis):
-    """Check the batch's shape; return an iterator of ``(table, totals, signs, columns)``, one per group.
+    """Check the batch's shape; return k and an iterator of ``(table, totals, signs, columns)``, one per group.
 
+    ``paulis`` is a :class:`MeasurementPlan` or a tuple of strings to plan.
     A pass rotates the batch into its group's basis with flip-index kernels:
     ``table`` is |amplitude|^2, (B, 2**n), not normalised, and ``totals`` its
     row sums; the first row whose sum is not finite and positive raises
     ``ValueError``.
     """
-    n, signs, groups = _measurement_plan(tuple(pauli.ops for pauli in paulis))
+    plan = paulis if isinstance(paulis, MeasurementPlan) else measurement_plan(paulis)
+    n = plan.num_qubits
     if states.ndim != 2 or states.shape[1] != 2**n:
         raise ValueError(f"states have shape {states.shape}, expected (B, 2**n) with n = {n}")
 
     def passes():
-        for basis, columns in groups:
+        for basis, columns in plan.groups:
             # an infinite amplitude must reach the check as a non-finite total, not as a warning
             with np.errstate(invalid="ignore", over="ignore"):
                 rotated = states
@@ -199,20 +185,20 @@ def _measurement_passes(states: np.ndarray, paulis):
                 # the message quotes the state's own squared norm, which a rotation may turn from inf to NaN
                 norm = np.einsum("j,j->", states[row].conj(), states[row]).real
                 raise ValueError(f"states must be finite with nonzero norm; batch row {row} has squared norm {norm!r}")
-            yield table, totals, signs.take(columns, axis=0), columns
-    return passes()
+            yield table, totals, plan.signs.take(columns, axis=0), columns
+    return len(plan.signs), passes()
 
 
 def exact_expectation(states: np.ndarray, paulis) -> np.ndarray:
     """<psi|P|psi> with no shot noise: P's parity signs dotted with its group's outcome table.
 
     ``states`` is a batch of shape (B, 2**n) and ``paulis`` a tuple of k
-    n-qubit ``PauliString``s, measured group by group in one call; the
-    result, (B, k), follows ``paulis``.  The table is not renormalised, so
-    any finite nonzero state works; others raise ``ValueError``.
+    n-qubit ``PauliString``s or their :class:`MeasurementPlan`, measured in
+    one call; the result, (B, k), follows the strings.  The table is not
+    renormalised, so any finite nonzero state works; others raise ``ValueError``.
     """
-    passes = _measurement_passes(states, paulis)
-    values = np.empty((len(states), len(paulis)))
+    k, passes = _measurement_passes(states, paulis)
+    values = np.empty((len(states), k))
     for table, _, signs, columns in passes:
         # one (B, 2**n) product per string, not a (B, k_g, 2**n) one
         for column, sign in zip(columns, signs):
@@ -231,12 +217,12 @@ def sampled_expectation(states: np.ndarray, paulis, shots: int, rngs) -> np.ndar
     with its counts over ``shots`` (exactly 1.0 for the identity).
     """
     shots = _check_integer(shots, "shots", minimum=1)
-    passes = _measurement_passes(states, paulis)
+    k, passes = _measurement_passes(states, paulis)
     generators = np.asarray(rngs, dtype=object)
     if generators.shape != (len(states),):
         raise ValueError(f"need one generator per state: got shape {generators.shape}, expected {(len(states),)}")
     generators = list(map(np.random.default_rng, generators))
-    values = np.empty((len(states), len(paulis)))
+    values = np.empty((len(states), k))
     for table, totals, signs, columns in passes:
         probs = table / totals[:, None]
         counts = np.array([rng.multinomial(shots, p, size=len(signs)) for rng, p in zip(generators, probs)])

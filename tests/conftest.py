@@ -30,6 +30,13 @@ def lam_d2(deuteron2):
     return exact_spectrum(deuteron2[1]).min_eigenvalue
 
 
+def term_groups(observable):
+    """The observable's measurement groups as indices into its ``terms``, in group order."""
+    measured = [index for index, (_, pauli) in enumerate(observable.terms) if not pauli.is_identity]
+    plan = observable.measurement.plan
+    return [tuple(measured[k] for k in positions) for _, positions in plan.groups] if plan else []
+
+
 def scan_polish_min(ansatz, observable, scan_per_axis=400):
     """Independent oracle: dense grid scan of the exact objective plus a tight
     simplex polish.  Returns (theta_min, value_min)."""

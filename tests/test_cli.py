@@ -106,6 +106,18 @@ def test_config_rejects_unknown_keys(capsys, tmp_path):
     assert "wobble" in doc["error"]["message"]
 
 
+def test_config_with_an_unknown_problem_lists_the_available_ones(capsys, tmp_path):
+    """A config file's problem is checked by ``load_problem``, whose message names the bundled problems."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"problem": "deuteron-9", "algorithm": "qsr"}))
+    code, out = _run(capsys, ["run", "--config", str(path)])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "config",
+        "message": "unknown problem 'deuteron-9'; available: ['deuteron-1', 'deuteron-2']",
+    }
+
+
 @pytest.mark.parametrize("document", [5, "abc", [], None])
 def test_config_file_must_hold_an_object(capsys, tmp_path, document):
     path = tmp_path / "config.json"

@@ -18,8 +18,8 @@ from qsreg import (
 )
 from qsreg.ansatz import exact_objective
 from qsreg.cli import load_problem
-from qsreg.statevector import _measurement_passes, _measurement_plan, child_seed
-from conftest import scan_polish_min
+from qsreg.statevector import _measurement_passes, child_seed
+from conftest import scan_polish_min, term_groups
 
 
 _LADDER_STRINGS = ["XXII", "IYYI", "IIZZ", "ZIIZ", "XYZI", "IZXY", "YIIX", "ZZZZ"]
@@ -217,14 +217,14 @@ def test_shot_streams_are_one_generator_per_sample(deuteron2):
     points = nyquist_lattice([2, 2])
     values = evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=shots, seed=seed), points)
     states = ansatz.states(points)
-    strings = obs.grouped_terms[1]
+    plan = obs.measurement.plan
     identity = sum(weight for weight, pauli in obs.terms if pauli.is_identity)
     for row, state in enumerate(states):
         rng = np.random.default_rng(child_seed(seed, row))
         # the sampler's table in every group's basis, one (2**n,) row per group
-        tables = [table[0] for table, *_ in _measurement_passes(state[None], strings)]
+        tables = [table[0] for table, *_ in _measurement_passes(state[None], plan)[1]]
         expected = 0.0
-        for group, table in zip(obs.measurement_groups, tables):
+        for group, table in zip(term_groups(obs), tables):
             paulis = tuple(obs.terms[i][1] for i in group)
             ops = [pauli.ops for pauli in paulis]
             basis = "".join(next((label for label in column if label != "I"), "I") for column in zip(*ops))
@@ -262,16 +262,16 @@ def test_groups_of_one_sample_continue_its_stream(deuteron2, monkeypatch):
     monkeypatch.setattr(qsreg.objective, "sampled_expectation", recording)
     ansatz, obs = deuteron2
     evaluate_batch(ObjectiveSpec(ansatz, obs, "shots", shots=100, seed=3), nyquist_lattice([1, 1]))
-    assert len(seen) == 1 < len(obs.measurement_groups)
-    states, paulis, shots, generators = seen[0]
+    assert len(seen) == 1 < len(obs.measurement.plan.groups)
+    states, plan, shots, generators = seen[0]
     assert len({id(generator) for generator in generators}) == len(generators) == len(states)
-    passes = list(_measurement_passes(states, paulis))
+    passes = list(_measurement_passes(states, plan)[1])
     table, totals = (np.stack([done[part] for done in passes], axis=1) for part in (0, 1))
     for row, generator in enumerate(generators):
         fresh = np.random.default_rng(child_seed(3, row))
         positions = [fresh.bit_generator.state["state"]["state"]]
-        for g, group in enumerate(obs.measurement_groups):
-            fresh.multinomial(shots, table[row, g] / totals[row, g], size=len(group))
+        for g, (_, members) in enumerate(plan.groups):
+            fresh.multinomial(shots, table[row, g] / totals[row, g], size=len(members))
             positions.append(fresh.bit_generator.state["state"]["state"])
         assert len(set(positions)) == len(positions)
         assert generator.bit_generator.state == fresh.bit_generator.state
@@ -347,7 +347,7 @@ def test_one_query_is_one_simulation_pass(monkeypatch):
                         counted("exact_expectation", qsreg.objective.exact_expectation))
     values = evaluate_batch(ObjectiveSpec(ansatz, obs), nyquist_lattice([1, 1, 1, 1]))
     assert values.shape == (81,)
-    assert 1 < len(obs.measurement_groups) < len(strings)
+    assert 1 < len(obs.measurement.plan.groups) < len(strings)
     assert calls == {"apply_circuit": 1, "exact_expectation": 1}
 
 
@@ -369,14 +369,14 @@ def test_observables_that_share_strings_keep_their_own_groups_and_weights():
         return ObjectiveSpec(ansatz, ObservableSum(num_qubits, weighted), mode=mode,
                              shots=1000 if mode == "shots" else None, seed=5)
 
-    assert spec("a", "exact").observable.measurement_groups != spec("b", "exact").observable.measurement_groups
+    plans = [spec(name, "exact").observable.measurement.plan for name in ("a", "b")]
+    assert plans[0].groups != plans[1].groups
     reused = {(name, mode): spec(name, mode) for name in terms for mode in ("exact", "shots")}
     rng = np.random.default_rng(8)
     for step in range(30):
         (name, mode), current = list(reused.items())[step % len(reused)]
         theta = rng.uniform(-np.pi, np.pi, current.num_params)
         value = evaluate(current, theta, sample_index=step)
-        _measurement_plan.cache_clear()
         assert value == evaluate(spec(name, mode), theta, sample_index=step)
 
 
@@ -411,33 +411,54 @@ def test_per_observable_data_does_not_grow_with_the_observables_seen():
 
 
 def test_measurement_plans_stay_small():
-    """A full plan cache of 64 distinct 4-qubit, 8-term observables holds under 256 KB.
+    """One 4-qubit, 8-term observable's measurement holds under 8 KB.
 
-    A plan keeps each group's basis as a string and the strings' parity
-    signs; the change-of-basis vectors are cached per qubit, not per
-    observable.  Plans that cached a (G, 2**n) complex table per rotated
-    qubit held about 0.9 MB here.
+    It keeps each group's basis as a string, the strings' parity signs and
+    the group order with its weights; the change-of-basis vectors are
+    cached per qubit, not per observable.  Plans that cached a (G, 2**n)
+    complex table per rotated qubit held about 14 KB each.
     """
-    ansatz = _ladder()[0]
     rng = np.random.default_rng(64)
-    points = nyquist_lattice([1, 1, 1, 1])[:9]
+    strings = set()
+    while len(strings) < 8:
+        ops = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=4))
+        if ops != "IIII":
+            strings.add(ops)
+    observable = ObservableSum(4, [(float(rng.normal()), ops) for ops in sorted(strings)])
+    gc.collect()
     tracemalloc.start()
     try:
-        for _ in range(64):
-            strings = set()
-            while len(strings) < 8:
-                ops = "".join("IXYZ"[k] for k in rng.integers(0, 4, size=4))
-                if ops != "IIII":
-                    strings.add(ops)
-            observable = ObservableSum(4, [(float(rng.normal()), ops) for ops in sorted(strings)])
-            evaluate_batch(ObjectiveSpec(ansatz, observable), points)
-        del observable
+        measurement = observable.measurement
         gc.collect()
-        assert _measurement_plan.cache_info().currsize == 64
-        full = tracemalloc.get_traced_memory()[0]
-        _measurement_plan.cache_clear()
-        gc.collect()
-        held = full - tracemalloc.get_traced_memory()[0]
+        held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held < 256 * 1024
+    assert measurement.plan.signs.shape == (8, 16) and len(measurement.plan.groups) > 1
+    assert held < 8 * 1024
+
+
+def test_a_fresh_observable_is_grouped_once(monkeypatch):
+    """The first query groups a fresh observable's strings once, the engine included; later queries reuse its plan."""
+    import qsreg.observables
+    import qsreg.statevector
+
+    calls = []
+    original = qsreg.observables.qubit_wise_groups
+
+    def counted(paulis):
+        calls.append(paulis)
+        return original(paulis)
+
+    # the engine must not keep a grouping of its own under the same name either
+    for module in (qsreg.observables, qsreg.statevector):
+        monkeypatch.setattr(module, "qubit_wise_groups", counted, raising=False)
+    ansatz = _ladder()[0]
+    # strings that no other test measures, so that no cache anywhere already holds their grouping
+    observable = ObservableSum(4, [(0.3, "XZYI"), (-0.7, "IZYX"), (1.1, "YIXZ"), (0.2, "ZZII"), (0.4, "IIII")])
+    spec = ObjectiveSpec(ansatz, observable)
+    points = nyquist_lattice([1, 1, 1, 1])[:9]
+    evaluate_batch(spec, points)
+    assert len(calls) == 1
+    evaluate_batch(spec, points)
+    evaluate(spec, points[0])
+    assert len(calls) == 1

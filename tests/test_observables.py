@@ -16,6 +16,7 @@ from qsreg import (
 )
 from qsreg.observables import _parity_sign_table, qubit_wise_groups
 from qsreg.statevector import exact_expectation
+from conftest import term_groups
 
 
 # --- PauliString ---
@@ -136,7 +137,7 @@ def _shared_basis(paulis):
 @settings(max_examples=200, deadline=None)
 @given(_pauli_sums())
 def test_measurement_groups_partition_the_terms_into_qubit_wise_commuting_sets(obs):
-    groups = obs.measurement_groups
+    groups = term_groups(obs)
     members = [index for group in groups for index in group]
     non_identity = [index for index, (_, p) in enumerate(obs.terms) if not p.is_identity]
     assert sorted(members) == non_identity
@@ -153,12 +154,17 @@ def test_measurement_groups_partition_the_terms_into_qubit_wise_commuting_sets(o
         for earlier in groups[:later]:
             opened_before = [index for index in earlier if index < group[0]]
             assert _shared_basis([obs.terms[index][1] for index in (*opened_before, group[0])]) is None
+    # a query sums the weights in group order and adds the identity weight classically
+    measurement = obs.measurement
+    assert list(measurement.weights) == [obs.terms[index][0] for index in members]
+    assert measurement.identity_weight == sum(w for w, p in obs.terms if p.is_identity)
 
 
 def test_deuteron_3q_is_measured_in_three_bases(deuteron2):
     obs = deuteron2[1]
-    groups = obs.measurement_groups
+    groups = term_groups(obs)
     assert len(groups) == 3
+    assert [basis for basis, _ in obs.measurement.plan.groups] == ["ZZZ", "XXX", "YYY"]
     assert [_shared_basis(obs.terms[i][1] for i in group) for group in groups] == ["ZZZ", "XXX", "YYY"]
     strings = [pauli for _, pauli in obs.terms if not pauli.is_identity]
     assert qubit_wise_groups(strings)[0] == ("ZZZ", "XXX", "YYY")

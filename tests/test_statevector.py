@@ -4,6 +4,7 @@ import pytest
 
 from qsreg import Gate, ObservableSum, PauliString
 from qsreg.statevector import apply_circuit, child_seed, exact_expectation, sampled_expectation
+from conftest import term_groups
 
 Z = (PauliString("Z"),)
 
@@ -294,7 +295,7 @@ def test_sampled_mean_over_400_seeds_is_unbiased():
             # 400 copies of one state, each row with its own generator, shared by the groups in order
             states = np.repeat(_random_states(rng, 1, n), repeats, axis=0)
             generators = [np.random.default_rng(child_seed(trial, n, row)) for row in range(repeats)]
-            for group in obs.measurement_groups:
+            for group in term_groups(obs):
                 paulis = tuple(obs.terms[t][1] for t in group)
                 means = sampled_expectation(states, paulis, shots, generators).mean(axis=0)
                 for pauli, mean in zip(paulis, means):
@@ -528,11 +529,11 @@ def test_a_large_measurement_holds_one_group_and_one_string_at_a_time():
     given = states.copy()
     for strings, groups in ((mixed, 16), (z_type, 1)):
         observable = ObservableSum(6, [(1.0, ops) for ops in strings])
-        assert len(observable.measurement_groups) == groups and len(observable.terms) == len(strings)
-        paulis = observable.grouped_terms[1]
+        plan = observable.measurement.plan
+        assert len(plan.groups) == groups and len(observable.terms) == len(strings)
         tracemalloc.start()
         try:
-            exact_expectation(states, paulis)
+            exact_expectation(states, plan)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
