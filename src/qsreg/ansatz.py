@@ -28,6 +28,10 @@ __all__ = [
     "verify_bandwidth",
 ]
 
+# verify_bandwidth: random slices per axis (one for a one-parameter ansatz) and the seed of their offsets
+_SLICES_PER_AXIS = 5
+_SLICE_SEED = 202
+
 
 @dataclass(frozen=True)
 class Ansatz:
@@ -95,28 +99,40 @@ class Ansatz:
 def _parse_circuit(name: str, text: str) -> Ansatz:
     """The ansatz of a circuit document ``{"num_qubits", "params", "gates"}``.
 
-    ``params`` names the parameters.  A gate is ``[kind, qubits]``, or
-    ``[kind, qubits, param, scale]`` for a rotation by the nonzero integer
-    ``scale`` times theta[param].  Parameter j's bandwidth is the sum of |scale|
-    over its rotations.  The fixed gates are built once and shared by every
-    point, and the circuit is simulated once at theta = 0, so a bad kind,
-    qubit or index raises ``ValueError`` here.
+    The document has exactly these keys: ``num_qubits`` an integer, ``params``
+    a list of strings that names the parameters, and ``gates`` a list.  A
+    gate is ``[kind, qubits]``, or ``[kind, qubits, param, scale]`` for a
+    rotation by the nonzero integer ``scale`` times theta[param].  Parameter
+    j's bandwidth is the sum of |scale| over its rotations.  The fixed gates
+    are built once and shared by every point, and the circuit is simulated
+    once at theta = 0, so a bad key, kind, qubit or index raises
+    ``ValueError`` here.
     """
     doc = json.loads(text)
+    if not isinstance(doc, dict) or set(doc) != {"num_qubits", "params", "gates"}:
+        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
+        raise ValueError(f"circuit {name!r}: the document is an object with exactly 'num_qubits', 'params' "
+                         f"and 'gates', got {got}")
+    # type() is int, not isinstance: a boolean is an int too, and 2.0 is no JSON integer
+    if type(doc["num_qubits"]) is not int:
+        raise ValueError(f"circuit {name!r}: 'num_qubits' must be an integer, got {doc['num_qubits']!r}")
+    if not isinstance(doc["params"], list) or not all(isinstance(p, str) for p in doc["params"]):
+        raise ValueError(f"circuit {name!r}: 'params' must be a list of strings, got {doc['params']!r}")
+    if not isinstance(doc["gates"], list):
+        raise ValueError(f"circuit {name!r}: 'gates' must be a list, got {doc['gates']!r}")
     names = tuple(doc["params"])
     bandwidths = [0] * len(names)
     steps = []  # (shared fixed gate or None, kind, qubits, param, scale)
     for entry in doc["gates"]:
-        if len(entry) not in (2, 4):
-            raise ValueError(f"circuit {name!r}: a gate is [kind, qubits] or [kind, qubits, param, scale], "
-                             f"got {entry!r}")
+        if not isinstance(entry, list) or len(entry) not in (2, 4) or not isinstance(entry[1], list):
+            raise ValueError(f"circuit {name!r}: a gate is [kind, qubits] or [kind, qubits, param, scale] "
+                             f"with a list of qubits, got {entry!r}")
         kind, qubits, *rotation = entry
         qubits = tuple(qubits)
         if not rotation:
             steps.append((Gate(kind, qubits), kind, qubits, None, 0))
             continue
         param, scale = rotation
-        # type() is int, not isinstance: a boolean is an int too
         if type(param) is not int or not 0 <= param < len(names):
             raise ValueError(f"circuit {name!r}: parameter index must be an integer in [0, {len(names)}), "
                              f"got {param!r}")
@@ -178,34 +194,31 @@ def verify_bandwidth(
     observable: ObservableSum,
     grid_points_per_axis: int = 64,
     tolerance: float = 1e-8,
-    slices_per_axis: int = 5,
-    seed: int = 202,
 ) -> BandwidthReport:
     """Empirical check of the declared bandwidth bounds.
 
     For each axis the exact objective is scanned on a uniform 1-D grid while
     the other parameters sit at random slice values (multidimensional content
-    can hide on special slices such as 0, hence several random slices).  The
-    discrete Fourier transform of each scan gives the largest harmonic index
-    whose magnitude exceeds ``tolerance`` relative to the largest magnitude;
-    the axis passes iff that index stays within the declared bound on every
-    slice.  All slices of all axes are evaluated as one batched query.
+    can hide on special slices such as 0, hence 5 random slices, drawn from a
+    fixed seed).  The discrete Fourier transform of each scan gives the
+    largest harmonic index whose magnitude exceeds ``tolerance`` relative to
+    the largest magnitude; the axis passes iff that index stays within the
+    declared bound on every slice.  All slices of all axes are evaluated as
+    one batched query.
     """
     if not 0.0 < tolerance < 1.0:
         raise ValueError(f"tolerance must be a finite number in (0, 1), got {tolerance!r}")
     grid_points_per_axis = _check_integer(grid_points_per_axis, "grid_points_per_axis", minimum=1)
-    slices_per_axis = _check_integer(slices_per_axis, "slices_per_axis", minimum=1)
-    seed = _check_integer(seed, "seed", minimum=0)
     max_s = max(ansatz.bandwidths)
     if grid_points_per_axis <= 2 * max_s + 1:
         raise ValueError(
             f"insufficient grid resolution: need > {2 * max_s + 1} points per axis"
         )
     axes = ansatz.num_params
-    n_slices = slices_per_axis if axes > 1 else 1
+    n_slices = _SLICES_PER_AXIS if axes > 1 else 1
     grid = lattice_axes([grid_points_per_axis])[0]
     # points[a, s, g] sits at slice s's random offsets with axis a replaced by grid value g
-    offsets = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(axes, n_slices, axes))
+    offsets = np.random.default_rng(_SLICE_SEED).uniform(-np.pi, np.pi, size=(axes, n_slices, axes))
     points = np.repeat(offsets[:, :, None, :], grid.size, axis=2)
     for axis in range(axes):
         points[axis, :, :, axis] = grid

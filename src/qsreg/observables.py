@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .regression import _check_real
+from .regression import _check_integer, _check_real
 
 __all__ = [
     "ObservableError",
@@ -182,8 +182,10 @@ class ObservableSum:
     terms: tuple[tuple[float, PauliString], ...]
 
     def __init__(self, num_qubits, terms):
-        if isinstance(num_qubits, bool) or not isinstance(num_qubits, int) or num_qubits < 1:
-            raise ObservableError("num_qubits must be a positive integer")
+        try:
+            num_qubits = _check_integer(num_qubits, "num_qubits", minimum=1)
+        except ValueError as exc:
+            raise ObservableError(str(exc)) from exc
         merged: dict[str, float] = {}
         for weight, pauli in terms:
             if isinstance(pauli, str):
@@ -257,6 +259,9 @@ def parse_observable(text: str) -> ObservableSum:
         raise ObservableError(f"unknown keys in Hamiltonian document: {sorted(unknown)}")
     if "num_qubits" not in doc or "terms" not in doc:
         raise ObservableError("Hamiltonian document needs 'num_qubits' and 'terms'")
+    # type() is int, not isinstance: a boolean is an int too, and 2.0 is no JSON integer
+    if type(doc["num_qubits"]) is not int:
+        raise ObservableError(f"'num_qubits' must be an integer, got {doc['num_qubits']!r}")
     raw_terms = doc["terms"]
     if not isinstance(raw_terms, list):
         raise ObservableError("'terms' must be a list")

@@ -25,7 +25,6 @@ from .regression import (
     _check_bandwidths,
     _check_integer,
     _check_real,
-    _fields_equal,
     fit_fourier_model,
     lattice_axes,
     uniform_lattice,
@@ -58,15 +57,13 @@ _BOUND_MARGIN = 1e-12
 _GRID_BLOCK_CELLS = 2**14
 
 
-@dataclass
+# eq=False: compared by identity, as the regression records are
+@dataclass(eq=False)
 class OptimizationResult:
     theta_min: np.ndarray
     value_min: float
     evaluations: int
     converged: bool
-    trace: list | None = None
-
-    __eq__ = _fields_equal
 
 
 class _BudgetExhausted(Exception):
@@ -79,7 +76,6 @@ def nelder_mead_minimize(
     max_evals: int = 500,
     xtol: float = 1e-6,
     ftol: float | None = 1e-6,
-    record_trace: bool = False,
 ) -> OptimizationResult:
     """Nelder-Mead simplex descent with coefficients (1, 2, 0.5, 0.5).
 
@@ -97,18 +93,14 @@ def nelder_mead_minimize(
     max_evals = _check_integer(max_evals, "max_evals", minimum=1)
     xtol = _check_real(xtol, "xtol", minimum=0.0)
     ftol_val = math.inf if ftol is None else _check_real(ftol, "ftol", minimum=0.0)
-    trace: list | None = [] if record_trace else None
     evals = 0
 
     def call(x: np.ndarray) -> float:
         nonlocal evals
         if evals >= max_evals:
             raise _BudgetExhausted
-        xw = wrap_angles(x)
-        value = float(f(xw))
+        value = float(f(wrap_angles(x)))
         evals += 1
-        if trace is not None:
-            trace.append((xw.copy(), value))
         return value
 
     sim = [theta0.copy()]
@@ -173,7 +165,6 @@ def nelder_mead_minimize(
         value_min=float(fsim[best]),
         evaluations=evals,
         converged=converged,
-        trace=trace,
     )
 
 

@@ -21,7 +21,7 @@ import functools
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,25 +84,6 @@ def _check_bandwidths(bandwidths) -> tuple[int, ...]:
     if not entries:
         raise ValueError("need at least one bandwidth")
     return tuple(_check_integer(s, "bandwidths", minimum=0) for s in entries)
-
-
-def _same_values(a, b) -> bool:
-    """Equality by value, with arrays compared by ``np.array_equal``, also inside lists, tuples and dicts."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.array_equal(a, b)
-    if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
-        return type(a) is type(b) and len(a) == len(b) and all(map(_same_values, a, b))
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(_same_values(a[key], b[key]) for key in a)
-    return bool(a == b)
-
-
-def _fields_equal(self, other) -> bool:
-    """A dataclass ``__eq__`` over its compared fields by :func:`_same_values`, where the generated
-    one would raise on an array field."""
-    if other.__class__ is not self.__class__:
-        return NotImplemented
-    return all(_same_values(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
 
 def wrap_angles(theta) -> np.ndarray:
@@ -242,15 +223,14 @@ class FourierBasis:
         return design
 
 
-@dataclass
+# eq=False: records compare by identity, where a generated __eq__ would raise on an array field
+@dataclass(eq=False)
 class SampleSet:
     """Parameter points with measured objective values and their provenance."""
 
     points: np.ndarray
     values: np.ndarray
     metadata: dict = field(default_factory=dict)
-
-    __eq__ = _fields_equal
 
     def __post_init__(self) -> None:
         self.points = _check_points(self.points)
@@ -274,7 +254,8 @@ class SampleSet:
         return int(self.points.shape[1])
 
 
-@dataclass
+# eq=False: see SampleSet
+@dataclass(eq=False)
 class FourierModel:
     """A fitted trigonometric model: coefficients over a FourierBasis.
 
@@ -285,9 +266,7 @@ class FourierModel:
     bandwidths: tuple[int, ...]
     coefficients: np.ndarray
     metadata: dict = field(default_factory=dict)
-    basis: FourierBasis = field(init=False, repr=False, compare=False)
-
-    __eq__ = _fields_equal
+    basis: FourierBasis = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.bandwidths = _check_bandwidths(self.bandwidths)

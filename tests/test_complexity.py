@@ -310,6 +310,13 @@ def test_efficiency_is_finite_where_its_value_is_representable(p):
     assert efficiency(params) == pytest.approx(efficiency_integral(params), rel=1e-12)
 
 
+@pytest.mark.xfail(strict=True, raises=OverflowError,
+                   reason="from p = 171 on, Gamma(p+1) and the gamma integrand's peak exceed the float range")
+def test_efficiency_is_finite_past_p_170():
+    """The efficiency here is about 4.8e300 (by log-gamma), and the peak ratio 1.7e302."""
+    assert efficiency(ComplexityParams(0.5, 180.0, 1.0)) == pytest.approx(4.8128729809967834e300, rel=1e-9)
+
+
 def test_efficiency_exceeds_one_deep_in_the_window():
     """A tall peak and a wide window push the average gain above one."""
     for m, p, s in ((2.0, 6.0, 2.0), (4.0, 8.0, 2.5), (8.0, 12.0, 3.0)):

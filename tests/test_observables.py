@@ -88,11 +88,21 @@ def test_merge_prunes_cancelling_terms():
         '{"num_qubits":1,"terms":[{"pauli":"Z","weight":1.0}],"junk":true}',
         '{"num_qubits":0,"terms":[]}',
         '{"num_qubits": true, "terms": [{"pauli": "Z", "weight": 1.0}]}',  # bool is an int subclass
+        '{"num_qubits": 2.0, "terms": [{"pauli": "ZZ", "weight": 1.0}]}',  # a JSON integer only
     ],
 )
 def test_parse_rejects_malformed(text):
     with pytest.raises(ObservableError):
         parse_observable(text)
+
+
+def test_observable_takes_num_qubits_by_the_integer_rule():
+    """A numpy integer is an integer, as for Ansatz and ObjectiveSpec."""
+    obs = ObservableSum(np.int64(2), [(1.0, "ZZ")])
+    assert obs.num_qubits == 2 and type(obs.num_qubits) is int
+    for bad in (2.5, True, 0, "2"):
+        with pytest.raises(ObservableError, match="num_qubits"):
+            ObservableSum(bad, [(1.0, "ZZ")])
 
 
 def test_parse_rejects_non_finite_weight():

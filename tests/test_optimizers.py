@@ -9,13 +9,17 @@ import pytest
 from qsreg import (
     Ansatz,
     EvalLedger,
+    FourierBasis,
     FourierModel,
     Gate,
     ObjectiveSpec,
     ObservableSum,
     OptimizationResult,
+    SampleSet,
     exact_spectrum,
+    fit_fourier_model,
     nelder_mead_minimize,
+    nyquist_lattice,
     qsr_run,
     regression_global_minimize,
     vqe_run,
@@ -94,10 +98,23 @@ def test_nm_never_exceeds_budget():
 
 
 def test_nm_trace_records_every_evaluation():
-    result = nelder_mead_minimize(lambda t: t[0] ** 2, [0.5], max_evals=40, record_trace=True)
-    assert len(result.trace) == result.evaluations
-    values = [v for _, v in result.trace]
-    assert min(values) == result.value_min
+    """A caller that wants every evaluation wraps its objective."""
+    def traced_run():
+        trace = []
+
+        def recording(x):
+            value = float(np.sum(x**2))
+            trace.append((x.copy(), value))
+            return value
+
+        return nelder_mead_minimize(recording, [0.5, 0.5], max_evals=40), trace
+
+    result, trace = traced_run()
+    assert len(trace) == result.evaluations
+    assert min(value for _, value in trace) == result.value_min
+    _, retrace = traced_run()
+    assert len(retrace) == len(trace)
+    assert all(np.array_equal(x, y) and u == v for (x, u), (y, v) in zip(trace, retrace))
 
 
 def test_nm_result_value_matches_theta(deuteron1):
@@ -311,17 +328,22 @@ def test_global_minimize_is_no_worse_than_a_dense_grid_oracle():
         assert result.value_min <= _dense_grid_min(model) + tolerance, bandwidths
 
 
-def test_optimization_results_compare_by_value():
-    result = regression_global_minimize(FourierModel((1, 2), np.random.default_rng(5).normal(size=15)))
-    copy = OptimizationResult(result.theta_min.copy(), result.value_min, result.evaluations, result.converged)
-    assert copy == result and result in [copy]
-    assert result in [result]
-    moved = OptimizationResult(result.theta_min + 1e-3, result.value_min, result.evaluations, result.converged)
-    assert moved != result and moved not in [result]
-    traced = nelder_mead_minimize(lambda x: float(np.sum(x**2)), [0.5, 0.5], max_evals=20, record_trace=True)
-    retraced = nelder_mead_minimize(lambda x: float(np.sum(x**2)), [0.5, 0.5], max_evals=20, record_trace=True)
-    assert traced == retraced
-    assert traced != OptimizationResult(traced.theta_min, traced.value_min, traced.evaluations, traced.converged)
+def test_result_records_compare_by_identity():
+    """A record equals itself only: a field-for-field copy is another record,
+    and no comparison raises on an array field."""
+    samples = SampleSet(nyquist_lattice((1, 2)), np.random.default_rng(5).normal(size=15), metadata={"mode": "exact"})
+    model = fit_fourier_model(samples, FourierBasis((1, 2)))
+    result = regression_global_minimize(model)
+    copies = [
+        (samples, SampleSet(samples.points.copy(), samples.values.copy(), dict(samples.metadata))),
+        (model, FourierModel(model.bandwidths, model.coefficients.copy(), dict(model.metadata))),
+        (result, OptimizationResult(result.theta_min.copy(), result.value_min, result.evaluations, result.converged)),
+    ]
+    for record, copy in copies:
+        assert record == record and record in [record]
+        assert copy != record and record != copy
+        assert copy not in [record] and record not in [copy]
+        assert record != model.to_dict()
 
 
 # --- vqe_run ---

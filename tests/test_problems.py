@@ -91,7 +91,28 @@ def _document(gates, num_qubits=2, params=("theta",)):
     (["RY", [1], 0], "a gate is"),
     (["RY", [1]], "RY takes one qubit and an angle"),
     (["X", [1], 0, 1], "X takes one qubit and no angle"),
+    (["X", 1], "a gate is"),
+    (5, "a gate is"),
 ])
 def test_parse_circuit_rejects_a_bad_gate(gate, message):
     with pytest.raises(ValueError, match=message):
         _parse_circuit("bad", _document([["X", [0]], gate]))
+
+
+_GOOD = {"num_qubits": 2, "params": ["theta"], "gates": [["X", [0]], ["RY", [1], 0, 1]]}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({"num_qubits": 2, "params": ["theta"]}, "gates"),
+    ([], "num_qubits"),
+    ({**_GOOD, "extra": 1}, "extra"),
+    ({**_GOOD, "params": "ab"}, "params"),
+    ({**_GOOD, "params": ["theta", 1]}, "params"),
+    ({**_GOOD, "gates": {}}, "gates"),
+    ({**_GOOD, "num_qubits": 2.0}, "num_qubits"),
+    ({**_GOOD, "num_qubits": True}, "num_qubits"),
+])
+def test_parse_circuit_rejects_a_bad_document(doc, key):
+    """A missing key raised KeyError, a list TypeError; "ab" was read as two parameters and 2.0 as 2 qubits."""
+    with pytest.raises(ValueError, match=key):
+        _parse_circuit("bad", json.dumps(doc))

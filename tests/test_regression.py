@@ -367,21 +367,6 @@ def test_model_document_schema(tmp_path):
             FourierModel.from_dict(bad)
 
 
-def test_models_compare_by_value():
-    model = FourierModel((1, 1), np.arange(9.0), metadata={"mode": "exact", "rank": 9})
-    copy = FourierModel((1, 1), np.arange(9.0), metadata={"mode": "exact", "rank": 9})
-    assert copy == model and model in [copy]
-    assert model in [model]
-    changed = np.arange(9.0)
-    changed[4] += 1e-12
-    assert FourierModel((1, 1), changed, metadata=dict(model.metadata)) != model
-    assert FourierModel((1, 1), np.arange(9.0)) != model  # metadata differs
-    assert model != model.to_dict()
-    samples = SampleSet(nyquist_lattice((1,)), [1.0, 2.0, 3.0], metadata={"mode": "exact"})
-    assert samples == SampleSet(nyquist_lattice((1,)), [1.0, 2.0, 3.0], metadata={"mode": "exact"})
-    assert samples != SampleSet(nyquist_lattice((1,)), [1.0, 2.0, 3.5], metadata={"mode": "exact"})
-
-
 # --- sample-set validation ---
 
 def test_sampleset_validation():
