@@ -9,17 +9,13 @@ import pytest
 from qsreg import (
     Ansatz,
     EvalLedger,
-    FourierBasis,
     FourierModel,
     Gate,
     ObjectiveSpec,
     ObservableSum,
     OptimizationResult,
-    SampleSet,
     exact_spectrum,
-    fit_fourier_model,
     nelder_mead_minimize,
-    nyquist_lattice,
     qsr_run,
     regression_global_minimize,
     vqe_run,
@@ -328,22 +324,18 @@ def test_global_minimize_is_no_worse_than_a_dense_grid_oracle():
         assert result.value_min <= _dense_grid_min(model) + tolerance, bandwidths
 
 
-def test_result_records_compare_by_identity():
-    """A record equals itself only: a field-for-field copy is another record,
-    and no comparison raises on an array field."""
-    samples = SampleSet(nyquist_lattice((1, 2)), np.random.default_rng(5).normal(size=15), metadata={"mode": "exact"})
-    model = fit_fourier_model(samples, FourierBasis((1, 2)))
-    result = regression_global_minimize(model)
-    copies = [
-        (samples, SampleSet(samples.points.copy(), samples.values.copy(), dict(samples.metadata))),
-        (model, FourierModel(model.bandwidths, model.coefficients.copy(), dict(model.metadata))),
-        (result, OptimizationResult(result.theta_min.copy(), result.value_min, result.evaluations, result.converged)),
-    ]
-    for record, copy in copies:
-        assert record == record and record in [record]
-        assert copy != record and record != copy
-        assert copy not in [record] and record not in [copy]
-        assert record != model.to_dict()
+def test_optimization_results_compare_by_value():
+    """``==`` is identity, so it never raises on ``theta_min``; a field-for-field
+    copy is another record and compares equal by value through its fields."""
+    result = regression_global_minimize(FourierModel((1, 2), np.random.default_rng(5).normal(size=15)))
+    copy = OptimizationResult(result.theta_min.copy(), result.value_min, result.evaluations, result.converged)
+    assert result == result and result in [result]
+    assert copy != result and result != copy
+    assert copy not in [result] and result not in [copy]
+    assert np.array_equal(copy.theta_min, result.theta_min)
+    assert (copy.value_min, copy.evaluations, copy.converged) == (result.value_min, result.evaluations, result.converged)
+    moved = OptimizationResult(result.theta_min + 1e-3, result.value_min, result.evaluations, result.converged)
+    assert not np.array_equal(moved.theta_min, result.theta_min)
 
 
 # --- vqe_run ---

@@ -367,6 +367,28 @@ def test_model_document_schema(tmp_path):
             FourierModel.from_dict(bad)
 
 
+def test_models_compare_by_value():
+    """``==`` is identity, so it never raises on an array field; models
+    compare by value through ``to_dict()`` and sample sets through their fields."""
+    model = FourierModel((1, 1), np.arange(9.0), metadata={"mode": "exact", "rank": 9})
+    copy = FourierModel((1, 1), np.arange(9.0), metadata={"mode": "exact", "rank": 9})
+    assert model == model and model in [model]
+    assert copy != model and model != copy
+    assert copy not in [model] and model not in [copy]
+    assert model != model.to_dict()
+    assert copy.to_dict() == model.to_dict()
+    changed = np.arange(9.0)
+    changed[4] += 1e-12
+    assert FourierModel((1, 1), changed, metadata=dict(model.metadata)).to_dict() != model.to_dict()
+    assert FourierModel((1, 1), np.arange(9.0)).to_dict() != model.to_dict()  # metadata differs
+    samples = SampleSet(nyquist_lattice((1,)), [1.0, 2.0, 3.0], metadata={"mode": "exact"})
+    same = SampleSet(samples.points.copy(), samples.values.copy(), dict(samples.metadata))
+    assert samples == samples and samples in [samples]
+    assert same != samples and same not in [samples]
+    assert np.array_equal(same.points, samples.points) and np.array_equal(same.values, samples.values)
+    assert same.metadata == samples.metadata
+
+
 # --- sample-set validation ---
 
 def test_sampleset_validation():
