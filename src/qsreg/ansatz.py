@@ -9,7 +9,6 @@ arXiv:2008.08605), and :func:`verify_bandwidth` checks it empirically.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .objective import ObjectiveSpec, evaluate, evaluate_batch
 from .observables import ObservableSum
-from .regression import _check_bandwidths, _check_integer, lattice_axes
+from .regression import _check_bandwidths, _check_integer, _json_object, lattice_axes
 from .statevector import Gate, apply_circuit
 
 __all__ = [
@@ -108,11 +107,7 @@ def _parse_circuit(name: str, text: str) -> Ansatz:
     once at theta = 0, so a bad key, kind, qubit or index raises
     ``ValueError`` here.
     """
-    doc = json.loads(text)
-    if not isinstance(doc, dict) or set(doc) != {"num_qubits", "params", "gates"}:
-        got = sorted(doc) if isinstance(doc, dict) else type(doc).__name__
-        raise ValueError(f"circuit {name!r}: the document is an object with exactly 'num_qubits', 'params' "
-                         f"and 'gates', got {got}")
+    doc = _json_object(text, f"circuit {name!r}", ("num_qubits", "params", "gates"))
     # type() is int, not isinstance: a boolean is an int too, and 2.0 is no JSON integer
     if type(doc["num_qubits"]) is not int:
         raise ValueError(f"circuit {name!r}: 'num_qubits' must be an integer, got {doc['num_qubits']!r}")

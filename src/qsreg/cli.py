@@ -6,8 +6,8 @@ only a qsr ``run`` writes a file, its fitted model.  Exit codes: 0 success,
 1 runtime error, 2 configuration error.  ``RunConfig`` checks every solver
 setting of ``run``, ``table1`` and ``landscape``.  Relative output paths are
 resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set, and an
-output whose directory does not exist is a configuration error before any
-solver, sweep or grid runs.
+output that is a directory or whose directory does not exist is a
+configuration error before any solver, sweep or grid runs.
 """
 from __future__ import annotations
 
@@ -38,7 +38,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, uniform_lattice
+from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, _json_object, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -138,19 +138,10 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a path string or null, got {getattr(self, name)!r}")
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "problem" not in doc or "algorithm" not in doc:
-            raise ConfigError("config needs at least 'problem' and 'algorithm'")
-        try:
-            return cls(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, doc) -> "RunConfig":
+        """The configuration of a config document, or of its JSON text."""
+        keys = tuple(f.name for f in dataclasses.fields(cls))
+        return cls(**_json_object(doc, "config", keys, required=("problem", "algorithm"), error=ConfigError))
 
 
 def _resolve_out(path: str) -> str:
@@ -162,9 +153,12 @@ def _resolve_out(path: str) -> str:
 
 
 def _check_out(path: str | None) -> None:
-    """Raise ``ConfigError`` before any work if an output path's directory is missing."""
+    """Raise ``ConfigError`` before any work if an output path is a directory or its directory is missing."""
     if path:
-        directory = os.path.dirname(_resolve_out(path)) or "."
+        path = _resolve_out(path)
+        if os.path.isdir(path):
+            raise ConfigError(f"output path {path!r} is a directory")
+        directory = os.path.dirname(path) or "."
         if not os.path.isdir(directory):
             raise ConfigError(f"output directory {directory!r} does not exist")
 
@@ -286,12 +280,11 @@ def cmd_table1(args) -> int:
 
 def cmd_run(args) -> int:
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed config file: {exc}") from exc
-        config = RunConfig.from_dict(doc)
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
+        config = RunConfig.from_dict(text)
     else:
         if not args.problem or not args.algorithm:
             raise ConfigError("run needs --problem and --algorithm (or --config)")

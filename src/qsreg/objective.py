@@ -65,6 +65,8 @@ class ObjectiveSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "shots" and self.shots is None:
             raise ValueError("shots mode needs shots >= 1")
+        if self.mode == "exact" and self.shots is not None:
+            raise ValueError(f"exact mode takes no shots, got shots={self.shots!r}")
         if self.shots is not None:
             object.__setattr__(self, "shots", _check_integer(self.shots, "shots", minimum=1))
         object.__setattr__(self, "seed", _check_integer(self.seed, "seed", minimum=0))
@@ -91,7 +93,7 @@ def _evaluate_points(
         raise ValueError("parameter points must be finite")
     states = spec.ansatz.states(points)
     measurement = spec.observable.measurement
-    shots = spec.shots if spec.mode == "shots" else 0
+    shots = spec.shots or 0
     values = np.zeros(len(points))
     if measurement.plan is not None:
         if shots:

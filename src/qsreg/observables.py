@@ -8,14 +8,13 @@ package.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .regression import _check_integer, _check_real
+from .regression import _check_integer, _check_real, _json_object
 
 __all__ = [
     "ObservableError",
@@ -248,17 +247,7 @@ def parse_observable(text: str) -> ObservableSum:
 
     Qubit 0 is the leftmost character of every ``pauli`` entry.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ObservableError(f"malformed JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ObservableError("Hamiltonian document must be a JSON object")
-    unknown = set(doc) - {"num_qubits", "terms"}
-    if unknown:
-        raise ObservableError(f"unknown keys in Hamiltonian document: {sorted(unknown)}")
-    if "num_qubits" not in doc or "terms" not in doc:
-        raise ObservableError("Hamiltonian document needs 'num_qubits' and 'terms'")
+    doc = _json_object(text, "Hamiltonian document", ("num_qubits", "terms"), error=ObservableError)
     # type() is int, not isinstance: a boolean is an int too, and 2.0 is no JSON integer
     if type(doc["num_qubits"]) is not int:
         raise ObservableError(f"'num_qubits' must be an integer, got {doc['num_qubits']!r}")

@@ -259,8 +259,8 @@ def _grid_best_cells(model: FourierModel, counts) -> tuple[np.ndarray, np.ndarra
     table, partial = model._grid_partial(counts)
     rows, columns = len(table), partial.shape[1]
     keep = min(_NEWTON_STARTS, rows * columns)
-    lower, threshold = _column_lower_bounds(partial, float(np.sum(np.abs(model.coefficients))), keep)
-    seeds = np.flatnonzero(lower <= threshold)[:keep]
+    lower = _column_lower_bounds(partial, float(np.sum(np.abs(model.coefficients))))
+    seeds = np.flatnonzero(lower <= _smallest(lower, keep).max())[:keep]
     incumbent = _smallest(_leading_axis_values(table, partial[:, seeds]).reshape(-1), keep).max()
     candidates = np.flatnonzero(lower <= incumbent)
 
@@ -290,9 +290,8 @@ def _grid_best_cells(model: FourierModel, counts) -> tuple[np.ndarray, np.ndarra
     return points, best_values
 
 
-def _column_lower_bounds(partial: np.ndarray, scale: float, keep: int) -> tuple[np.ndarray, float]:
-    """``(lower, threshold)``: each column's bound of :func:`_grid_best_cells`
-    less the margin, and the ``keep``-th lowest of them.
+def _column_lower_bounds(partial: np.ndarray, scale: float) -> np.ndarray:
+    """Each column's bound of :func:`_grid_best_cells` less the margin.
 
     ``scale`` is sum|c|, which bounds every entry of ``partial``: the
     amplitudes are ``scale`` times those of ``partial / scale``, whose squares
@@ -302,7 +301,6 @@ def _column_lower_bounds(partial: np.ndarray, scale: float, keep: int) -> tuple[
     """
     columns = partial.shape[1]
     lower = np.empty(columns)
-    lowest = np.empty(0)
     # the all-zero model has all bounds zero; the unit scale keeps it off 0/0
     unit = 1.0 / scale if scale > 0 else 1.0
     step = _GRID_BLOCK_CELLS
@@ -316,8 +314,7 @@ def _column_lower_bounds(partial: np.ndarray, scale: float, keep: int) -> tuple[
         bound = np.subtract(part[0], _BOUND_MARGIN * scale, out=lower[first:first + step])
         for amplitude in amplitudes:
             bound -= np.multiply(amplitude, scale, out=amplitude)
-        lowest = _smallest(np.concatenate([lowest, _smallest(bound, keep)]), keep)
-    return lower, lowest.max()
+    return lower
 
 
 def _smallest(values: np.ndarray, count: int) -> np.ndarray:

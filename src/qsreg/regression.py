@@ -70,6 +70,28 @@ def _check_integer(value, name: str, minimum: int) -> int:
     return int(value)
 
 
+def _json_object(source, what: str, keys, required=None, error=ValueError) -> dict:
+    """The JSON object ``source``, decoded first when it is text, whose keys lie in ``keys``
+    and include ``required`` (all of ``keys`` when None); else ``error`` names ``what`` and the keys."""
+    required = keys if required is None else required
+    optional = ", ".join(repr(key) for key in keys if key not in required)
+    rule = f"{what} must be a JSON object with keys {', '.join(map(repr, required))}" + (
+        f" and optionally {optional}" if optional else "")
+    if isinstance(source, str):
+        try:
+            source = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise error(f"{rule}; it is not JSON: {exc}") from exc
+    if not isinstance(source, dict):
+        raise error(f"{rule}, got {source!r:.40}")
+    missing = ", ".join(repr(key) for key in required if key not in source)
+    unknown = ", ".join(repr(key) for key in source if key not in keys)
+    faults = [f"{label} {found}" for label, found in (("missing", missing), ("unknown", unknown)) if found]
+    if faults:
+        raise error(f"{rule}; {' and '.join(faults)}")
+    return source
+
+
 def _check_real(value, name: str, minimum: float) -> float:
     # a boolean or a string would otherwise pass float() as a number
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not math.isfinite(value):
@@ -337,22 +359,18 @@ class FourierModel:
         }
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FourierModel":
-        if set(doc) != {"bandwidths", "coefficients", "metadata"}:
-            raise ValueError(
-                "model document needs exactly 'bandwidths', 'coefficients', 'metadata'"
-            )
+    def from_dict(cls, doc) -> "FourierModel":
+        """The model of a :meth:`to_dict` document, or of its JSON text."""
+        doc = _json_object(doc, "model document", ("bandwidths", "coefficients", "metadata"))
         coefficients = doc["coefficients"]
         # np.asarray would read "1" and true as numbers and null as nan
         if not isinstance(coefficients, list) or not all(
             isinstance(c, numbers.Real) and not isinstance(c, bool) for c in coefficients
         ):
             raise ValueError("model coefficients must be a list of real numbers")
-        return cls(
-            bandwidths=doc["bandwidths"],
-            coefficients=coefficients,
-            metadata=dict(doc["metadata"]),
-        )
+        if not isinstance(doc["metadata"], dict):
+            raise ValueError(f"model metadata must be a JSON object, got {doc['metadata']!r:.40}")
+        return cls(doc["bandwidths"], coefficients, dict(doc["metadata"]))
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -362,7 +380,7 @@ class FourierModel:
     @classmethod
     def load(cls, path) -> "FourierModel":
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(fh.read())
 
 
 def fit_fourier_model(samples: SampleSet, basis: FourierBasis) -> FourierModel:

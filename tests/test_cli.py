@@ -124,7 +124,23 @@ def test_config_file_must_hold_an_object(capsys, tmp_path, document):
     path.write_text(json.dumps(document))
     code, out = _run(capsys, ["run", "--config", str(path)])
     assert code == 2
-    assert json.loads(out)["error"] == {"type": "config", "message": "config must be a JSON object"}
+    assert json.loads(out)["error"] == {
+        "type": "config",
+        "message": "config must be a JSON object with keys 'problem', 'algorithm' and optionally 'mode', "
+                   "'shots', 'seed', 'bandwidths', 'oversample', 'theta0', 'max_evals', 'xtol', 'ftol', "
+                   f"'out', 'model_out', got {document!r}",
+    }
+
+
+@pytest.mark.parametrize("config", ["missing.json", "."])
+def test_unreadable_config_file_is_a_config_error(capsys, tmp_path, monkeypatch, config):
+    """A missing config file exited 1 with FileNotFoundError, a directory with IsADirectoryError."""
+    monkeypatch.chdir(tmp_path)
+    code, out = _run(capsys, ["run", "--config", config])
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    error = json.loads(out)["error"]
+    assert error["type"] == "config" and error["message"].startswith(f"cannot read config file {config!r}")
 
 
 def test_config_dataclass_round_trip():
@@ -326,7 +342,8 @@ def test_load_problem_rejects_an_unhashable_name():
         load_problem(["deuteron-1"])
 
 
-@pytest.mark.parametrize("argv, config", [
+# every output flag of every subcommand, each pointing into missing/; a config file, when given, is config.json
+_OUTPUT_CASES = [
     (["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--out", "missing/r.json"], None),
     (["run", "--problem", "deuteron-2", "--algorithm", "qsr", "--model-out", "missing/m.json"], None),
     (["run", "--config", "config.json"], {"out": "missing/r.json"}),
@@ -335,13 +352,15 @@ def test_load_problem_rejects_an_unhashable_name():
     (["landscape", "--problem", "deuteron-2", "--out", "missing/l.csv"], None),
     (["complexity", "threshold", "--m", "2", "--r", "4", "--out", "missing/c.json"], None),
     (["complexity", "sweep", "--m-range", "1:10:3", "--r-range", "1:8:3", "--out", "missing/a.csv"], None),
-])
-def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
-    """The run used to print its result and then a second error document, exiting 1."""
+]
+
+
+def _run_without_work(capsys, tmp_path, monkeypatch, argv, config):
+    """Run ``argv`` in ``tmp_path``, outputs under ``outputs/``, with every solver, sweep and grid forbidden."""
     import qsreg.cli as cli_mod
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("work ran before the output directory was checked")
+        raise AssertionError("work ran before the output path was checked")
 
     for name in ("qsr_run", "vqe_run", "evaluate_batch", "threshold_sweep", "efficiency_sweep", "peak"):
         monkeypatch.setattr(cli_mod, name, forbidden)
@@ -351,9 +370,28 @@ def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkey
         (tmp_path / "config.json").write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", **config}))
     code, out = _run(capsys, argv)
     assert code == 2
-    assert json.loads(out)["error"] == {
+    assert len(out.splitlines()) == 1
+    return json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv, config", _OUTPUT_CASES)
+def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
+    """The run used to print its result and then a second error document, exiting 1."""
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv, config) == {
         "type": "config",
         "message": f"output directory {str(tmp_path / 'outputs' / 'missing')!r} does not exist",
+    }
+
+
+@pytest.mark.parametrize("argv, config", _OUTPUT_CASES)
+def test_output_path_that_is_a_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
+    """`run --out <dir>` printed its result and then an IsADirectoryError document, exiting 1;
+    table1 and complexity did all their work first."""
+    target = next(value for value in argv + list((config or {}).values()) if value.startswith("missing/"))
+    (tmp_path / "outputs" / target).mkdir(parents=True)
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv, config) == {
+        "type": "config",
+        "message": f"output path {str(tmp_path / 'outputs' / target)!r} is a directory",
     }
 
 

@@ -48,6 +48,13 @@ def test_spec_validation(deuteron1):
         ObjectiveSpec(ansatz, obs, mode="shots")  # missing shots
 
 
+@pytest.mark.parametrize("shots", [5, 0, 2.5])
+def test_exact_mode_takes_no_shots(deuteron1, shots):
+    """The shots were ignored, and qsr_run recorded them in the exact-mode model's metadata."""
+    with pytest.raises(ValueError, match="exact mode takes no shots"):
+        ObjectiveSpec(*deuteron1, mode="exact", shots=shots)
+
+
 @pytest.mark.parametrize("field, value", [("shots", 2.5), ("shots", True), ("shots", "10"),
                                           ("seed", 2.9), ("seed", np.True_)])
 def test_spec_rejects_non_integer_shots_and_seed(deuteron1, field, value):

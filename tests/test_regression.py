@@ -1,4 +1,5 @@
-"""Lattices, design matrices, least-squares fitting, model persistence."""
+"""Lattices, design matrices, least-squares fitting, model persistence, JSON documents."""
+import json
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,10 @@ from qsreg import (
     nyquist_lattice,
     uniform_lattice,
 )
+from qsreg.ansatz import _parse_circuit
+from qsreg.cli import ConfigError, RunConfig
 from qsreg.objective import ObjectiveSpec, evaluate_batch
+from qsreg.observables import ObservableError, parse_observable
 from qsreg.optimizers import _leading_axis_values
 from qsreg.regression import _lattice_counts_of
 
@@ -361,10 +365,46 @@ def test_model_document_schema(tmp_path):
         ({"bandwidths": [1], "coefficients": ["1", True, "0.5"], "metadata": {}}, "coefficients"),
         ({"bandwidths": [1], "coefficients": [1.0, True, 0.5], "metadata": {}}, "coefficients"),
         ({"bandwidths": [1], "coefficients": [1.0, None, 0.5], "metadata": {}}, "coefficients"),
-    ]
+    ] + [
+        # 3 and null raised TypeError, "ab" an unrelated ValueError, and [["a", 1]] loaded as {"a": 1}
+        (dict(doc, metadata=metadata), "model metadata must be a JSON object")
+        for metadata in (3, None, "ab", [["a", 1]])
+    ] + [(3, "model document must be a JSON object")]  # a number raised TypeError
     for bad, field_name in bad_documents:
         with pytest.raises(ValueError, match=field_name):
             FourierModel.from_dict(bad)
+
+
+# each reader of a JSON document: its name in messages, a good document, and its error type
+_READERS = {
+    "Hamiltonian": (parse_observable, "Hamiltonian document",
+                    {"num_qubits": 1, "terms": [{"pauli": "Z", "weight": 1.0}]}, ObservableError),
+    "circuit": (lambda text: _parse_circuit("bad", text), "circuit 'bad'",
+                {"num_qubits": 1, "params": ["t"], "gates": [["RY", [0], 0, 1]]}, ValueError),
+    "model": (FourierModel.from_dict, "model document",
+              {"bandwidths": [1], "coefficients": [1.0, 0.0, 0.0], "metadata": {}}, ValueError),
+    "config": (RunConfig.from_dict, "config", {"problem": "deuteron-1", "algorithm": "qsr"}, ConfigError),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+@pytest.mark.parametrize("fault", ["not JSON", "not an object", "missing key", "unknown key"])
+def test_json_readers_reject_a_bad_document_alike(reader, fault):
+    """An undecodable circuit or model raised a bare JSONDecodeError naming neither the document nor its format."""
+    read, what, good, error = _READERS[reader]
+    first = next(iter(good))
+    text, key = {
+        "not JSON": (json.dumps(good)[:-1], first),
+        "not an object": (json.dumps([good]), first),
+        "missing key": (json.dumps({k: v for k, v in good.items() if k != first}), first),
+        "unknown key": (json.dumps({**good, "wobble": 1}), "wobble"),
+    }[fault]
+    read(json.dumps(good))  # the good document loads
+    with pytest.raises(error) as caught:
+        read(text)
+    assert type(caught.value) is error
+    message = str(caught.value)
+    assert message.startswith(f"{what} must be a JSON object with keys ") and repr(key) in message
 
 
 def test_models_compare_by_value():
