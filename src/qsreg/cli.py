@@ -19,7 +19,6 @@ import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from .complexity import (
 from .objective import EvalLedger, ObjectiveSpec, evaluate_batch
 from .observables import ObservableSum, exact_spectrum, parse_observable
 from .optimizers import qsr_run, vqe_run
-from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, _json_object, uniform_lattice
+from .regression import FourierModel, _check_bandwidths, _check_integer, _check_real, uniform_lattice
 
 __all__ = ["RunConfig", "ConfigError", "load_problem", "main"]
 
@@ -59,7 +58,7 @@ _FOREIGN_SETTINGS = {
 }
 
 class ConfigError(ValueError):
-    """Invalid run configuration (unknown keys, bad values)."""
+    """An invalid setting or usage; the command line exits 2 on it."""
 
 
 def load_problem(name: str) -> tuple[Ansatz, ObservableSum]:
@@ -78,7 +77,7 @@ def _parse_problem(name: str) -> tuple[Ansatz, ObservableSum]:
 
 @dataclass
 class RunConfig:
-    """Serializable configuration for a single solver run."""
+    """The checked settings of one solver run."""
 
     problem: str
     algorithm: str
@@ -91,7 +90,6 @@ class RunConfig:
     max_evals: int | None = None
     xtol: float | None = None
     ftol: float | None = None
-    out: str | None = None
     model_out: str | None = None
 
     def __post_init__(self) -> None:
@@ -127,21 +125,17 @@ class RunConfig:
         foreign = [name for name in _FOREIGN_SETTINGS[self.algorithm] if getattr(self, name) is not None]
         if foreign:
             raise ConfigError(f"the {self.algorithm} algorithm does not read {', '.join(foreign)}")
-        if self.algorithm == "qsr" and self.oversample is None:
-            self.oversample = 1.0
+        if self.algorithm == "qsr":
+            if self.oversample is None:
+                self.oversample = 1.0
+            if self.model_out is None:
+                self.model_out = f"{self.problem}-qsr-model.json"
         if self.bandwidths is not None and len(self.bandwidths) != num_params:
             raise ConfigError(f"bandwidths needs {num_params} entries, got {len(self.bandwidths)}")
         if self.theta0 is not None and len(self.theta0) != num_params:
             raise ConfigError(f"theta0 needs {num_params} entries")
-        for name in ("out", "model_out"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name} must be a path string or null, got {getattr(self, name)!r}")
-
-    @classmethod
-    def from_dict(cls, doc) -> "RunConfig":
-        """The configuration of a config document, or of its JSON text."""
-        keys = tuple(f.name for f in dataclasses.fields(cls))
-        return cls(**_json_object(doc, "config", keys, required=("problem", "algorithm"), error=ConfigError))
+        if not isinstance(self.model_out, (str, type(None))):
+            raise ConfigError(f"model_out must be a path string or None, got {self.model_out!r}")
 
 
 def _resolve_out(path: str) -> str:
@@ -200,7 +194,7 @@ def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
         )
         result_doc["bandwidths"] = list(model.bandwidths)
         result_doc["oversample_factor"] = config.oversample
-        result_doc["model_path"] = config.model_out or f"{config.problem}-qsr-model.json"
+        result_doc["model_path"] = config.model_out
         result_doc["residual_norm"] = model.metadata.get("residual_norm")
     else:
         opt = vqe_run(
@@ -279,27 +273,22 @@ def cmd_table1(args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.config:
-        try:
-            text = Path(args.config).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config!r}: {exc}") from exc
-        config = RunConfig.from_dict(text)
-    else:
-        if not args.problem or not args.algorithm:
-            raise ConfigError("run needs --problem and --algorithm (or --config)")
-        # every RunConfig field is a `run` flag of the same name
-        values = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
-        values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
-        values["theta0"] = _parse_list(args.theta0, float, "floats")
-        config = RunConfig(**values)
-    _check_out(config.out)
+    # every RunConfig field is a `run` flag of the same name
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
+    values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
+    values["theta0"] = _parse_list(args.theta0, float, "floats")
+    config = RunConfig(**values)
+    _check_out(args.out)
     _check_out(config.model_out)
+    if args.out and config.model_out:
+        path = os.path.realpath(_resolve_out(args.out))
+        if path == os.path.realpath(_resolve_out(config.model_out)):
+            raise ConfigError(f"the result and the model would both be written to {path!r}")
     doc, model = execute_run(config)
     if model is not None:
         doc["model_path"] = _resolve_out(doc["model_path"])
         model.save(doc["model_path"])
-    _emit_json(doc, config.out)
+    _emit_json(doc, args.out)
     return 0
 
 
@@ -308,7 +297,7 @@ def _parse_list(text: str | None, convert, noun: str) -> list | None:
     if text is None:
         return None
     try:
-        return [convert(part) for part in str(text).split(",") if part != ""]
+        return [convert(part) for part in str(text).split(",")]
     except ValueError as exc:
         raise ConfigError(f"expected comma-separated {noun}, got {text!r}") from exc
 
@@ -502,9 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="execute one solver run, emit result JSON")
-    run.add_argument("--config", help="JSON config file (unknown keys rejected)")
-    run.add_argument("--problem", choices=sorted(PROBLEMS))
-    run.add_argument("--algorithm", choices=["vqe", "qsr"])
+    run.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
+    run.add_argument("--algorithm", required=True, choices=["vqe", "qsr"])
     run.add_argument("--mode", choices=["exact", "shots"], default="exact")
     run.add_argument("--shots", type=int, default=None)
     run.add_argument("--seed", type=int, default=0)

@@ -70,13 +70,10 @@ def _check_integer(value, name: str, minimum: int) -> int:
     return int(value)
 
 
-def _json_object(source, what: str, keys, required=None, error=ValueError) -> dict:
-    """The JSON object ``source``, decoded first when it is text, whose keys lie in ``keys``
-    and include ``required`` (all of ``keys`` when None); else ``error`` names ``what`` and the keys."""
-    required = keys if required is None else required
-    optional = ", ".join(repr(key) for key in keys if key not in required)
-    rule = f"{what} must be a JSON object with keys {', '.join(map(repr, required))}" + (
-        f" and optionally {optional}" if optional else "")
+def _json_object(source, what: str, keys, error=ValueError) -> dict:
+    """The JSON object ``source``, decoded first when it is text, whose keys are exactly ``keys``;
+    else ``error`` names ``what`` and the keys."""
+    rule = f"{what} must be a JSON object with keys {', '.join(map(repr, keys))}"
     if isinstance(source, str):
         try:
             source = json.loads(source)
@@ -84,7 +81,7 @@ def _json_object(source, what: str, keys, required=None, error=ValueError) -> di
             raise error(f"{rule}; it is not JSON: {exc}") from exc
     if not isinstance(source, dict):
         raise error(f"{rule}, got {source!r:.40}")
-    missing = ", ".join(repr(key) for key in required if key not in source)
+    missing = ", ".join(repr(key) for key in keys if key not in source)
     unknown = ", ".join(repr(key) for key in source if key not in keys)
     faults = [f"{label} {found}" for label, found in (("missing", missing), ("unknown", unknown)) if found]
     if faults:

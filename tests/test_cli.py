@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsreg import FourierModel, ObjectiveSpec, qsr_run, uniform_lattice
-from qsreg.cli import ConfigError, RunConfig, load_problem, main
+from qsreg.cli import ConfigError, RunConfig, build_parser, load_problem, main
 
 
 def _run(capsys, argv):
@@ -82,92 +82,13 @@ def test_run_vqe_is_reproducible(capsys, tmp_path):
     assert json.loads(out_a) == json.loads(out_b)
 
 
-def test_run_from_config_file(capsys, tmp_path):
-    config = {
-        "problem": "deuteron-1",
-        "algorithm": "qsr",
-        "mode": "exact",
-        "model_out": str(tmp_path / "m.json"),
-    }
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 0
-    assert json.loads(out)["ledger"]["samples"] == 3
-
-
-def test_config_rejects_unknown_keys(capsys, tmp_path):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-1", "algorithm": "qsr", "wobble": 3}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    doc = json.loads(out)
-    assert doc["error"]["type"] == "config"
-    assert "wobble" in doc["error"]["message"]
-
-
-def test_config_with_an_unknown_problem_lists_the_available_ones(capsys, tmp_path):
-    """A config file's problem is checked by ``load_problem``, whose message names the bundled problems."""
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-9", "algorithm": "qsr"}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    assert json.loads(out)["error"] == {
-        "type": "config",
-        "message": "unknown problem 'deuteron-9'; available: ['deuteron-1', 'deuteron-2']",
-    }
-
-
-@pytest.mark.parametrize("document", [5, "abc", [], None])
-def test_config_file_must_hold_an_object(capsys, tmp_path, document):
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(document))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    assert json.loads(out)["error"] == {
-        "type": "config",
-        "message": "config must be a JSON object with keys 'problem', 'algorithm' and optionally 'mode', "
-                   "'shots', 'seed', 'bandwidths', 'oversample', 'theta0', 'max_evals', 'xtol', 'ftol', "
-                   f"'out', 'model_out', got {document!r}",
-    }
-
-
-@pytest.mark.parametrize("config", ["missing.json", "."])
-def test_unreadable_config_file_is_a_config_error(capsys, tmp_path, monkeypatch, config):
-    """A missing config file exited 1 with FileNotFoundError, a directory with IsADirectoryError."""
-    monkeypatch.chdir(tmp_path)
-    code, out = _run(capsys, ["run", "--config", config])
-    assert code == 2
-    assert len(out.splitlines()) == 1
-    error = json.loads(out)["error"]
-    assert error["type"] == "config" and error["message"].startswith(f"cannot read config file {config!r}")
-
-
-def test_config_dataclass_round_trip():
-    config = RunConfig(problem="deuteron-2", algorithm="vqe", mode="shots", seed=3)
-    clone = RunConfig.from_dict(dataclasses.asdict(config))
-    assert clone == config
-    with pytest.raises(ConfigError):
-        RunConfig.from_dict({"problem": "deuteron-1"})
-    with pytest.raises(ConfigError):
-        RunConfig(problem="deuteron-1", algorithm="vqe", mode="shots", shots=0)
-
-
-def test_run_rejects_shots_in_exact_mode(capsys, tmp_path):
+def test_run_rejects_shots_in_exact_mode(capsys):
     """An exact run that was given a shot count would print it next to 0 measurements."""
     command = ["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--shots", "1000", "--seed", "1"]
     code, out = _run(capsys, command)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "config"
     assert "shots mode only" in json.loads(out)["error"]["message"]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", "shots": 1000}))
-    assert _run(capsys, ["run", "--config", str(path)]) == (code, out)
-    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "vqe", "mode": "exact", "shots": None,
-                                "max_evals": 3}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 0
-    assert json.loads(out)["shots"] is None
 
 
 @pytest.mark.parametrize("field, value", [("oversample", math.inf), ("oversample", math.nan),
@@ -178,22 +99,20 @@ def test_config_rejects_non_finite_numbers(field, value):
 
 
 @pytest.mark.parametrize("flags", [["--algorithm", "vqe", "--theta0", "nan"],
-                                   ["--algorithm", "qsr", "--oversample", "inf"]])
+                                   ["--algorithm", "qsr", "--oversample", "inf"],
+                                   ["--algorithm", "qsr", "--bandwidths", "2,,2"],
+                                   ["--algorithm", "vqe", "--theta0", "0.1,,0.2"]])
 def test_run_rejects_non_finite_flags_with_exit_2(capsys, flags):
+    """An empty list entry was dropped, so `--bandwidths 2,,2` ran as 2,2 and exited 0."""
     code, out = _run(capsys, ["run", "--problem", "deuteron-1", *flags])
     assert code == 2
     assert json.loads(out)["error"]["type"] == "config"
 
 
 @pytest.mark.parametrize("bandwidths", [[1.5, 2.5], [1, -1], [1, math.inf], [True, 2]])
-def test_config_rejects_non_integer_bandwidths(capsys, tmp_path, bandwidths):
+def test_config_rejects_non_integer_bandwidths(bandwidths):
     with pytest.raises(ConfigError, match="bandwidths"):
         RunConfig(problem="deuteron-2", algorithm="qsr", bandwidths=bandwidths)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", "bandwidths": bandwidths}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "config"
 
 
 def test_run_rejects_wrong_bandwidth_count_with_exit_2(capsys, tmp_path):
@@ -207,16 +126,10 @@ def test_run_rejects_wrong_bandwidth_count_with_exit_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("field, value", [("shots", 100.7), ("shots", True), ("shots", "100"),
                                           ("seed", 2.9), ("seed", False)])
-def test_config_rejects_non_integer_shots_and_seed(capsys, tmp_path, field, value):
+def test_config_rejects_non_integer_shots_and_seed(field, value):
     """int() would truncate these: 100.7 shots ran as 100, seed 2.9 as 2."""
     with pytest.raises(ConfigError, match=field):
         RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots", **{field: value})
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-1", "algorithm": "qsr", "mode": "shots",
-                                "model_out": str(tmp_path / "m.json"), field: value}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "config"
 
 
 @pytest.mark.parametrize("flags", [["--max-evals", "0"], ["--max-evals", "-3"], ["--xtol", "nan"],
@@ -234,15 +147,10 @@ def test_run_rejects_bad_solver_flags_with_exit_2(capsys, flags):
                                           ("xtol", "abc"), ("xtol", False), ("ftol", -1.0),
                                           ("oversample", "abc"), ("oversample", True),
                                           ("theta0", ["a"]), ("theta0", [True]), ("theta0", 0.5)])
-def test_config_rejects_bad_solver_settings(capsys, tmp_path, field, value):
+def test_config_rejects_bad_solver_settings(field, value):
     """A fractional or boolean max_evals ran 3 or 1 evaluations; non-numeric values exited 1."""
     with pytest.raises(ConfigError, match=field):
         RunConfig(problem="deuteron-1", algorithm="vqe", **{field: value})
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps({"problem": "deuteron-1", "algorithm": "vqe", field: value}))
-    code, out = _run(capsys, ["run", "--config", str(path)])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "config"
 
 
 def test_config_keeps_null_tolerances_and_normalises_numbers():
@@ -262,18 +170,18 @@ def test_config_keeps_null_tolerances_and_normalises_numbers():
 ])
 def test_run_rejects_a_setting_its_algorithm_does_not_read(capsys, tmp_path, monkeypatch, algorithm, flag, value,
                                                            config_value):
-    """These ran with the setting silently dropped and exited 0."""
+    """These ran with the setting silently dropped and exited 0; ``RunConfig`` itself refuses the same value."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QSREG_OUTPUT_DIR", raising=False)
     field = flag[2:].replace("-", "_")
+    message = f"the {algorithm} algorithm does not read {field}"
     code, out = _run(capsys, ["run", "--problem", "deuteron-2", "--algorithm", algorithm, flag, value])
     assert code == 2
-    assert json.loads(out)["error"] == {"type": "config",
-                                        "message": f"the {algorithm} algorithm does not read {field}"}
-    (tmp_path / "config.json").write_text(json.dumps({"problem": "deuteron-2", "algorithm": algorithm,
-                                                      field: config_value}))
-    assert _run(capsys, ["run", "--config", "config.json"]) == (code, out)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+    assert json.loads(out)["error"] == {"type": "config", "message": message}
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ConfigError) as caught:
+        RunConfig(problem="deuteron-2", algorithm=algorithm, **{field: config_value})
+    assert str(caught.value) == message
 
 
 def test_config_accepts_numpy_integers():
@@ -288,20 +196,17 @@ def test_shots_mode_defaults_shot_count():
     assert config.shots == 10_000
 
 
-@pytest.mark.parametrize("field, value", [("model_out", 1), ("out", True), ("out", ["a"]), ("problem", ["x"])])
-def test_config_rejects_non_string_paths_and_problem(capsys, tmp_path, monkeypatch, field, value):
-    """A numeric model_out wrote to fd 1 and closed it, out: true printed the result twice,
-    a list out failed after the whole solver ran, a list problem failed as unhashable."""
-    doc = {"problem": "deuteron-1", "algorithm": "qsr", field: value}
+@pytest.mark.parametrize("field, value", [("model_out", 1), ("problem", ["x"])])
+def test_config_rejects_non_string_paths_and_problem(field, value):
+    """A numeric model_out wrote to fd 1 and closed it; a list problem failed as unhashable."""
     with pytest.raises(ConfigError, match=field):
-        RunConfig.from_dict(doc)
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QSREG_OUTPUT_DIR", raising=False)
-    (tmp_path / "config.json").write_text(json.dumps(doc))
-    code, out = _run(capsys, ["run", "--config", "config.json"])
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == "config"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        RunConfig(**{"problem": "deuteron-1", "algorithm": "qsr", field: value})
+
+
+def test_every_run_config_field_is_a_run_flag():
+    """``cmd_run`` reads each ``RunConfig`` field from the ``run`` flag of the same name."""
+    args = vars(build_parser().parse_args(["run", "--problem", "deuteron-1", "--algorithm", "qsr"]))
+    assert {field.name for field in dataclasses.fields(RunConfig)} <= set(args)
 
 
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
@@ -342,20 +247,18 @@ def test_load_problem_rejects_an_unhashable_name():
         load_problem(["deuteron-1"])
 
 
-# every output flag of every subcommand, each pointing into missing/; a config file, when given, is config.json
+# every output flag of every subcommand, each pointing into missing/
 _OUTPUT_CASES = [
-    (["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--out", "missing/r.json"], None),
-    (["run", "--problem", "deuteron-2", "--algorithm", "qsr", "--model-out", "missing/m.json"], None),
-    (["run", "--config", "config.json"], {"out": "missing/r.json"}),
-    (["run", "--config", "config.json"], {"model_out": "missing/m.json"}),
-    (["table1", "--mode", "exact", "--out", "missing/t.csv"], None),
-    (["landscape", "--problem", "deuteron-2", "--out", "missing/l.csv"], None),
-    (["complexity", "threshold", "--m", "2", "--r", "4", "--out", "missing/c.json"], None),
-    (["complexity", "sweep", "--m-range", "1:10:3", "--r-range", "1:8:3", "--out", "missing/a.csv"], None),
+    ["run", "--problem", "deuteron-2", "--algorithm", "vqe", "--out", "missing/r.json"],
+    ["run", "--problem", "deuteron-2", "--algorithm", "qsr", "--model-out", "missing/m.json"],
+    ["table1", "--mode", "exact", "--out", "missing/t.csv"],
+    ["landscape", "--problem", "deuteron-2", "--out", "missing/l.csv"],
+    ["complexity", "threshold", "--m", "2", "--r", "4", "--out", "missing/c.json"],
+    ["complexity", "sweep", "--m-range", "1:10:3", "--r-range", "1:8:3", "--out", "missing/a.csv"],
 ]
 
 
-def _run_without_work(capsys, tmp_path, monkeypatch, argv, config):
+def _run_without_work(capsys, tmp_path, monkeypatch, argv):
     """Run ``argv`` in ``tmp_path``, outputs under ``outputs/``, with every solver, sweep and grid forbidden."""
     import qsreg.cli as cli_mod
 
@@ -366,32 +269,53 @@ def _run_without_work(capsys, tmp_path, monkeypatch, argv, config):
         monkeypatch.setattr(cli_mod, name, forbidden)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("QSREG_OUTPUT_DIR", str(tmp_path / "outputs"))
-    if config is not None:
-        (tmp_path / "config.json").write_text(json.dumps({"problem": "deuteron-2", "algorithm": "qsr", **config}))
     code, out = _run(capsys, argv)
     assert code == 2
     assert len(out.splitlines()) == 1
     return json.loads(out)["error"]
 
 
-@pytest.mark.parametrize("argv, config", _OUTPUT_CASES)
-def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
+@pytest.mark.parametrize("argv", _OUTPUT_CASES)
+def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
     """The run used to print its result and then a second error document, exiting 1."""
-    assert _run_without_work(capsys, tmp_path, monkeypatch, argv, config) == {
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
         "type": "config",
         "message": f"output directory {str(tmp_path / 'outputs' / 'missing')!r} does not exist",
     }
 
 
-@pytest.mark.parametrize("argv, config", _OUTPUT_CASES)
-def test_output_path_that_is_a_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv, config):
+@pytest.mark.parametrize("argv", _OUTPUT_CASES)
+def test_output_path_that_is_a_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
     """`run --out <dir>` printed its result and then an IsADirectoryError document, exiting 1;
     table1 and complexity did all their work first."""
-    target = next(value for value in argv + list((config or {}).values()) if value.startswith("missing/"))
+    target = next(value for value in argv if value.startswith("missing/"))
     (tmp_path / "outputs" / target).mkdir(parents=True)
-    assert _run_without_work(capsys, tmp_path, monkeypatch, argv, config) == {
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
         "type": "config",
         "message": f"output path {str(tmp_path / 'outputs' / target)!r} is a directory",
+    }
+
+
+def test_default_model_path_that_is_a_directory_fails_before_any_work(capsys, tmp_path, monkeypatch):
+    """The run exited 1 with IsADirectoryError after the solver had run."""
+    (tmp_path / "outputs" / "deuteron-2-qsr-model.json").mkdir(parents=True)
+    argv = ["run", "--problem", "deuteron-2", "--algorithm", "qsr"]
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
+        "type": "config",
+        "message": f"output path {str(tmp_path / 'outputs' / 'deuteron-2-qsr-model.json')!r} is a directory",
+    }
+
+
+@pytest.mark.parametrize("paths", [["--out", "m.json", "--model-out", "m.json"],
+                                   ["--out", "./m.json", "--model-out", "m.json"],
+                                   ["--out", "deuteron-2-qsr-model.json"]])
+def test_run_refuses_one_file_for_result_and_model(capsys, tmp_path, monkeypatch, paths):
+    """The result document overwrote the saved model, which then no longer loaded, and the run exited 0."""
+    argv = ["run", "--problem", "deuteron-2", "--algorithm", "qsr", *paths]
+    path = tmp_path / "outputs" / paths[-1]
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
+        "type": "config",
+        "message": f"the result and the model would both be written to {str(path)!r}",
     }
 
 
@@ -675,7 +599,7 @@ def test_landscape_model_column_matches_fitted_model(capsys, tmp_path, deuteron2
 
 
 @pytest.mark.parametrize("flags", [["--bandwidths", "2"], ["--mode", "shots", "--shots", "0"], ["--seed", "-1"],
-                                   ["--shots", "0"], ["--shots", "5"]])
+                                   ["--shots", "0"], ["--shots", "5"], ["--bandwidths", "2,,2"]])
 def test_landscape_config_errors_exit_2(capsys, tmp_path, monkeypatch, flags):
     """One RunConfig checks both commands, so `run` prints the same error document."""
     monkeypatch.chdir(tmp_path)
@@ -722,10 +646,11 @@ def test_verify_bandwidth_text_output(capsys):
     ["verify-bandwidth", "--problem", "deuteron-2", "--tolerance", "1e-8"],
     ["verify-bandwidth", "--problem", "deuteron-2", "--slices", "5"],
     ["verify-bandwidth", "--problem", "deuteron-2", "--seed", "202"],
+    ["run", "--config", "c.json"],
 ])
 def test_inputs_without_a_caller_are_usage_errors(capsys, argv):
     """The efficiency action printed the threshold report, and the verify-bandwidth
-    flags only restated the defaults; each exited 0."""
+    flags only restated the defaults; each exited 0.  A `run --config` file ran instead of the flags."""
     code, out = _run(capsys, argv)
     assert code == 2
     assert len(out.splitlines()) == 1
@@ -752,6 +677,7 @@ def test_console_script_smoke():
     ["run", "--seed", "x"],
     ["no-such-command"],
     [],
+    ["run", "--problem", "deuteron-1"],
 ])
 def test_usage_errors_print_one_error_document_and_exit_2(capsys, argv):
     """argparse printed its usage text to stderr and nothing on stdout."""

@@ -16,7 +16,6 @@ from qsreg import (
     uniform_lattice,
 )
 from qsreg.ansatz import _parse_circuit
-from qsreg.cli import ConfigError, RunConfig
 from qsreg.objective import ObjectiveSpec, evaluate_batch
 from qsreg.observables import ObservableError, parse_observable
 from qsreg.optimizers import _leading_axis_values
@@ -383,7 +382,6 @@ _READERS = {
                 {"num_qubits": 1, "params": ["t"], "gates": [["RY", [0], 0, 1]]}, ValueError),
     "model": (FourierModel.from_dict, "model document",
               {"bandwidths": [1], "coefficients": [1.0, 0.0, 0.0], "metadata": {}}, ValueError),
-    "config": (RunConfig.from_dict, "config", {"problem": "deuteron-1", "algorithm": "qsr"}, ConfigError),
 }
 
 
