@@ -6,7 +6,8 @@ only a qsr ``run`` writes a file, its fitted model.  Exit codes: 0 success,
 1 runtime error, 2 configuration error.  ``RunConfig`` checks every solver
 setting of ``run``, ``table1`` and ``landscape``.  Relative output paths are
 resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set, and an
-output that is a directory or whose directory does not exist is a
+output path that is empty or a directory, or whose directory does not exist
+(other than ``$QSREG_OUTPUT_DIR``, created at the first write), is a
 configuration error before any solver, sweep or grid runs.
 """
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _parse_problem(name: str) -> tuple[Ansatz, ObservableSum]:
 
 @dataclass
 class RunConfig:
-    """The checked settings of one solver run."""
+    """The checked settings of one solver run.  ``spec`` is the run's ``ObjectiveSpec``, built
+    once here; its own checks are the value checks of the mode, shots and seed."""
 
     problem: str
     algorithm: str
@@ -91,21 +93,18 @@ class RunConfig:
     xtol: float | None = None
     ftol: float | None = None
     model_out: str | None = None
+    spec: ObjectiveSpec = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        num_params = load_problem(self.problem)[0].num_params
+        ansatz, observable = load_problem(self.problem)
         if self.algorithm not in ("vqe", "qsr"):
             raise ConfigError("algorithm must be 'vqe' or 'qsr'")
-        if self.mode not in ("exact", "shots"):
-            raise ConfigError("mode must be 'exact' or 'shots'")
         if self.mode == "exact" and self.shots is not None:
             raise ConfigError("shots is read in shots mode only; set the mode to shots or leave shots out")
         if self.mode == "shots" and self.shots is None:
             self.shots = DEFAULT_SHOTS
         try:
-            if self.shots is not None:
-                self.shots = _check_integer(self.shots, "shots", minimum=1)
-            self.seed = _check_integer(self.seed, "seed", minimum=0)
+            self.spec = ObjectiveSpec(ansatz, observable, mode=self.mode, shots=self.shots, seed=self.seed)
             if self.bandwidths is not None:
                 self.bandwidths = list(_check_bandwidths(self.bandwidths))
             if self.oversample is not None:
@@ -130,31 +129,30 @@ class RunConfig:
                 self.oversample = 1.0
             if self.model_out is None:
                 self.model_out = f"{self.problem}-qsr-model.json"
-        if self.bandwidths is not None and len(self.bandwidths) != num_params:
-            raise ConfigError(f"bandwidths needs {num_params} entries, got {len(self.bandwidths)}")
-        if self.theta0 is not None and len(self.theta0) != num_params:
-            raise ConfigError(f"theta0 needs {num_params} entries")
+        if self.bandwidths is not None and len(self.bandwidths) != ansatz.num_params:
+            raise ConfigError(f"bandwidths needs {ansatz.num_params} entries, got {len(self.bandwidths)}")
+        if self.theta0 is not None and len(self.theta0) != ansatz.num_params:
+            raise ConfigError(f"theta0 needs {ansatz.num_params} entries")
         if not isinstance(self.model_out, (str, type(None))):
             raise ConfigError(f"model_out must be a path string or None, got {self.model_out!r}")
 
 
-def _resolve_out(path: str) -> str:
+def _check_out(path: str | None) -> str | None:
+    """The output path resolved against ``$QSREG_OUTPUT_DIR`` (``None`` if not given); creates nothing.
+    ``ConfigError`` if it is empty, a directory, or in a missing directory other than that one."""
+    if path is None:
+        return None
+    if not path:
+        raise ConfigError("output path is empty")
     base = os.environ.get(OUTPUT_DIR_ENV)
     if base and not os.path.isabs(path):
-        os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
+        path = os.path.join(base, path)
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory) and not (base and os.path.normpath(directory) == os.path.normpath(base)):
+        raise ConfigError(f"output directory {directory!r} does not exist")
     return path
-
-
-def _check_out(path: str | None) -> None:
-    """Raise ``ConfigError`` before any work if an output path is a directory or its directory is missing."""
-    if path:
-        path = _resolve_out(path)
-        if os.path.isdir(path):
-            raise ConfigError(f"output path {path!r} is a directory")
-        directory = os.path.dirname(path) or "."
-        if not os.path.isdir(directory):
-            raise ConfigError(f"output directory {directory!r} does not exist")
 
 
 def _error_percent(energy: float, ground: float) -> float:
@@ -164,7 +162,7 @@ def _error_percent(energy: float, ground: float) -> float:
 def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
     """Run one solver configuration; return the result document and the
     fitted model (``None`` for vqe).  Nothing is written: ``cmd_run`` saves
-    the model at the document's ``model_path``, resolved as an output path.
+    the model and sets the document's ``model_path`` to the resolved path.
 
     The reported ``energy`` is the noiseless expectation value of the
     observable at the returned parameters, i.e. the eigenvalue estimate that
@@ -173,16 +171,16 @@ def execute_run(config: RunConfig) -> tuple[dict, FourierModel | None]:
     |energy - lambda_min| / |lambda_min| * 100 against dense diagonalization.
     These diagnostics run outside the sample/query ledger.
     """
-    ansatz, observable = load_problem(config.problem)
-    spec = ObjectiveSpec(ansatz, observable, mode=config.mode, shots=config.shots, seed=config.seed)
+    spec = config.spec
+    ansatz, observable = spec.ansatz, spec.observable
     ledger = EvalLedger()
     model = None
     result_doc: dict = {
         "problem": config.problem,
         "algorithm": config.algorithm,
-        "mode": config.mode,
-        "shots": config.shots,
-        "seed": config.seed,
+        "mode": spec.mode,
+        "shots": spec.shots,
+        "seed": spec.seed,
     }
 
     if config.algorithm == "qsr":
@@ -256,7 +254,7 @@ def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
 
 
 def cmd_table1(args) -> int:
-    _check_out(args.out)
+    out = _check_out(args.out)
     rows = _table_rows(args.mode, args.shots, args.seed)
     header = f"{'n':>2}  {'Algorithm':<9}  {'Samples':>8}  {'Queries':>8}  {'Error%':>12}"
     print(header)
@@ -266,29 +264,26 @@ def cmd_table1(args) -> int:
             f"{row['n']:>2}  {row['algorithm']:<9}  {row['samples']:>8}  "
             f"{row['queries']:>8}  {row['error_percent']:>12.6g}"
         )
-    if args.out:
+    if out:
         lines = [",".join(rows[0])] + [",".join(str(value) for value in row.values()) for row in rows]
-        _emit_csv("\n".join(lines), args.out)
+        _emit_csv("\n".join(lines), out)
     return 0
 
 
 def cmd_run(args) -> int:
-    # every RunConfig field is a `run` flag of the same name
-    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig)}
+    # every RunConfig init field is a `run` flag of the same name
+    values = {field.name: getattr(args, field.name) for field in dataclasses.fields(RunConfig) if field.init}
     values["bandwidths"] = _parse_list(args.bandwidths, int, "integers")
     values["theta0"] = _parse_list(args.theta0, float, "floats")
     config = RunConfig(**values)
-    _check_out(args.out)
-    _check_out(config.model_out)
-    if args.out and config.model_out:
-        path = os.path.realpath(_resolve_out(args.out))
-        if path == os.path.realpath(_resolve_out(config.model_out)):
-            raise ConfigError(f"the result and the model would both be written to {path!r}")
+    out, model_out = _check_out(args.out), _check_out(config.model_out)
+    if out and model_out and os.path.realpath(out) == os.path.realpath(model_out):
+        raise ConfigError(f"the result and the model would both be written to {os.path.realpath(out)!r}")
     doc, model = execute_run(config)
     if model is not None:
-        doc["model_path"] = _resolve_out(doc["model_path"])
-        model.save(doc["model_path"])
-    _emit_json(doc, args.out)
+        doc["model_path"] = model_out
+        _write_out(json.dumps(model.to_dict(), indent=2), model_out)
+    _emit_json(doc, out)
     return 0
 
 
@@ -375,9 +370,9 @@ def cmd_complexity(args) -> int:
         value = getattr(args, flag)
         if value is not None and not (np.isfinite(value) and value > 0.0):
             raise ConfigError(f"--{flag} must be a positive finite real, got {value!r}")
-    _check_out(args.out)
+    out = _check_out(args.out)
     if args.action == "threshold":
-        _emit_json(_model_document(*_params_from_args(args)), args.out)
+        _emit_json(_model_document(*_params_from_args(args)), out)
         return 0
     if what == "threshold":
         if args.m_range is None or args.r_range is None:
@@ -385,26 +380,26 @@ def cmd_complexity(args) -> int:
         m_values = _parse_range(args.m_range)
         r_values = _parse_range(args.r_range)
         matrix = threshold_sweep(m_values, r_values)
-        _emit_grid_csv("m/r", m_values, r_values, matrix, args.out)
+        _emit_grid_csv("m/r", m_values, r_values, matrix, out)
     else:
         if args.p_range is None or args.s_range is None:
             raise ConfigError("efficiency sweep needs --p-range, --s-range and --m")
         p_values = _parse_range(args.p_range)
         s_values = _parse_range(args.s_range)
         matrix = efficiency_sweep(p_values, s_values, args.m)
-        _emit_grid_csv("p/s", p_values, s_values, matrix, args.out)
+        _emit_grid_csv("p/s", p_values, s_values, matrix, out)
     return 0
 
 
-def _write_out(text: str, out: str) -> str:
-    path = _resolve_out(out)
+def _write_out(text: str, path: str) -> None:
+    """Write ``text`` to a path from ``_check_out``, creating ``$QSREG_OUTPUT_DIR`` if it is missing."""
+    os.makedirs(os.path.normpath(os.path.dirname(path)), exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-    return path
 
 
 def _emit_json(doc: dict, out: str | None) -> None:
-    """Print the document, and write it to ``out`` as well when given."""
+    """Print the document, and write it to the resolved path ``out`` as well when given."""
     text = json.dumps(doc, indent=2)
     print(text)
     if out:
@@ -412,9 +407,10 @@ def _emit_json(doc: dict, out: str | None) -> None:
 
 
 def _emit_csv(text: str, out: str | None, note: str = "") -> None:
-    """Write the CSV to ``out`` and report the path (plus ``note``), or print it."""
+    """Write the CSV to the resolved path ``out`` and report it (plus ``note``), or print it."""
     if out:
-        print(f"wrote {_write_out(text, out)}{note}")
+        _write_out(text, out)
+        print(f"wrote {out}{note}")
     else:
         print(text)
 
@@ -429,7 +425,7 @@ def _emit_grid_csv(corner: str, row_values, col_values, matrix, out: str | None)
 
 
 def cmd_landscape(args) -> int:
-    ansatz, observable = load_problem(args.problem)
+    ansatz = load_problem(args.problem)[0]
     if ansatz.num_params > 2:
         raise ValueError("landscape export supports at most two parameters")
     config = RunConfig(
@@ -440,14 +436,13 @@ def cmd_landscape(args) -> int:
         seed=args.seed,
         bandwidths=_parse_list(args.bandwidths, int, "integers"),
     )
-    _check_out(args.out)
-    spec = ObjectiveSpec(ansatz, observable, mode=config.mode, shots=config.shots, seed=config.seed)
+    out = _check_out(args.out)
     resolution = int(args.resolution)
     if resolution < 2:
         raise ConfigError("resolution must be >= 2")
     grid = uniform_lattice([resolution] * ansatz.num_params)
-    raw = evaluate_batch(spec, grid)
-    model, _, _ = qsr_run(spec, bandwidth_override=config.bandwidths)
+    raw = evaluate_batch(config.spec, grid)
+    model, _, _ = qsr_run(config.spec, bandwidth_override=config.bandwidths)
     predicted = model.evaluate_many(grid)
 
     header = list(ansatz.param_names) + ["raw", "model"]
@@ -456,7 +451,7 @@ def cmd_landscape(args) -> int:
         for i in range(grid.shape[0])
     ]
     text = "\n".join([",".join(header)] + [",".join(r) for r in rows])
-    _emit_csv(text, args.out, f" ({grid.shape[0]} rows)")
+    _emit_csv(text, out, f" ({grid.shape[0]} rows)")
     return 0
 
 
@@ -489,13 +484,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Nyquist-lattice sampling regression and baseline eigensolver benchmarks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # flags that several subcommands share, each declared once here
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
 
-    run = sub.add_parser("run", help="execute one solver run, emit result JSON")
-    run.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
+    def solver():
+        # a fresh copy per subcommand: set_defaults changes the flag in every parser that shares it
+        flags = argparse.ArgumentParser(add_help=False)
+        flags.add_argument("--mode", choices=["exact", "shots"], default="exact")
+        flags.add_argument("--shots", type=int, default=None)
+        flags.add_argument("--seed", type=int, default=0)
+        return flags
+
+    run = sub.add_parser("run", parents=[problem, solver()], help="execute one solver run, emit result JSON")
     run.add_argument("--algorithm", required=True, choices=["vqe", "qsr"])
-    run.add_argument("--mode", choices=["exact", "shots"], default="exact")
-    run.add_argument("--shots", type=int, default=None)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--bandwidths", help="comma-separated override, e.g. 2,2")
     run.add_argument("--oversample", type=float, default=None, help="qsr; default 1")
     run.add_argument("--theta0", help="comma-separated start point (vqe)")
@@ -506,12 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model-out", help="persisted model path (qsr)")
     run.set_defaults(func=cmd_run)
 
-    table = sub.add_parser("table1", help="four-row solver comparison table")
-    table.add_argument("--mode", choices=["exact", "shots"], default="shots")
-    table.add_argument("--shots", type=int, default=None)
-    table.add_argument("--seed", type=int, default=0)
+    table = sub.add_parser("table1", parents=[solver()], help="four-row solver comparison table")
     table.add_argument("--out", help="also write rows as CSV")
-    table.set_defaults(func=cmd_table1)
+    table.set_defaults(func=cmd_table1, mode="shots")
 
     comp = sub.add_parser("complexity", help="cost-model reports and sweeps")
     comp.add_argument("action", choices=["threshold", "sweep"])
@@ -527,18 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--out")
     comp.set_defaults(func=cmd_complexity)
 
-    land = sub.add_parser("landscape", help="export raw vs reconstructed landscape CSV")
-    land.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
+    land = sub.add_parser("landscape", parents=[problem, solver()],
+                          help="export raw vs reconstructed landscape CSV")
     land.add_argument("--resolution", type=int, default=41)
-    land.add_argument("--mode", choices=["exact", "shots"], default="exact")
-    land.add_argument("--shots", type=int, default=None)
-    land.add_argument("--seed", type=int, default=0)
     land.add_argument("--bandwidths", help="comma-separated override for the model")
     land.add_argument("--out")
     land.set_defaults(func=cmd_landscape)
 
-    verify = sub.add_parser("verify-bandwidth", help="check the derived bandwidths by an FFT scan")
-    verify.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
+    verify = sub.add_parser("verify-bandwidth", parents=[problem],
+                            help="check the derived bandwidths by an FFT scan")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=cmd_verify_bandwidth)
 

@@ -44,6 +44,9 @@ def test_run_qsr_exact_result_json(capsys, tmp_path):
     assert json.loads(out_path.read_text()) == doc
     loaded = FourierModel.load(model_path)
     assert loaded.bandwidths == (1,)
+    # the CLI writes the model file itself, with the bytes of FourierModel.save
+    loaded.save(tmp_path / "saved.json")
+    assert model_path.read_bytes() == (tmp_path / "saved.json").read_bytes()
 
 
 def test_run_qsr_table_configuration(capsys, tmp_path):
@@ -187,8 +190,8 @@ def test_run_rejects_a_setting_its_algorithm_does_not_read(capsys, tmp_path, mon
 def test_config_accepts_numpy_integers():
     config = RunConfig(problem="deuteron-1", algorithm="qsr", mode="shots",
                        shots=np.int64(100), seed=np.uint32(2))
-    assert (config.shots, config.seed) == (100, 2)
-    assert type(config.shots) is int and type(config.seed) is int
+    assert (config.spec.shots, config.spec.seed) == (100, 2)
+    assert type(config.spec.shots) is int and type(config.spec.seed) is int
 
 
 def test_shots_mode_defaults_shot_count():
@@ -204,9 +207,17 @@ def test_config_rejects_non_string_paths_and_problem(field, value):
 
 
 def test_every_run_config_field_is_a_run_flag():
-    """``cmd_run`` reads each ``RunConfig`` field from the ``run`` flag of the same name."""
+    """``cmd_run`` reads each ``RunConfig`` init field from the ``run`` flag of the same name."""
     args = vars(build_parser().parse_args(["run", "--problem", "deuteron-1", "--algorithm", "qsr"]))
-    assert {field.name for field in dataclasses.fields(RunConfig)} <= set(args)
+    assert {field.name for field in dataclasses.fields(RunConfig) if field.init} <= set(args)
+
+
+@pytest.mark.parametrize("argv, mode", [(["run", "--problem", "deuteron-1", "--algorithm", "qsr"], "exact"),
+                                        (["table1"], "shots"), (["landscape", "--problem", "deuteron-1"], "exact")])
+def test_solver_flag_defaults(argv, mode):
+    """The three subcommands share one declaration of these flags; table1 alone defaults to shots mode."""
+    args = build_parser().parse_args(argv)
+    assert (args.mode, args.shots, args.seed) == (mode, None, 0)
 
 
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
@@ -277,11 +288,25 @@ def _run_without_work(capsys, tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", _OUTPUT_CASES)
 def test_missing_output_directory_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
-    """The run used to print its result and then a second error document, exiting 1."""
+    """The run used to print its result and then a second error document, exiting 1; the refused
+    command then still created ``$QSREG_OUTPUT_DIR``."""
     assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
         "type": "config",
         "message": f"output directory {str(tmp_path / 'outputs' / 'missing')!r} does not exist",
     }
+    assert not (tmp_path / "outputs").exists()
+
+
+@pytest.mark.parametrize("argv", _OUTPUT_CASES)
+def test_empty_output_path_fails_before_any_work(capsys, tmp_path, monkeypatch, argv):
+    """`run --model-out ""` ran the solver and then exited 1; every other empty path was
+    dropped, and the command exited 0."""
+    argv = ["" if value.startswith("missing/") else value for value in argv]
+    assert _run_without_work(capsys, tmp_path, monkeypatch, argv) == {
+        "type": "config",
+        "message": "output path is empty",
+    }
+    assert not (tmp_path / "outputs").exists()
 
 
 @pytest.mark.parametrize("argv", _OUTPUT_CASES)

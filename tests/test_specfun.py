@@ -213,6 +213,60 @@ def test_gamma_seeded_sweep_against_series():
         assert gen_upper_incomplete_gamma(a, x0, x1) == pytest.approx(expected, rel=1e-12), (a, x0, x1)
 
 
+# gamma(a, x0, x1) from mpmath.gammainc(a, x0, x1) at mp.dps = 50 (mpmath 1.3.0), rounded to a float
+_GAMMA_REFERENCES = [
+    # narrow windows centred on the peak t = a - 1, widths 1e-6, 1e-3 and 0.1
+    (2.0, 0.9999995, 1.0000005, 3.678794411820056e-07),
+    (2.0, 0.9995, 1.0005, 0.0003678794258430912),
+    (2.0, 0.95, 1.05, 0.03677261005840891),
+    (5.5, 4.4999995, 4.5000005, 9.663426396313757e-06),
+    (5.5, 4.4995, 4.5005, 0.009663426314064433),
+    (5.5, 4.45, 4.55, 0.9662531683268664),
+    (21.0, 19.9999995, 20.0000005, 216127621534.5431),
+    (21.0, 19.9995, 20.0005, 216127621629443.75),
+    (21.0, 19.95, 20.05, 2.1612311949740468e+16),
+    (60.0, 58.9999995, 59.0000005, 7.192738204681535e+72),
+    (60.0, 58.9995, 59.0005, 7.192738217796184e+75),
+    (60.0, 58.95, 59.05, 7.19268742697907e+77),
+    (150.0, 148.9999995, 149.0000005, 1.2441598687174809e+253),
+    (150.0, 148.9995, 149.0005, 1.2441598714813431e+256),
+    (150.0, 148.95, 149.05, 1.2441563926733322e+258),
+    # small a, on windows from zero, from just above it, and away from it
+    (0.015, 0.0, 1.0, 65.88322629260716),
+    (0.015, 1e-05, 3.0, 9.997775552315714),
+    (0.015, 0.01, 0.5, 3.3369615070901535),
+    (0.015, 0.5, 40.0, 0.5593425471795327),
+    (0.015, 0.001, 0.01, 2.103927385692364),
+    (0.01, 0.0, 1.0, 99.21221918133247),
+    (0.01, 1e-05, 3.0, 10.294278444290024),
+    (0.01, 0.01, 0.5, 3.383275271689816),
+    (0.01, 0.5, 40.0, 0.5594829142013499),
+    (0.01, 0.001, 0.01, 2.165320635618393),
+    (0.005, 0.0, 1.0, 199.2078330083489),
+    (0.005, 1e-05, 3.0, 10.602406445035548),
+    (0.005, 0.01, 0.5, 3.4303356983994866),
+    (0.005, 0.5, 40.0, 0.5596265981778863),
+    (0.005, 0.001, 0.01, 2.228529959462347),
+    (0.001, 0.0, 1.0, 999.2042906713881),
+    (0.001, 1e-05, 3.0, 10.857622096588868),
+    (0.001, 0.01, 0.5, 3.4685304949584177),
+    (0.001, 0.5, 40.0, 0.5597439306528308),
+    (0.001, 0.001, 0.01, 2.2804415138751524),
+    (0.0001, 0.0, 1.0, 9999.203489512553),
+    (0.0001, 1e-05, 3.0, 10.916143751431894),
+    (0.0001, 0.01, 0.5, 3.477192042971682),
+    (0.0001, 0.5, 40.0, 0.5597706224082528),
+    (0.0001, 0.001, 0.01, 2.2922895001277173),
+    pytest.param(1.8e-05, 1.06e-05, 89.3, 10.876288490998368, marks=pytest.mark.xfail(
+        strict=True, reason="the by-parts boundary term cancels for a below 0.005: 2.98e-11 relative")),
+]
+
+
+@pytest.mark.parametrize("a, x0, x1, expected", _GAMMA_REFERENCES)
+def test_gamma_against_mpmath_references(a, x0, x1, expected):
+    assert gen_upper_incomplete_gamma(a, x0, x1) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("call", [
     lambda: lambert_w0("1"),
     lambda: lambert_w0(True),
