@@ -5,10 +5,10 @@ Subcommands: ``run``, ``table1``, ``complexity``, ``landscape``,
 only a qsr ``run`` writes a file, its fitted model.  Exit codes: 0 success,
 1 runtime error, 2 configuration error.  ``RunConfig`` checks every solver
 setting of ``run``, ``table1`` and ``landscape``.  Relative output paths are
-resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set, and an
-output path that is empty or a directory, or whose directory does not exist
-(other than ``$QSREG_OUTPUT_DIR``, created at the first write), is a
-configuration error before any solver, sweep or grid runs.
+resolved against ``$QSREG_OUTPUT_DIR`` when that variable is set.  An output
+path that is empty or a directory, or whose directory does not exist (other than
+a creatable ``$QSREG_OUTPUT_DIR``, made at the first write), is a configuration
+error before any solver, sweep or grid runs.
 """
 from __future__ import annotations
 
@@ -105,6 +105,7 @@ class RunConfig:
             self.shots = DEFAULT_SHOTS
         try:
             self.spec = ObjectiveSpec(ansatz, observable, mode=self.mode, shots=self.shots, seed=self.seed)
+            self.shots, self.seed = self.spec.shots, self.spec.seed
             if self.bandwidths is not None:
                 self.bandwidths = list(_check_bandwidths(self.bandwidths))
             if self.oversample is not None:
@@ -139,7 +140,8 @@ class RunConfig:
 
 def _check_out(path: str | None) -> str | None:
     """The output path resolved against ``$QSREG_OUTPUT_DIR`` (``None`` if not given); creates nothing.
-    ``ConfigError`` if it is empty, a directory, or in a missing directory other than that one."""
+    ``ConfigError`` if it is empty, a directory, or in a missing directory other than that one,
+    which must be creatable: nothing there, and its nearest existing ancestor a writable directory."""
     if path is None:
         return None
     if not path:
@@ -150,8 +152,14 @@ def _check_out(path: str | None) -> str | None:
     if os.path.isdir(path):
         raise ConfigError(f"output path {path!r} is a directory")
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory) and not (base and os.path.normpath(directory) == os.path.normpath(base)):
-        raise ConfigError(f"output directory {directory!r} does not exist")
+    if not os.path.isdir(directory):
+        if not (base and os.path.normpath(directory) == os.path.normpath(base)):
+            raise ConfigError(f"output directory {directory!r} does not exist")
+        ancestor = os.path.abspath(directory)
+        while not os.path.lexists(ancestor):
+            ancestor = os.path.dirname(ancestor)
+        if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+            raise ConfigError(f"output directory {directory!r} cannot be created")
     return path
 
 
@@ -229,17 +237,10 @@ def _table_rows(mode: str, shots: int | None, seed: int) -> list[dict]:
             # exact-mode baseline rows get tight stopping so the table's
             # noiseless errors sit at numerical precision
             tight = algorithm == "vqe" and mode == "exact"
-            config = RunConfig(
-                problem=problem,
-                algorithm=algorithm,
-                mode=mode,
-                shots=shots,
-                seed=seed,
-                bandwidths=uniform if algorithm == "qsr" else None,
-                ftol=1e-12 if tight else None,
-                xtol=1e-8 if tight else None,
-                max_evals=4000 if tight else None,
-            )
+            config = RunConfig(problem=problem, algorithm=algorithm, mode=mode, shots=shots, seed=seed,
+                               bandwidths=uniform if algorithm == "qsr" else None,
+                               ftol=1e-12 if tight else None, xtol=1e-8 if tight else None,
+                               max_evals=4000 if tight else None)
             doc, _ = execute_run(config)
             rows.append(
                 {
@@ -282,7 +283,7 @@ def cmd_run(args) -> int:
     doc, model = execute_run(config)
     if model is not None:
         doc["model_path"] = model_out
-        _write_out(json.dumps(model.to_dict(), indent=2), model_out)
+        model.save(_make_output_dir(model_out))
     _emit_json(doc, out)
     return 0
 
@@ -391,10 +392,15 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def _write_out(text: str, path: str) -> None:
-    """Write ``text`` to a path from ``_check_out``, creating ``$QSREG_OUTPUT_DIR`` if it is missing."""
+def _make_output_dir(path: str) -> str:
+    """Create the missing ``$QSREG_OUTPUT_DIR`` of a path from ``_check_out``; return the path."""
     os.makedirs(os.path.normpath(os.path.dirname(path)), exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    return path
+
+
+def _write_out(text: str, path: str) -> None:
+    """Write ``text`` to a path from ``_check_out``."""
+    with open(_make_output_dir(path), "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
 
 
@@ -428,14 +434,8 @@ def cmd_landscape(args) -> int:
     ansatz = load_problem(args.problem)[0]
     if ansatz.num_params > 2:
         raise ValueError("landscape export supports at most two parameters")
-    config = RunConfig(
-        problem=args.problem,
-        algorithm="qsr",
-        mode=args.mode,
-        shots=args.shots,
-        seed=args.seed,
-        bandwidths=_parse_list(args.bandwidths, int, "integers"),
-    )
+    config = RunConfig(problem=args.problem, algorithm="qsr", mode=args.mode, shots=args.shots,
+                       seed=args.seed, bandwidths=_parse_list(args.bandwidths, int, "integers"))
     out = _check_out(args.out)
     resolution = int(args.resolution)
     if resolution < 2:
@@ -488,10 +488,9 @@ def build_parser() -> argparse.ArgumentParser:
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
 
-    def solver():
-        # a fresh copy per subcommand: set_defaults changes the flag in every parser that shares it
+    def solver(mode="exact"):
         flags = argparse.ArgumentParser(add_help=False)
-        flags.add_argument("--mode", choices=["exact", "shots"], default="exact")
+        flags.add_argument("--mode", choices=["exact", "shots"], default=mode)
         flags.add_argument("--shots", type=int, default=None)
         flags.add_argument("--seed", type=int, default=0)
         return flags
@@ -508,9 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--model-out", help="persisted model path (qsr)")
     run.set_defaults(func=cmd_run)
 
-    table = sub.add_parser("table1", parents=[solver()], help="four-row solver comparison table")
+    table = sub.add_parser("table1", parents=[solver("shots")], help="four-row solver comparison table")
     table.add_argument("--out", help="also write rows as CSV")
-    table.set_defaults(func=cmd_table1, mode="shots")
+    table.set_defaults(func=cmd_table1)
 
     comp = sub.add_parser("complexity", help="cost-model reports and sweeps")
     comp.add_argument("action", choices=["threshold", "sweep"])
